@@ -9,7 +9,6 @@ Usage: python scripts/sweep_cross_coefficient.py [p ...]
 
 import sys
 
-from convexa.quadrature import QuadSpec, integrate_unit
 from convexa.weights import (
     young,
     young_cross_moment_proof_display,
@@ -24,22 +23,12 @@ def main() -> int:
     print(f"{'p':>6}  {'quadrature':>18}  {'proof display':>18}  "
           f"{'theorem display':>18}  {'|thm - quad|':>12}")
     for p in p_values:
-        ws = young(p)
-
-        def cross(t):
-            wx, wy = ws.eval_arrays(t)
-            return wx * wy
-
-        hint = 2.0 / p - 1.0
-        spec = QuadSpec(
-            left_singularity_exponent=hint if -1.0 < hint < 0.0 else None
-        )
-        res = integrate_unit(cross, spec, vectorized=True)
+        cross = young(p).moment("m11")
         proof = young_cross_moment_proof_display(p)
         theorem = young_cross_moment_theorem_display(p)
         print(
-            f"{p:>6g}  {res.value:>18.15f}  {proof:>18.15f}  "
-            f"{theorem:>18.15f}  {abs(theorem - res.value):>12.3e}"
+            f"{p:>6g}  {cross.value:>18.15f}  {proof:>18.15f}  "
+            f"{theorem:>18.15f}  {abs(theorem - cross.value):>12.3e}"
         )
     return 0
 

@@ -13,7 +13,7 @@ from typing import Callable
 from . import weights as w
 from .errors import DivergentCoefficient, DomainError, NonConvergenceError, OrderingError
 from .expr import FunctionDef
-from .quadrature import Interval, QuadSpec, integrate, integrate_unit
+from .quadrature import Interval, QuadSpec, integrate
 from .specfun import beta
 
 LN3 = w.LN3
@@ -76,28 +76,18 @@ def _check_tol(quad_error: float) -> float:
     return max(1e-8, 10.0 * quad_error)
 
 
-def _vectorized(*funcs) -> bool:
-    return all(isinstance(f, FunctionDef) for f in funcs)
-
-
-def _average(f: Callable, interval: Interval, spec: QuadSpec) -> tuple[float, float]:
-    res = integrate(f, interval, spec, vectorized=_vectorized(f))
+def _average(
+    f: Callable, interval: Interval, spec: QuadSpec, g: Callable | None = None
+) -> tuple[float, float]:
+    """Average of f, or of the product f*g, over the interval, with its error."""
+    funcs = (f,) if g is None else (f, g)
+    integrand = f if g is None else lambda x: f(x) * g(x)
+    vectorized = all(isinstance(h, FunctionDef) for h in funcs)
+    res = integrate(integrand, interval, spec, vectorized=vectorized)
     if not res.converged:
         raise NonConvergenceError(
             f"integral over [{interval.a}, {interval.b}] did not converge "
             f"(error estimate {res.error_estimate:g})"
-        )
-    return res.value / interval.width, res.error_estimate / interval.width
-
-
-def _average_product(f, g, interval: Interval, spec: QuadSpec) -> tuple[float, float]:
-    def fg(x):
-        return f(x) * g(x)
-
-    res = integrate(fg, interval, spec, vectorized=_vectorized(f, g))
-    if not res.converged:
-        raise NonConvergenceError(
-            f"product integral over [{interval.a}, {interval.b}] did not converge"
         )
     return res.value / interval.width, res.error_estimate / interval.width
 
@@ -187,27 +177,9 @@ def young_product_bound(
             "the f(b)g(b) coefficient requires 2/p - 1 > 0"
         )
     table = w.young(p).moments_closed_form()
-    avg, err = _average_product(f, g, interval, spec)
-    fa, fb = f(interval.a), f(interval.b)
-    ga, gb = g(interval.a), g(interval.b)
-    paa = fa * ga
-    pbb = fb * gb
-    n_term = fa * gb + fb * ga
-    bound = table.m20.value * paa + table.m02.value * pbb + table.m11.value * n_term
-    ct = _check_tol(err)
-    return ProductBoundReport(
-        integral_avg=avg,
-        coeff_aa=table.m20.value,
-        coeff_bb=table.m02.value,
-        coeff_N=table.m11.value,
-        M=paa + pbb,
-        N=n_term,
-        endpoint_aa=paa,
-        endpoint_bb=pbb,
-        bound=bound,
-        holds=avg <= bound + ct,
-        quad_error=err,
-        check_tol=ct,
+    return _product_report(
+        f, g, interval, _average(f, interval, spec, g),
+        table.m20.value, table.m11.value, coeff_bb=table.m02.value,
     )
 
 
@@ -221,17 +193,28 @@ def nesbitt_sandwich(
     return _sandwich(left, avg, right, err)
 
 
-def _symmetric_product_report(
-    f, g, interval, spec, coeff_m, coeff_n, midpoint_product=None
+def _product_report(
+    f, g, interval, average, coeff_aa, coeff_n, coeff_bb=None, midpoint_product=None
 ) -> ProductBoundReport:
-    avg, err = _average_product(f, g, interval, spec)
+    """Report for coeff_aa*f(a)g(a) + coeff_bb*f(b)g(b) + coeff_n*N.
+
+    coeff_bb defaults to coeff_aa; with equal endpoint coefficients the
+    bound is evaluated as coeff_M*M + coeff_N*N, the form the report's
+    docstring promises.
+    """
+    avg, err = average
+    if coeff_bb is None:
+        coeff_bb = coeff_aa
     fa, fb = f(interval.a), f(interval.b)
     ga, gb = g(interval.a), g(interval.b)
     paa = fa * ga
     pbb = fb * gb
     m_term = paa + pbb
     n_term = fa * gb + fb * ga
-    bound = coeff_m * m_term + coeff_n * n_term
+    if coeff_bb == coeff_aa:
+        bound = coeff_aa * m_term + coeff_n * n_term
+    else:
+        bound = coeff_aa * paa + coeff_bb * pbb + coeff_n * n_term
     ct = _check_tol(err)
     if midpoint_product is None:
         holds = avg <= bound + ct
@@ -239,8 +222,8 @@ def _symmetric_product_report(
         holds = midpoint_product <= avg + bound + ct
     return ProductBoundReport(
         integral_avg=avg,
-        coeff_aa=coeff_m,
-        coeff_bb=coeff_m,
+        coeff_aa=coeff_aa,
+        coeff_bb=coeff_bb,
         coeff_N=coeff_n,
         M=m_term,
         N=n_term,
@@ -260,7 +243,7 @@ def nesbitt_product_bound(
     """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
     coeff_m = 125.0 / 6.0 - (147.0 / 8.0) * LN3
     coeff_n = (117.0 / 8.0) * LN3 - 95.0 / 6.0
-    return _symmetric_product_report(f, g, interval, spec, coeff_m, coeff_n)
+    return _product_report(f, g, interval, _average(f, interval, spec, g), coeff_m, coeff_n)
 
 
 def nesbitt_similarly_ordered_bound(
@@ -284,8 +267,8 @@ def nesbitt_similarly_ordered_bound(
             "ordered-bound coefficient is not the sum of the product-bound "
             f"coefficients: {NESBITT_ORDERED_COEFF!r} vs {coeff_sum!r}"
         )
-    return _symmetric_product_report(
-        f, g, interval, spec, NESBITT_ORDERED_COEFF, 0.0
+    return _product_report(
+        f, g, interval, _average(f, interval, spec, g), NESBITT_ORDERED_COEFF, 0.0
     )
 
 
@@ -297,11 +280,12 @@ def pachpatte_bounds(
     Upper: avg of fg <= (1/3)M + (1/6)N.
     Lower: 2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint.
     """
-    upper = _symmetric_product_report(f, g, interval, spec, 1.0 / 3.0, 1.0 / 6.0)
+    average = _average(f, interval, spec, g)
+    upper = _product_report(f, g, interval, average, 1.0 / 3.0, 1.0 / 6.0)
     mid = interval.midpoint
     midpoint_product = 2.0 * f(mid) * g(mid)
-    lower = _symmetric_product_report(
-        f, g, interval, spec, 1.0 / 6.0, 1.0 / 3.0, midpoint_product=midpoint_product
+    lower = _product_report(
+        f, g, interval, average, 1.0 / 6.0, 1.0 / 3.0, midpoint_product=midpoint_product
     )
     return upper, lower
 
@@ -309,20 +293,8 @@ def pachpatte_bounds(
 # --- constants validation table ----------------------------------------------
 
 
-def _weight_integrands(ws: w.WeightSystem):
-    def wx(t):
-        return ws.eval_arrays(t)[0]
-
-    def wy(t):
-        return ws.eval_arrays(t)[1]
-
-    return wx, wy
-
-
-def _oracle(integrand, spec: QuadSpec, exponent: float | None = None) -> float:
-    hint = exponent if exponent is not None and -1.0 < exponent < 0.0 else None
-    local = QuadSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions, hint)
-    res = integrate_unit(integrand, local, vectorized=True)
+def _oracle(ws: w.WeightSystem, g, degree, spec: QuadSpec) -> float:
+    res = ws.integral(g, degree, spec)
     if not res.converged:
         raise NonConvergenceError("constants oracle integral did not converge")
     return res.value
@@ -330,6 +302,10 @@ def _oracle(integrand, spec: QuadSpec, exponent: float | None = None) -> float:
 
 def _row(name, p, closed, oracle, note="") -> ConstantsRow:
     return ConstantsRow(name, p, closed, oracle, abs(closed - oracle), note)
+
+
+def _w_sum(wx, wy):
+    return wx + wy
 
 
 def constants_table(
@@ -344,76 +320,37 @@ def constants_table(
     rows: list[ConstantsRow] = []
     for p in p_values:
         ws = w.young(p)
-        if not p > 1.0:
-            raise DomainError(f"constants_table requires p > 1, got {p}")
-        table = ws.moments_closed_form()
-        wx, wy = _weight_integrands(ws)
-        e_y = 1.0 / p - 1.0
-        e_yy = 2.0 / p - 2.0
-        e_xy = 2.0 / p - 1.0
-        m11_oracle = _oracle(lambda t: wx(t) * wy(t), spec, e_xy)
-        rows.append(_row("young_m10", p, table.m10.value, _oracle(wx, spec)))
-        rows.append(_row("young_m01", p, table.m01.value, _oracle(wy, spec, e_y)))
-        rows.append(
-            _row("young_m20", p, table.m20.value, _oracle(lambda t: wx(t) ** 2, spec))
-        )
-        if table.m02.defined:
-            rows.append(
-                _row(
-                    "young_m02",
-                    p,
-                    table.m02.value,
-                    _oracle(lambda t: wy(t) ** 2, spec, e_yy),
-                )
-            )
-        rows.append(_row("young_m11", p, table.m11.value, m11_oracle))
+        closed = ws.moments_closed_form().entries()
+        oracle = {
+            key: _oracle(ws, g, degree, spec)
+            for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
+            if closed[key].defined
+        }
+        for key, value in oracle.items():
+            rows.append(_row(f"young_{key}", p, closed[key].value, value))
         rows.append(
             _row(
                 "young_m11_theorem_display",
                 p,
                 w.young_cross_moment_theorem_display(p),
-                m11_oracle,
+                oracle["m11"],
                 note="erratum candidate",
             )
         )
         rows.append(
-            _row(
-                "young_w_sum",
-                p,
-                2.0 * p / (p + 1.0),
-                _oracle(lambda t: wx(t) + wy(t), spec, e_y),
-            )
+            _row("young_w_sum", p, 2.0 * p / (p + 1.0), _oracle(ws, _w_sum, (0, 1), spec))
         )
     ws = w.nesbitt()
-    table = ws.moments_closed_form()
-    wx, wy = _weight_integrands(ws)
-    rows.append(_row("nesbitt_m10", None, table.m10.value, _oracle(wx, spec)))
-    rows.append(_row("nesbitt_m01", None, table.m01.value, _oracle(wy, spec)))
-    rows.append(
-        _row("nesbitt_m20", None, table.m20.value, _oracle(lambda t: wx(t) ** 2, spec))
-    )
-    rows.append(
-        _row("nesbitt_m02", None, table.m02.value, _oracle(lambda t: wy(t) ** 2, spec))
-    )
-    rows.append(
-        _row(
-            "nesbitt_m11", None, table.m11.value, _oracle(lambda t: wx(t) * wy(t), spec)
-        )
-    )
-    rows.append(
-        _row(
-            "nesbitt_ordered_coeff",
-            None,
-            NESBITT_ORDERED_COEFF,
-            _oracle(lambda t: wx(t) * (wx(t) + wy(t)), spec),
-        )
-    )
-    rows.append(
-        _row(
-            "nesbitt_w_sum",
-            None,
-            3.0 * LN3 - 2.0,
-            _oracle(lambda t: wx(t) + wy(t), spec),
-        )
-    )
+    closed = ws.moments_closed_form().entries()
+    nesbitt = [
+        (f"nesbitt_{key}", closed[key].value, g, degree)
+        for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
+    ]
+    nesbitt += [
+        ("nesbitt_ordered_coeff", NESBITT_ORDERED_COEFF,
+         lambda wx, wy: wx * (wx + wy), (1, 1)),
+        ("nesbitt_w_sum", 3.0 * LN3 - 2.0, _w_sum, (0, 1)),
+    ]
+    for name, closed_value, g, degree in nesbitt:
+        rows.append(_row(name, None, closed_value, _oracle(ws, g, degree, spec)))
     return rows

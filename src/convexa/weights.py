@@ -9,15 +9,17 @@ products) generate every Hadamard-type theorem constant; they are available
 both as closed forms and through the quadrature oracle.
 """
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .quadrature import QuadSpec, integrate_unit
+from .quadrature import QuadResult, QuadSpec, integrate_unit
 
 LN3 = math.log(3.0)
 
@@ -184,49 +186,56 @@ class WeightSystem:
             MomentMethod.CLOSED_FORM,
         )
 
+    def integral(
+        self,
+        g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        degree: tuple[int, int],
+        spec: QuadSpec = QuadSpec(),
+    ) -> QuadResult:
+        """Quadrature of g(w_x, w_y) over t in [0, 1].
+
+        degree = (i, j) names the most singular monomial w_x^i w_y^j of g.
+        Young weights behave like w_x ~ t^(1/p) and w_y ~ t^(1/p - 1) at
+        t = 0, so that monomial carries t^((i + j)/p - j); the exponent is
+        passed to the quadrature as a left-endpoint hint when it lies in
+        (-1, 0). Integrands that diverge are reported (converged=False).
+        """
+        hint = None
+        if self.kind is WeightKind.YOUNG:
+            i, j = degree
+            exponent = (i + j) / self.p - j
+            if -1.0 < exponent < 0.0:
+                hint = exponent
+        local = dataclasses.replace(spec, left_singularity_exponent=hint)
+        return integrate_unit(lambda t: g(*self.eval_arrays(t)), local, vectorized=True)
+
+    def moment(self, key: str, spec: QuadSpec = QuadSpec()) -> Moment:
+        """One moment-table entry ("m10", ..., "m11") from the quadrature oracle."""
+        res = self.integral(*MOMENT_INTEGRANDS[key], spec)
+        if not res.converged:
+            return Moment(math.nan, defined=False)
+        return Moment(res.value)
+
     def moments(self, spec: QuadSpec = QuadSpec()) -> MomentTable:
         """Moment table from the adaptive-quadrature oracle.
 
-        Singularity hints follow the weight exponents: w_y carries
-        t^(1/p - 1) for Young, so its moments need desingularization, and
-        m02 genuinely diverges for p >= 2 (reported, not guessed).
+        The Young m02 entry genuinely diverges for p >= 2 (reported, not
+        guessed).
         """
-
-        def run(g, exponent=None) -> Moment:
-            hint = None
-            if exponent is not None and -1.0 < exponent < 0.0:
-                hint = exponent
-            local = QuadSpec(
-                abs_tol=spec.abs_tol,
-                rel_tol=spec.rel_tol,
-                max_subdivisions=spec.max_subdivisions,
-                left_singularity_exponent=hint,
-            )
-            res = integrate_unit(g, local, vectorized=True)
-            if not res.converged:
-                return Moment(math.nan, defined=False)
-            return Moment(res.value)
-
-        def wx(t):
-            return self.eval_arrays(t)[0]
-
-        def wy(t):
-            return self.eval_arrays(t)[1]
-
-        if self.kind is WeightKind.YOUNG:
-            e_y = 1.0 / self.p - 1.0
-            e_yy = 2.0 / self.p - 2.0
-            e_xy = 2.0 / self.p - 1.0
-        else:
-            e_y = e_yy = e_xy = None
         return MomentTable(
-            run(wx),
-            run(wy, e_y),
-            run(lambda t: wx(t) ** 2),
-            run(lambda t: wy(t) ** 2, e_yy),
-            run(lambda t: wx(t) * wy(t), e_xy),
+            *(self.moment(key, spec) for key in MOMENT_INTEGRANDS),
             MomentMethod.QUADRATURE,
         )
+
+
+# moment key -> (integrand of (w_x, w_y), degree (i, j) of its monomial)
+MOMENT_INTEGRANDS = {
+    "m10": (lambda wx, wy: wx, (1, 0)),
+    "m01": (lambda wx, wy: wy, (0, 1)),
+    "m20": (lambda wx, wy: wx**2, (2, 0)),
+    "m02": (lambda wx, wy: wy**2, (0, 2)),
+    "m11": (lambda wx, wy: wx * wy, (1, 1)),
+}
 
 
 def classical() -> WeightSystem:

@@ -194,6 +194,46 @@ def test_moments_method_flag():
     assert nesbitt().moments().method is MomentMethod.QUADRATURE
 
 
+@pytest.mark.parametrize(
+    "ws,degree,hint",
+    [
+        (young(1.5), (1, 0), None),
+        (young(1.5), (0, 1), 1.0 / 1.5 - 1.0),
+        (young(1.5), (0, 2), 2.0 / 1.5 - 2.0),
+        (young(1.5), (1, 1), None),  # 2/p - 1 > 0: bounded integrand
+        (young(1.9), (1, 1), None),
+        (young(2.0), (1, 1), None),  # exponent 0: bounded integrand
+        (young(3.0), (1, 1), 2.0 / 3.0 - 1.0),
+        (young(2.0), (0, 2), None),  # exponent -1: divergent, no hint
+        (nesbitt(), (0, 2), None),
+        (classical(), (0, 1), None),
+    ],
+)
+def test_integral_singularity_hint(monkeypatch, ws, degree, hint):
+    import convexa.weights as weights_module
+
+    seen = []
+    original = weights_module.integrate_unit
+
+    def spy(f, spec, vectorized=False):
+        seen.append(spec.left_singularity_exponent)
+        return original(f, spec, vectorized)
+
+    monkeypatch.setattr(weights_module, "integrate_unit", spy)
+    ws.integral(lambda wx, wy: wx**degree[0] * wy**degree[1], degree)
+    assert seen == [hint]
+
+
+def test_moment_matches_table_entry():
+    for ws in (young(1.5), young(3.0), nesbitt(), classical()):
+        table = ws.moments().entries()
+        for key, entry in table.items():
+            single = ws.moment(key)
+            assert single.defined == entry.defined
+            if entry.defined:
+                assert single.value == entry.value
+
+
 def test_young_cross_moment_displays():
     # proof display is the oracle-confirmed one; they coincide only at p=2
     assert young_cross_moment_proof_display(1.5) == pytest.approx(
