@@ -6,19 +6,26 @@ text, JSON (schema_version "1", byte-stable across runs), or CSV with '.'
 decimals and 17 significant digits.
 
 Exit codes: 0 all checks hold, 1 violation or failed inequality, 2 usage or
-parse error, 3 numeric non-convergence.
+parse error, 3 numeric non-convergence or a non-finite value.
 """
 
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from typing import Any
 
 from . import membership as mb
 from . import theorems as th
 from . import weights as w
-from .errors import DivergentCoefficient, DomainError, NonConvergenceError, OrderingError
+from .errors import (
+    DivergentCoefficient,
+    DomainError,
+    NonConvergenceError,
+    NonFiniteError,
+    OrderingError,
+)
 from .expr import ExprDomainError, ExprSyntaxError, parse_function
 from .quadrature import Interval, QuadSpec
 from .suite import SCHEMA_VERSION, Overall, Report, verify_paper
@@ -393,10 +400,33 @@ _COMMANDS = {
 }
 
 
+# a negative number in any float spelling: argparse's own pattern has no
+# exponent, so it reads "-1e-3" as an option flag
+_NEGATIVE_NUMBER = re.compile(
+    r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-inf(inity)?|-nan", re.IGNORECASE
+)
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Join "--opt -1e-3" into "--opt=-1e-3" so the value reaches the option."""
+    out: list[str] = []
+    for arg in argv:
+        if (
+            out
+            and out[-1].startswith("--")
+            and "=" not in out[-1]
+            and _NEGATIVE_NUMBER.fullmatch(arg)
+        ):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_numbers(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
@@ -404,7 +434,12 @@ def run(argv: list[str]) -> int:
     except (ExprSyntaxError, ExprDomainError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergentCoefficient, OrderingError, NonConvergenceError) as exc:
+    except (
+        DivergentCoefficient,
+        OrderingError,
+        NonConvergenceError,
+        NonFiniteError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     text = render(report, args.format)

@@ -15,3 +15,7 @@ class OrderingError(ValueError):
 
 class NonConvergenceError(ArithmeticError):
     """Adaptive quadrature failed to converge within its subdivision budget."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A computation produced an inf or NaN where a verdict needs finite values."""

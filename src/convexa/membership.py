@@ -3,15 +3,21 @@
 A grid cannot prove membership, so the passing verdict is deliberately
 worded NoViolationAtResolution. Scan order is fixed (x outer, y middle,
 t inner, all ascending) and the first violating cell is certified, which
-makes the result deterministic and exactly reproducible.
+makes the result deterministic and exactly reproducible. A cell violates
+when its gap exceeds tol * max(1, |lhs|, |rhs|), so rounding in large
+values is not reported as a violation. The scan runs over blocks of
+consecutive (x, y) pairs with whole t rows, so its memory does not grow
+with nx * ny * nt; an inf or NaN anywhere on the grid raises
+NonFiniteError instead of becoming a verdict.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteError
 from .expr import FunctionDef
 from .quadrature import Interval
 from .weights import WeightSystem
@@ -65,6 +71,12 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
+# samples per block of the scan: 64 KiB per float64 temporary keeps a block
+# in L2 and under glibc's default 128 KiB mmap threshold, so temporaries are
+# reused from the heap instead of being mapped and faulted in per block
+_BLOCK_SAMPLES = 8192
+
+
 def _certificate_at(f, ws, x, y, t, sign) -> ViolationCertificate:
     # scalar recomputation through the same evaluation path as the grid scan
     wx, wy = ws.eval_arrays(np.array([t]))
@@ -73,34 +85,78 @@ def _certificate_at(f, ws, x, y, t, sign) -> ViolationCertificate:
     return ViolationCertificate(x, y, t, lhs, rhs, sign * (lhs - rhs))
 
 
+def _exceeds(gap, lhs, rhs, tol):
+    """The violation test: the gap exceeds tol relative to the compared values."""
+    return gap > tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
+def _ieee_max(values: np.ndarray) -> float:
+    """np.max with +0.0 above -0.0, as in IEEE 754-2019 maximum.
+
+    np.max leaves a tie of signed zeros to its SIMD lane order, so without
+    this the sign of a zero maximum would depend on the block boundaries.
+    """
+    top = float(np.max(values))
+    if top == 0.0 and math.copysign(1.0, top) < 0.0 and not np.signbit(
+        values[values == 0.0]
+    ).all():
+        return 0.0
+    return top
+
+
 def _scan(f, interval: Interval, ws: WeightSystem, grid: GridSpec, sign: float):
     xs = np.linspace(interval.a, interval.b, grid.nx)
     ys = np.linspace(interval.a, interval.b, grid.ny)
     ts = np.linspace(grid.t_min, 1.0, grid.nt)
-    wx, wy = ws.eval_arrays(ts)
-    fx = f(xs)
-    fy = f(ys)
-    points = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * ys[
-        None, :, None
-    ]
-    lhs = f(points)
-    rhs = (
-        wx[None, None, :] * fx[:, None, None]
-        + wy[None, None, :] * fy[None, :, None]
-    )
-    gap = sign * (lhs - rhs)
-    samples = grid.nx * grid.ny * grid.nt
-    max_slack = float(np.max(-gap))
-    max_gap = float(np.max(gap))
+    pairs = grid.nx * grid.ny
+    step = max(1, _BLOCK_SAMPLES // grid.nt)
+    gaps, slacks = [], []
     certificate = None
-    for flat in np.flatnonzero(gap > grid.tol):
-        i, j, k = np.unravel_index(int(flat), gap.shape)
-        cert = _certificate_at(
-            f, ws, float(xs[i]), float(ys[j]), float(ts[k]), sign
-        )
-        if cert.gap > grid.tol:
-            certificate = cert
-            break
+    with np.errstate(all="ignore"):
+        wx, wy = ws.eval_arrays(ts)
+        fx = f(xs)
+        fy = f(ys)
+        # the (y, t) terms, each bit-identical to its dense broadcast
+        y_part = (1.0 - ts)[None, :] * ys[:, None]
+        wy_fy = wy[None, :] * fy[:, None]
+        for start in range(0, pairs, step):
+            # consecutive (x, y) pairs in scan order, each with its whole t row
+            i, j = np.divmod(np.arange(start, min(start + step, pairs)), grid.ny)
+            points = ts[None, :] * xs[i, None] + y_part[j]
+            lhs = f(points)
+            rhs = wx[None, :] * fx[i, None] + wy_fy[j]
+            gap = sign * (lhs - rhs)
+            block_gap = _ieee_max(gap)
+            block_slack = _ieee_max(-gap)
+            if not (math.isfinite(block_gap) and math.isfinite(block_slack)):
+                r, k = np.unravel_index(
+                    int(np.argmax(~np.isfinite(gap))), gap.shape
+                )
+                raise NonFiniteError(
+                    f"membership scan produced a non-finite value at "
+                    f"x={float(xs[i[r]])!r}, y={float(ys[j[r]])!r}, "
+                    f"t={float(ts[k])!r} (lhs={float(lhs[r, k])!r}, "
+                    f"rhs={float(rhs[r, k])!r})"
+                )
+            gaps.append(block_gap)
+            slacks.append(block_slack)
+            if certificate is not None or not block_gap > grid.tol:
+                continue
+            cells = np.flatnonzero(gap > grid.tol)
+            cells = cells[
+                _exceeds(gap.flat[cells], lhs.flat[cells], rhs.flat[cells], grid.tol)
+            ]
+            for flat in cells:
+                r, k = np.unravel_index(int(flat), gap.shape)
+                cert = _certificate_at(
+                    f, ws, float(xs[i[r]]), float(ys[j[r]]), float(ts[k]), sign
+                )
+                if _exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
+                    certificate = cert
+                    break
+    samples = pairs * grid.nt
+    max_gap = _ieee_max(np.array(gaps))
+    max_slack = _ieee_max(np.array(slacks))
     if certificate is None:
         return MembershipReport(
             Verdict.NO_VIOLATION_AT_RESOLUTION, None, samples, max_slack, max_gap

@@ -47,14 +47,16 @@ _WG = (
 
 @dataclass(frozen=True)
 class Interval:
-    """Ordered endpoints a < b."""
+    """Ordered finite endpoints a < b."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise DomainError(
+                f"interval requires finite a < b, got [{self.a}, {self.b}]"
+            )
 
     @property
     def width(self) -> float:

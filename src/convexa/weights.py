@@ -76,8 +76,10 @@ class WeightSystem:
 
     def __post_init__(self):
         if self.kind is WeightKind.YOUNG:
-            if self.p is None or not self.p > 1.0:
-                raise DomainError(f"Young weights require p > 1, got p={self.p}")
+            if self.p is None or not 1.0 < self.p < math.inf:
+                raise DomainError(
+                    f"Young weights require a finite p > 1, got p={self.p}"
+                )
         elif self.p is not None:
             raise DomainError(f"{self.kind.value} weights take no exponent p")
 

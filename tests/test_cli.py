@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -208,3 +211,52 @@ def test_exit_matches_overall(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.splitlines()[0] == "name,status,relation,metric,threshold"
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def _run_strict(argv):
+    """The CLI in a fresh interpreter with every Python warning an error."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "convexa.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        # convex; its ~4e-9 gaps are rounding at lhs ~ 2e5
+        (["check", "--f", "exp(exp(x))", "--class", "classical", "--a", "0",
+          "--b", "2.6"], EXIT_OK, None),
+        # exp(exp(7)) overflows, so gaps are inf - inf
+        (["check", "--f", "exp(exp(x))", "--class", "classical", "--a", "0",
+          "--b", "7"], EXIT_NUMERIC, "error: membership scan produced a non-finite value"),
+        (["check", "--f", "x^2", "--class", "young", "--p", "inf", "--a", "0",
+          "--b", "1"], EXIT_USAGE, "error: Young weights require a finite p > 1"),
+        (["constants", "--p", "inf"], EXIT_USAGE,
+         "error: Young weights require a finite p > 1"),
+        (["check", "--f", "x^2", "--class", "classical", "--a", "-1e-3",
+          "--b", "1"], EXIT_OK, None),
+        (["check", "--f", "x^2", "--class", "classical", "--a", "0",
+          "--b", "inf"], EXIT_USAGE, "error: interval requires finite a < b"),
+    ],
+)
+def test_strict_exit_and_one_line_stderr(argv, code, err):
+    proc = _run_strict(argv)
+    assert proc.returncode == code, proc.stderr
+    if err is None:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith(err)
+        assert proc.stderr.count("\n") == 1
+
+
+def test_negative_scientific_notation_reaches_option(capsys):
+    code = run(["check", "--f", "x^2", "--class", "classical", "--a", "-1E+0",
+                "--b", "-.5", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert (payload["config"]["a"], payload["config"]["b"]) == (-1.0, -0.5)

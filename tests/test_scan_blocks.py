@@ -1,0 +1,217 @@
+"""The blocked membership scan against a dense reference, bit for bit.
+
+`_dense_scan` below is the whole-grid broadcast the scan used to be, with
+the current contract applied: the scaled violation test, NonFiniteError
+for an inf or NaN, and +0.0 above -0.0 in the maxima. It exists only here,
+as the reference that blocking must reproduce exactly.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convexa import membership as mb
+from convexa.errors import NonFiniteError
+from convexa.expr import parse_function
+from convexa.quadrature import Interval
+from convexa.weights import classical, nesbitt, young
+
+
+def _dense_scan(f, interval, ws, grid, sign):
+    xs = np.linspace(interval.a, interval.b, grid.nx)
+    ys = np.linspace(interval.a, interval.b, grid.ny)
+    ts = np.linspace(grid.t_min, 1.0, grid.nt)
+    with np.errstate(all="ignore"):
+        wx, wy = ws.eval_arrays(ts)
+        fx = f(xs)
+        fy = f(ys)
+        points = ts[None, None, :] * xs[:, None, None] + (
+            1.0 - ts[None, None, :]
+        ) * ys[None, :, None]
+        lhs = f(points)
+        rhs = (
+            wx[None, None, :] * fx[:, None, None]
+            + wy[None, None, :] * fy[None, :, None]
+        )
+        gap = sign * (lhs - rhs)
+    max_slack = mb._ieee_max(-gap)
+    max_gap = mb._ieee_max(gap)
+    if not (math.isfinite(max_gap) and math.isfinite(max_slack)):
+        i, j, k = np.unravel_index(int(np.argmax(~np.isfinite(gap))), gap.shape)
+        raise NonFiniteError(
+            f"membership scan produced a non-finite value at "
+            f"x={float(xs[i])!r}, y={float(ys[j])!r}, t={float(ts[k])!r} "
+            f"(lhs={float(lhs[i, j, k])!r}, rhs={float(rhs[i, j, k])!r})"
+        )
+    certificate = None
+    for flat in np.flatnonzero(gap > grid.tol):
+        i, j, k = np.unravel_index(int(flat), gap.shape)
+        if not mb._exceeds(gap[i, j, k], lhs[i, j, k], rhs[i, j, k], grid.tol):
+            continue
+        cert = mb._certificate_at(f, ws, float(xs[i]), float(ys[j]), float(ts[k]), sign)
+        if mb._exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
+            certificate = cert
+            break
+    verdict = (
+        mb.Verdict.NO_VIOLATION_AT_RESOLUTION if certificate is None else mb.Verdict.VIOLATED
+    )
+    return mb.MembershipReport(
+        verdict, certificate, grid.nx * grid.ny * grid.nt, max_slack, max_gap
+    )
+
+
+def _bits(report):
+    cert = report.certificate
+    cert_bits = None
+    if cert is not None:
+        cert_bits = tuple(
+            float(v).hex() for v in (cert.x, cert.y, cert.t, cert.lhs, cert.rhs, cert.gap)
+        )
+    return (
+        report.verdict,
+        cert_bits,
+        report.samples,
+        report.max_gap.hex(),
+        report.max_slack.hex(),
+    )
+
+
+def _assert_matches_dense(f, interval, ws, grid, concave):
+    scan = mb.check_concave if concave else mb.check_convex
+    sign = -1.0 if concave else 1.0
+    try:
+        want = _dense_scan(f, interval, ws, grid, sign)
+    except NonFiniteError as exc:
+        with pytest.raises(NonFiniteError) as got:
+            scan(f, interval, ws, grid)
+        assert str(got.value) == str(exc)
+        return
+    assert _bits(scan(f, interval, ws, grid)) == _bits(want)
+
+
+SOURCES = [
+    "x^2",
+    "-1",
+    "x",
+    "-x",
+    "exp(x)",
+    "sqrt(x + 3)",
+    "sin(3*x)",
+    "x^3 - x",
+    "-abs(x - 0.3)",
+    "abs(x + 0.2)",
+    "exp(exp(3*x))",  # overflows to inf on the right of the interval
+    "1.7e308",  # finite, but w_y * f overflows where w_y > 1
+]
+SYSTEMS = [classical(), nesbitt(), young(1.5), young(2.0), young(7.0)]
+# a few samples short of, at, and past one block, and one pair per block
+NT_VALUES = st.one_of(
+    st.integers(2, 60),
+    st.sampled_from([mb._BLOCK_SAMPLES // 4 - 1, mb._BLOCK_SAMPLES // 8]),
+    st.integers(mb._BLOCK_SAMPLES - 2, mb._BLOCK_SAMPLES + 40),
+)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    source=st.sampled_from(SOURCES),
+    ws=st.sampled_from(SYSTEMS),
+    concave=st.booleans(),
+    a=st.floats(-2.0, 1.0),
+    width=st.floats(0.25, 3.0),
+    nt=NT_VALUES,
+    nx=st.integers(2, 40),
+    ny=st.integers(2, 40),
+    t_min=st.sampled_from([1e-4, 0.05, 0.5]),
+    tol=st.sampled_from([1e-9, 1e-3]),
+)
+def test_blocked_scan_matches_dense(source, ws, concave, a, width, nt, nx, ny, t_min, tol):
+    if nt > 100:
+        # keep the dense reference small: few pairs when t rows are long
+        nx, ny = min(nx, 3), min(ny, 5)
+    grid = mb.GridSpec(nx=nx, ny=ny, nt=nt, t_min=t_min, tol=tol)
+    _assert_matches_dense(parse_function(source), Interval(a, a + width), ws, grid, concave)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    nt=st.integers(97, 400),
+    blocks=st.integers(1, 2),
+    extra=st.integers(1, 30),
+    nx=st.integers(2, 4),
+    ws=st.sampled_from(SYSTEMS[:3]),
+)
+def test_first_violator_just_after_block_boundary(nt, blocks, extra, nx, ws):
+    # -|x - c| is linear on each side of c, so in scan order the first
+    # violating pair is (a, y) with y the first grid point past c; c is put
+    # so that pair opens the block after `blocks` full blocks
+    per_block = mb._BLOCK_SAMPLES // nt
+    ny = blocks * per_block + extra
+    interval = Interval(0.0, 1.0)
+    ys = np.linspace(interval.a, interval.b, ny)
+    first = blocks * per_block
+    c = 0.5 * (float(ys[first - 1]) + float(ys[first]))
+    f = parse_function(f"-abs(x - {c!r})")
+    grid = mb.GridSpec(nx=nx, ny=ny, nt=nt)
+    report = mb.check_convex(f, interval, ws, grid)
+    assert report.verdict is mb.Verdict.VIOLATED
+    if ws.kind.value == "classical":
+        assert report.certificate.x == 0.0
+        assert report.certificate.y == float(ys[first])
+    _assert_matches_dense(f, interval, ws, grid, concave=False)
+
+
+def test_scan_memory_is_bounded():
+    # one dense 101x101x199 float64 array is 16 MB; a blocked scan holds a
+    # few 64 KiB block temporaries and the ny x nt (y, t) terms
+    f = parse_function("exp(sqrt(1 + x^2))")
+    grid = mb.GridSpec(nx=101, ny=101, nt=199)
+    tracemalloc.start()
+    try:
+        report = mb.check_convex(f, Interval(-1.0, 2.0), nesbitt(), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+    assert peak < 2 * 2**20
+
+
+def test_rounding_in_large_values_is_not_a_violation():
+    # exp(exp(x)) is convex; near x = y = 2.5 the gap of ~4e-9 is rounding
+    # at lhs ~ 2e5, above the absolute tol but not above tol * |lhs|
+    f = parse_function("exp(exp(x))")
+    report = mb.check_convex(f, Interval(0.0, 2.6), classical())
+    assert report.max_gap > mb.GridSpec().tol
+    assert report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+
+
+def test_scaled_violation_threshold():
+    tol = 1e-9
+    assert mb._exceeds(2e-9, 0.5, 0.5, tol)
+    assert not mb._exceeds(2e-9, 3.0, -1.0, tol)
+    assert not mb._exceeds(2e-9, 1.0, -3.0, tol)
+    assert mb._exceeds(4e-9, -3.0, 1.0, tol)
+
+
+def test_non_finite_values_raise():
+    f = parse_function("exp(exp(x))")
+    with pytest.raises(NonFiniteError, match="non-finite value at x=0.0"):
+        mb.check_convex(f, Interval(0.0, 7.0), classical())
+
+
+def test_non_finite_slack_raises():
+    # f is finite, but the right-hand side overflows: every gap is <= 0, so
+    # only the slack is infinite
+    f = parse_function("1.7e308")
+    with pytest.raises(NonFiniteError, match=r"rhs=inf"):
+        mb.check_convex(f, Interval(0.0, 1.0), young(1.5))
+
+
+def test_signed_zero_maximum():
+    assert mb._ieee_max(np.array([-0.0, 0.0, -0.0])).hex() == "0x0.0p+0"
+    assert mb._ieee_max(np.array([-0.0, -0.0])).hex() == "-0x0.0p+0"
+    assert mb._ieee_max(np.array([-1.0, -0.0])).hex() == "-0x0.0p+0"

@@ -1,12 +1,18 @@
 """The verify-paper suite: tolerance plumbing and its quadrature budget."""
 
-from convexa import quadrature
+import numpy as np
+
+from convexa import expr, quadrature
 from convexa.quadrature import QuadSpec
 from convexa.suite import Overall, verify_paper
 
 # integrand evaluations of the default verify_paper() run; raising it means
 # the suite computes integrals it does not check
 VERIFY_PAPER_EVALUATIONS = 40_770
+# points the default verify_paper() run evaluates through FunctionDef:
+# 61 scans of 41*41*99 samples, the 41*41*2 witness scan, their x and y
+# axes, certificates and the quadrature panels
+VERIFY_PAPER_F_POINTS = 10_164_090
 
 
 def test_square_expansion_uses_suite_quad_spec():
@@ -31,3 +37,16 @@ def test_verify_paper_evaluation_budget(monkeypatch):
     assert verify_paper().overall is Overall.ALL_HOLD
     assert evaluations, "verify_paper ran no quadrature through _adaptive"
     assert sum(evaluations) <= VERIFY_PAPER_EVALUATIONS
+
+
+def test_verify_paper_f_evaluation_budget(monkeypatch):
+    original = expr.FunctionDef.__call__
+    points = []
+
+    def counting(self, x):
+        points.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(expr.FunctionDef, "__call__", counting)
+    assert verify_paper().overall is Overall.ALL_HOLD
+    assert sum(points) <= VERIFY_PAPER_F_POINTS

@@ -61,6 +61,9 @@ def test_weight_system_validation():
         WeightSystem(WeightKind.YOUNG)  # missing p
     with pytest.raises(DomainError):
         WeightSystem(WeightKind.YOUNG, 1.0)  # p must exceed 1
+    for p in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite p > 1"):
+            young(p)
     with pytest.raises(DomainError):
         WeightSystem(WeightKind.NESBITT, 2.0)  # p forbidden
 
