@@ -6,7 +6,8 @@ text, JSON (schema_version "1", byte-stable across runs), or CSV with '.'
 decimals and 17 significant digits.
 
 Exit codes: 0 all checks hold, 1 violation or failed inequality, 2 usage or
-parse error, 3 numeric non-convergence or a non-finite value.
+parse error, 3 numeric failure (any ArithmeticError: non-convergence,
+divergence, overflow or a non-finite value).
 """
 
 import argparse
@@ -19,13 +20,7 @@ from typing import Any
 from . import membership as mb
 from . import theorems as th
 from . import weights as w
-from .errors import (
-    DivergentCoefficient,
-    DomainError,
-    NonConvergenceError,
-    NonFiniteError,
-    OrderingError,
-)
+from .errors import DomainError, OrderingError
 from .expr import ExprDomainError, ExprSyntaxError, parse_function
 from .quadrature import Interval, QuadSpec
 from .suite import SCHEMA_VERSION, Overall, Report, verify_paper
@@ -434,12 +429,7 @@ def run(argv: list[str]) -> int:
     except (ExprSyntaxError, ExprDomainError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DivergentCoefficient,
-        OrderingError,
-        NonConvergenceError,
-        NonFiniteError,
-    ) as exc:
+    except (ArithmeticError, OrderingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     text = render(report, args.format)

@@ -36,8 +36,8 @@ class GridSpec:
             raise DomainError("grid point counts nx, ny, nt must be >= 2")
         if not 0.0 < self.t_min < 1.0:
             raise DomainError(f"t_min must lie in (0, 1), got {self.t_min}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got {self.tol}")
 
 
 class Verdict(enum.Enum):

@@ -128,90 +128,64 @@ def _battery() -> list[tuple[expr.FunctionDef, Interval, str]]:
     return items
 
 
+def _slack(rep: th.ProductBoundReport) -> float:
+    """How far a product bound holds; negative when it fails."""
+    if rep.midpoint_product is None:
+        return rep.bound - rep.integral_avg
+    return rep.integral_avg + rep.bound - rep.midpoint_product
+
+
+def _bound_margins(
+    f: expr.FunctionDef, interval: Interval, members: dict[str, bool], quad: QuadSpec
+) -> list[tuple[str, float]]:
+    """(check name, margin) of each bound of the classes f belongs to, in report order."""
+    out = []
+    if members["classical"]:
+        hadamard = th.hadamard_classical(f, interval, quad)
+        upper, lower = th.pachpatte_bounds(f, f, interval, quad)
+        out += [
+            ("sandwich/hadamard", min(hadamard.margins)),
+            ("product/pachpatte_upper", _slack(upper)),
+            ("product/pachpatte_lower", _slack(lower)),
+        ]
+    for p in SANDWICH_P_VALUES:
+        if members[f"young_p{p:g}"]:
+            sandwich = th.young_sandwich(f, interval, p, quad)
+            right = th.young_right_bound(f, interval, p, quad)
+            out += [
+                (f"sandwich/young_p{p:g}", min(sandwich.margins)),
+                (f"right_bound/young_p{p:g}", right.margins[1]),
+            ]
+    for p in PRODUCT_P_VALUES:
+        if members[f"young_p{p:g}"]:
+            rep = th.young_product_bound(f, f, interval, p, quad)
+            out.append((f"product/young_p{p:g}", _slack(rep)))
+    if members["nesbitt"]:
+        sandwich = th.nesbitt_sandwich(f, interval, quad)
+        a3 = th.nesbitt_product_bound(f, f, interval, quad)
+        a5 = th.nesbitt_similarly_ordered_bound(f, f, interval, quad)
+        out += [
+            ("sandwich/nesbitt", min(sandwich.margins)),
+            ("product/nesbitt_a3", _slack(a3)),
+            ("product/nesbitt_a5", _slack(a5)),
+        ]
+    return out
+
+
 def _battery_checks(quad: QuadSpec, grid: mb.GridSpec) -> list[dict]:
     out = []
-    classes: list[tuple[str, w.WeightSystem, float | None]] = [
-        ("classical", w.classical(), None),
-        ("nesbitt", w.nesbitt(), None),
-    ]
-    classes += [(f"young_p{p:g}", w.young(p), p) for p in SANDWICH_P_VALUES]
+    classes = [("classical", w.classical()), ("nesbitt", w.nesbitt())]
+    classes += [(f"young_p{p:g}", w.young(p)) for p in SANDWICH_P_VALUES]
     for f, interval, tag in _battery():
         members: dict[str, bool] = {}
-        for cname, ws, _ in classes:
+        for cname, ws in classes:
             report = mb.check_convex(f, interval, ws, grid)
-            member = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
-            members[cname] = member
+            members[cname] = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
             out.append(
                 _check(f"membership/{tag}/{cname}", report.max_gap, grid.tol, "le")
             )
-        if members["classical"]:
-            rep = th.hadamard_classical(f, interval, quad)
-            out.append(
-                _check(f"sandwich/hadamard/{tag}", min(rep.margins), -1e-8, "ge")
-            )
-            upper, lower = th.pachpatte_bounds(f, f, interval, quad)
-            out.append(
-                _check(
-                    f"product/pachpatte_upper/{tag}",
-                    upper.bound - upper.integral_avg,
-                    -1e-8,
-                    "ge",
-                )
-            )
-            out.append(
-                _check(
-                    f"product/pachpatte_lower/{tag}",
-                    lower.integral_avg + lower.bound - lower.midpoint_product,
-                    -1e-8,
-                    "ge",
-                )
-            )
-        for p in SANDWICH_P_VALUES:
-            if not members[f"young_p{p:g}"]:
-                continue
-            rep = th.young_sandwich(f, interval, p, quad)
-            out.append(
-                _check(f"sandwich/young_p{p:g}/{tag}", min(rep.margins), -1e-8, "ge")
-            )
-            rep = th.young_right_bound(f, interval, p, quad)
-            out.append(
-                _check(f"right_bound/young_p{p:g}/{tag}", rep.margins[1], -1e-8, "ge")
-            )
-        for p in PRODUCT_P_VALUES:
-            if not members[f"young_p{p:g}"]:
-                continue
-            rep = th.young_product_bound(f, f, interval, p, quad)
-            out.append(
-                _check(
-                    f"product/young_p{p:g}/{tag}",
-                    rep.bound - rep.integral_avg,
-                    -1e-8,
-                    "ge",
-                )
-            )
-        if members["nesbitt"]:
-            rep = th.nesbitt_sandwich(f, interval, quad)
-            out.append(
-                _check(f"sandwich/nesbitt/{tag}", min(rep.margins), -1e-8, "ge")
-            )
-            rep = th.nesbitt_product_bound(f, f, interval, quad)
-            out.append(
-                _check(
-                    f"product/nesbitt_a3/{tag}",
-                    rep.bound - rep.integral_avg,
-                    -1e-8,
-                    "ge",
-                )
-            )
-            rep = th.nesbitt_similarly_ordered_bound(f, f, interval, quad)
-            out.append(
-                _check(
-                    f"product/nesbitt_a5/{tag}",
-                    rep.bound - rep.integral_avg,
-                    -1e-8,
-                    "ge",
-                )
-            )
+        for name, margin in _bound_margins(f, interval, members, quad):
+            out.append(_check(f"{name}/{tag}", margin, -1e-8, "ge"))
     return out
 
 
@@ -322,48 +296,20 @@ def _equality_checks(quad: QuadSpec) -> list[dict]:
 
 
 def _constant_checks(quad: QuadSpec) -> list[dict]:
-    out = []
-    out.append(
-        _check(
-            "constants/nesbitt_right_decimal",
-            abs(th.NESBITT_RIGHT_COEFF - 0.6479184330),
-            1e-10,
-            "le",
-        )
-    )
-    out.append(
-        _check(
-            "constants/a5_paper_decimal",
-            abs(th.NESBITT_ORDERED_COEFF - 0.8802),
-            5e-5,
-            "le",
-        )
-    )
-    coeff_sum = (125.0 / 6.0 - (147.0 / 8.0) * w.LN3) + (
-        (117.0 / 8.0) * w.LN3 - 95.0 / 6.0
-    )
-    out.append(
-        _check(
-            "constants/a5_is_sum_of_a3",
-            abs(th.NESBITT_ORDERED_COEFF - coeff_sum),
-            1e-12,
-            "le",
-        )
-    )
     ws = w.nesbitt()
     table = ws.moments_closed_form()
+    ordered = table.m20.value + table.m11.value
+    square = table.m20.value + 2.0 * table.m11.value + table.m02.value
     res = ws.integral(lambda wx, wy: (wx + wy) ** 2, (0, 2), quad)
-    lhs = table.m20.value + 2.0 * table.m11.value + table.m02.value
-    out.append(
-        _check(
-            "constants/nesbitt_square_expansion",
-            abs(lhs - res.value) if res.converged else float("inf"),
-            1e-9,
-            "le",
-            kind="numeric",
-        )
-    )
-    return out
+    return [
+        _check("constants/nesbitt_right_decimal",
+               abs(th.NESBITT_RIGHT_COEFF - 0.6479184330), 1e-10, "le"),
+        _check("constants/a5_paper_decimal", abs(th.NESBITT_ORDERED_COEFF - 0.8802), 5e-5, "le"),
+        _check("constants/a5_is_sum_of_a3", abs(th.NESBITT_ORDERED_COEFF - ordered), 1e-12, "le"),
+        _check("constants/nesbitt_square_expansion",
+               abs(square - res.value) if res.converged else float("inf"), 1e-9, "le",
+               kind="numeric"),
+    ]
 
 
 def verify_paper(

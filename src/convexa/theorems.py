@@ -1,24 +1,34 @@
 """Hadamard-type inequality evaluation for concrete functions and intervals.
 
 Each operation computes the left/middle/right members of one inequality
-with closed-form constants and reports whether it holds; the constants are
-cross-checked against the quadrature oracle in `constants_table`. Verdicts
-use check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
-integration noise.
+and reports whether it holds. Its coefficients are the closed-form weight
+moments of `WeightSystem.moments_closed_form()`, since every bound is the
+defining inequality integrated over t; the moments are cross-checked
+against the quadrature oracle in `constants_table`. Verdicts use
+check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
+integration noise, and an inf or NaN member raises NonFiniteError.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from . import weights as w
-from .errors import DivergentCoefficient, DomainError, NonConvergenceError, OrderingError
+from .errors import (
+    DivergentCoefficient,
+    DomainError,
+    NonConvergenceError,
+    NonFiniteError,
+    OrderingError,
+)
 from .expr import FunctionDef
 from .quadrature import Interval, QuadSpec, integrate
 from .specfun import beta
 
 LN3 = w.LN3
 
-NESBITT_RIGHT_COEFF = 1.5 * LN3 - 1.0  # ln(3*sqrt(3)/e), per f(a)+f(b)
+# ln(3*sqrt(3)/e), per f(a)+f(b)
+NESBITT_RIGHT_COEFF = w.nesbitt().moments_closed_form().m10.value
 NESBITT_ORDERED_COEFF = 5.0 - (30.0 / 8.0) * LN3  # per M(a,b)
 
 
@@ -92,7 +102,14 @@ def _average(
     return res.value / interval.width, res.error_estimate / interval.width
 
 
+def _require_finite(**members: float | None) -> None:
+    for name, value in members.items():
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteError(f"bound member {name} is not finite: {value!r}")
+
+
 def _sandwich(left, middle, right, err) -> SandwichReport:
+    _require_finite(left=left, middle=middle, right=right)
     ct = _check_tol(err)
     margins = (middle - left, right - middle)
     return SandwichReport(
@@ -100,26 +117,32 @@ def _sandwich(left, middle, right, err) -> SandwichReport:
     )
 
 
+def _right_bound(ws: w.WeightSystem, f, interval, spec, left_at_mid: bool) -> SandwichReport:
+    """avg integral <= m10 f(a) + m01 f(b): the defining inequality integrated over t.
+
+    The left member is f(mid) when left_at_mid, else the average itself.
+    """
+    table = ws.moments_closed_form()
+    avg, err = _average(f, interval, spec)
+    m10, m01 = table.m10.value, table.m01.value
+    fa, fb = f(interval.a), f(interval.b)
+    right = m10 * (fa + fb) if m10 == m01 else m10 * fa + m01 * fb
+    left = f(interval.midpoint) if left_at_mid else avg
+    return _sandwich(left, avg, right, err)
+
+
 def hadamard_classical(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f((a+b)/2) <= avg integral <= (f(a)+f(b))/2 for classically convex f."""
-    avg, err = _average(f, interval, spec)
-    left = f(interval.midpoint)
-    right = 0.5 * (f(interval.a) + f(interval.b))
-    return _sandwich(left, avg, right, err)
+    return _right_bound(w.classical(), f, interval, spec, left_at_mid=True)
 
 
 def young_right_bound(
     f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """avg integral <= m10(p) f(a) + m01(p) f(b); left member unused (= middle)."""
-    if not p > 1.0:
-        raise DomainError(f"young_right_bound requires p > 1, got {p}")
-    table = w.young(p).moments_closed_form()
-    avg, err = _average(f, interval, spec)
-    right = table.m10.value * f(interval.a) + table.m01.value * f(interval.b)
-    return _sandwich(avg, avg, right, err)
+    return _right_bound(w.young(p), f, interval, spec, left_at_mid=False)
 
 
 def young_sandwich_coefficients(p: float) -> tuple[float, float]:
@@ -136,7 +159,7 @@ def young_sandwich_coefficients(p: float) -> tuple[float, float]:
         + 1.0 / p * beta(1.0 / p, 2.0).value
     )
     bracket_simple = 2.0 * p / (p + 1.0)
-    if abs(bracket_beta - bracket_simple) > 1e-12:
+    if not abs(bracket_beta - bracket_simple) <= 1e-12:
         raise ArithmeticError(
             f"Young sandwich bracket mismatch at p={p}: "
             f"{bracket_beta!r} vs {bracket_simple!r}"
@@ -169,42 +192,39 @@ def young_product_bound(
     The f(b)g(b) coefficient contains beta(2/p - 1, 3), which diverges for
     p >= 2; that case raises DivergentCoefficient rather than bounding.
     """
-    if not p > 1.0:
-        raise DomainError(f"young_product_bound requires p > 1, got {p}")
-    if p >= 2.0:
-        raise DivergentCoefficient(
-            f"beta(2/p - 1, 3) = beta({2.0 / p - 1.0:g}, 3) diverges at p={p:g}; "
-            "the f(b)g(b) coefficient requires 2/p - 1 > 0"
-        )
-    table = w.young(p).moments_closed_form()
-    return _product_report(
-        f, g, interval, _average(f, interval, spec, g),
-        table.m20.value, table.m11.value, coeff_bb=table.m02.value,
-    )
+    return _moment_product_bound(w.young(p), f, g, interval, spec)
 
 
 def nesbitt_sandwich(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f(mid) <= avg integral <= ((3/2)ln3 - 1)(f(a) + f(b))."""
-    avg, err = _average(f, interval, spec)
-    left = f(interval.midpoint)
-    right = NESBITT_RIGHT_COEFF * (f(interval.a) + f(interval.b))
-    return _sandwich(left, avg, right, err)
+    return _right_bound(w.nesbitt(), f, interval, spec, left_at_mid=True)
+
+
+def _moment_product_bound(ws: w.WeightSystem, f, g, interval, spec) -> ProductBoundReport:
+    """avg of fg <= m20 f(a)g(a) + m02 f(b)g(b) + m11 N, from the moment table."""
+    table = ws.moments_closed_form()
+    if not table.m02.defined:
+        raise DivergentCoefficient(
+            f"the f(b)g(b) coefficient m02 of {ws.label()} diverges "
+            "(for Young weights beta(2/p - 1, 3), which requires 2/p - 1 > 0)"
+        )
+    return _product_report(
+        f, g, interval, _average(f, interval, spec, g),
+        table.m20.value, table.m02.value, table.m11.value,
+    )
 
 
 def _product_report(
-    f, g, interval, average, coeff_aa, coeff_n, coeff_bb=None, midpoint_product=None
+    f, g, interval, average, coeff_aa, coeff_bb, coeff_n, midpoint_product=None
 ) -> ProductBoundReport:
     """Report for coeff_aa*f(a)g(a) + coeff_bb*f(b)g(b) + coeff_n*N.
 
-    coeff_bb defaults to coeff_aa; with equal endpoint coefficients the
-    bound is evaluated as coeff_M*M + coeff_N*N, the form the report's
-    docstring promises.
+    With equal endpoint coefficients the bound is evaluated as
+    coeff_M*M + coeff_N*N, the form the report's docstring promises.
     """
     avg, err = average
-    if coeff_bb is None:
-        coeff_bb = coeff_aa
     fa, fb = f(interval.a), f(interval.b)
     ga, gb = g(interval.a), g(interval.b)
     paa = fa * ga
@@ -215,6 +235,7 @@ def _product_report(
         bound = coeff_aa * m_term + coeff_n * n_term
     else:
         bound = coeff_aa * paa + coeff_bb * pbb + coeff_n * n_term
+    _require_finite(integral_avg=avg, bound=bound, midpoint_product=midpoint_product)
     ct = _check_tol(err)
     if midpoint_product is None:
         holds = avg <= bound + ct
@@ -241,9 +262,7 @@ def nesbitt_product_bound(
     f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> ProductBoundReport:
     """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
-    coeff_m = 125.0 / 6.0 - (147.0 / 8.0) * LN3
-    coeff_n = (117.0 / 8.0) * LN3 - 95.0 / 6.0
-    return _product_report(f, g, interval, _average(f, interval, spec, g), coeff_m, coeff_n)
+    return _moment_product_bound(w.nesbitt(), f, g, interval, spec)
 
 
 def nesbitt_similarly_ordered_bound(
@@ -261,14 +280,16 @@ def nesbitt_similarly_ordered_bound(
             f"f and g are not similarly ordered on [{interval.a}, {interval.b}]: "
             f"(f(a)-f(b))(g(a)-g(b)) = {(fa - fb) * (ga - gb):g} < 0"
         )
-    coeff_sum = (125.0 / 6.0 - (147.0 / 8.0) * LN3) + ((117.0 / 8.0) * LN3 - 95.0 / 6.0)
+    table = w.nesbitt().moments_closed_form()
+    coeff_sum = table.m20.value + table.m11.value
     if abs(NESBITT_ORDERED_COEFF - coeff_sum) > 1e-12:
         raise ArithmeticError(
             "ordered-bound coefficient is not the sum of the product-bound "
             f"coefficients: {NESBITT_ORDERED_COEFF!r} vs {coeff_sum!r}"
         )
     return _product_report(
-        f, g, interval, _average(f, interval, spec, g), NESBITT_ORDERED_COEFF, 0.0
+        f, g, interval, _average(f, interval, spec, g),
+        NESBITT_ORDERED_COEFF, NESBITT_ORDERED_COEFF, 0.0,
     )
 
 
@@ -280,12 +301,13 @@ def pachpatte_bounds(
     Upper: avg of fg <= (1/3)M + (1/6)N.
     Lower: 2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint.
     """
-    average = _average(f, interval, spec, g)
-    upper = _product_report(f, g, interval, average, 1.0 / 3.0, 1.0 / 6.0)
+    ws = w.classical()
+    upper = _moment_product_bound(ws, f, g, interval, spec)
+    table = ws.moments_closed_form()
     mid = interval.midpoint
-    midpoint_product = 2.0 * f(mid) * g(mid)
     lower = _product_report(
-        f, g, interval, average, 1.0 / 6.0, 1.0 / 3.0, midpoint_product=midpoint_product
+        f, g, interval, (upper.integral_avg, upper.quad_error),
+        table.m11.value, table.m11.value, table.m20.value, 2.0 * f(mid) * g(mid),
     )
     return upper, lower
 

@@ -242,6 +242,13 @@ def _run_strict(argv):
           "--b", "1"], EXIT_OK, None),
         (["check", "--f", "x^2", "--class", "classical", "--a", "0",
           "--b", "inf"], EXIT_USAGE, "error: interval requires finite a < b"),
+        # the Young bracket is inf/inf = nan at this p
+        (["sandwich", "--f", "x", "--class", "young", "--p", "1e300", "--a", "0",
+          "--b", "1"], EXIT_NUMERIC, "error: Young sandwich bracket mismatch"),
+        # (p - 1)**2 overflows in the closed-form moment table
+        (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC, "error: "),
+        (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
+          "--tol", "inf"], EXIT_USAGE, "error: tol must be positive and finite"),
     ],
 )
 def test_strict_exit_and_one_line_stderr(argv, code, err):

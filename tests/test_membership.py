@@ -26,6 +26,8 @@ def test_gridspec_validation():
         GridSpec(t_min=1.5)
     with pytest.raises(DomainError):
         GridSpec(tol=0.0)
+    with pytest.raises(DomainError):
+        GridSpec(tol=float("inf"))
 
 
 def test_square_is_nesbitt_convex():

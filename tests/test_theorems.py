@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from convexa.errors import DivergentCoefficient, DomainError, OrderingError
+from convexa.errors import DivergentCoefficient, DomainError, NonFiniteError, OrderingError
 from convexa.expr import parse_function
 from convexa.quadrature import Interval, QuadSpec
 from convexa.theorems import (
@@ -19,6 +19,7 @@ from convexa.theorems import (
     young_sandwich,
     young_sandwich_coefficients,
 )
+from convexa import weights
 from convexa.weights import young
 
 LN3 = math.log(3.0)
@@ -344,6 +345,40 @@ def test_coefficient_positivity():
     assert NESBITT_ORDERED_COEFF > 0.0
     assert 125.0 / 6.0 - (147.0 / 8.0) * LN3 > 0.0
     assert (117.0 / 8.0) * LN3 - 95.0 / 6.0 > 0.0
+
+
+@pytest.mark.parametrize(
+    "ws,right_bound,product_bound",
+    [
+        (weights.classical(), hadamard_classical, lambda *a: pachpatte_bounds(*a)[0]),
+        (weights.nesbitt(), nesbitt_sandwich, nesbitt_product_bound),
+        (young(1.5), lambda *a: young_right_bound(*a, 1.5),
+         lambda *a: young_product_bound(*a, 1.5)),
+    ],
+    ids=["classical", "nesbitt", "young1.5"],
+)
+def test_coefficients_are_the_moment_table(ws, right_bound, product_bound):
+    table = ws.moments_closed_form()
+    product = product_bound(FX, FX, UNIT)
+    assert (product.coeff_aa, product.coeff_bb, product.coeff_N) == (
+        table.m20.value, table.m02.value, table.m11.value
+    )
+    assert right_bound(ONE, UNIT).right_value == table.m10.value + table.m01.value
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        # the average is ~1.5e305, but m01(10) * f(1) overflows
+        lambda: young_right_bound(parse_function("1.5e308*exp(1000*(x-1))"), UNIT, 10.0),
+        # the average is ~1.8e305, but 2 f(1/2) g(1/2) overflows
+        lambda: pachpatte_bounds(parse_function("1e308*exp(-1e6*(x-0.5)^2)"), ONE, UNIT),
+    ],
+    ids=["right_bound", "midpoint_product"],
+)
+def test_non_finite_bound_member_raises(bound):
+    with pytest.raises(NonFiniteError):
+        bound()
 
 
 # -- battery hypothesis link ------------------------------------------------------------
