@@ -425,12 +425,10 @@ BUILTINS = ("square", "exponential", "identity", "constant", "abs_shift")
 
 @dataclass(frozen=True)
 class FunctionDef:
-    """A user function: a named builtin or a parsed expression tree."""
+    """A user function: its source label and expression tree."""
 
     source: str
-    ast: Ast | None = None
-    builtin: str | None = None
-    param: float | None = None
+    ast: Ast
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -438,25 +436,12 @@ class FunctionDef:
         if scalar:
             xs = xs.reshape(1)
         with np.errstate(all="ignore"):
-            values = self._eval_array(xs)
+            values = np.broadcast_to(np.asarray(_eval_node(self.ast, xs)), xs.shape)
         if np.isnan(values).any():
             raise ExprDomainError(
                 "evaluation produced NaN", _first_offending_x(xs, np.isnan(values))
             )
         return float(values[0]) if scalar else values
-
-    def _eval_array(self, xs: np.ndarray) -> np.ndarray:
-        if self.ast is not None:
-            return np.broadcast_to(np.asarray(_eval_node(self.ast, xs)), xs.shape)
-        if self.builtin == "square":
-            return xs * xs
-        if self.builtin == "exponential":
-            return np.exp(xs)
-        if self.builtin == "identity":
-            return +xs
-        if self.builtin == "constant":
-            return np.full_like(xs, self.param)
-        return np.abs(xs - self.param)
 
 
 def parse_function(source: str) -> FunctionDef:
@@ -472,7 +457,14 @@ def builtin_function(name: str, param: float | None = None) -> FunctionDef:
     if not takes_param and param is not None:
         raise ValueError(f"builtin {name!r} takes no parameter")
     label = f"{name}({param:g})" if takes_param else name
-    return FunctionDef(source=label, builtin=name, param=param)
+    trees = {
+        "square": BinOp("*", Var(), Var()),
+        "exponential": Call("exp", (Var(),)),
+        "identity": Var(),
+        "constant": Num(param),
+        "abs_shift": Call("abs", (BinOp("-", Var(), Num(param)),)),
+    }
+    return FunctionDef(source=label, ast=trees[name])
 
 
 def evaluate(f: FunctionDef, x: float) -> float:

@@ -7,8 +7,9 @@ makes the result deterministic and exactly reproducible. A cell violates
 when its gap exceeds tol * max(1, |lhs|, |rhs|), so rounding in large
 values is not reported as a violation. The scan runs over blocks of
 consecutive (x, y) pairs with whole t rows, so its memory does not grow
-with nx * ny * nt; an inf or NaN anywhere on the grid raises
-NonFiniteError instead of becoming a verdict.
+with nx * ny * nt, and GridSpec caps the nx and ny * nt it holds whole;
+an inf or NaN anywhere on the grid raises NonFiniteError instead of
+becoming a verdict.
 """
 
 import enum
@@ -23,6 +24,10 @@ from .quadrature import Interval
 from .weights import WeightSystem
 
 
+# the most grid points a scan holds along x, or in its (y, t) terms
+_MAX_SCAN_AXIS = 2**22
+
+
 @dataclass(frozen=True)
 class GridSpec:
     nx: int = 41
@@ -34,6 +39,11 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2 or self.nt < 2:
             raise DomainError("grid point counts nx, ny, nt must be >= 2")
+        if max(self.nx, self.ny * self.nt) > _MAX_SCAN_AXIS:
+            raise DomainError(
+                f"grid nx={self.nx}, ny={self.ny}, nt={self.nt} is too large: "
+                f"nx and ny*nt must each be at most {_MAX_SCAN_AXIS}"
+            )
         if not 0.0 < self.t_min < 1.0:
             raise DomainError(f"t_min must lie in (0, 1), got {self.t_min}")
         if not 0.0 < self.tol < math.inf:

@@ -94,40 +94,28 @@ class QuadResult:
     converged: bool
 
 
-class _Counter:
-    __slots__ = ("calls",)
-
-    def __init__(self):
-        self.calls = 0
+# off-centre node offsets in panel half-widths, one -x, +x pair per node x;
+# the centre is placed directly, as h * 0.0 is NaN when the width overflows
+_OFFSETS = tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
 
 
-def _gk15(f, lo: float, hi: float, vectorized: bool, counter: _Counter):
+def _gk15(f, lo: float, hi: float, vectorized: bool):
     """One Gauss-Kronrod panel: (kronrod value, |K15 - G7| error estimate)."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
+    nodes = [c] + [c + h * x for x in _OFFSETS]
     if vectorized:
-        nodes = np.empty(15)
-        nodes[0] = c
-        for i in range(7):
-            nodes[1 + 2 * i] = c - h * _XGK[i]
-            nodes[2 + 2 * i] = c + h * _XGK[i]
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(nodes), dtype=float)
-        counter.calls += 15
-        fc = float(vals[0])
-        pairs = [float(vals[1 + 2 * i]) + float(vals[2 + 2 * i]) for i in range(7)]
+            vals = np.asarray(f(np.array(nodes)), dtype=float).tolist()
     else:
-        fc = f(c)
-        pairs = []
-        for i in range(7):
-            pairs.append(f(c - h * _XGK[i]) + f(c + h * _XGK[i]))
-        counter.calls += 15
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
+        vals = list(map(f, nodes))
+    kron = _WGK[7] * vals[0]
+    gauss = _WG[3] * vals[0]
     for i in range(7):
-        kron += _WGK[i] * pairs[i]
+        pair = vals[1 + 2 * i] + vals[2 + 2 * i]
+        kron += _WGK[i] * pair
         if i % 2 == 1:
-            gauss += _WG[i // 2] * pairs[i]
+            gauss += _WG[i // 2] * pair
     value = kron * h
     # floor at one rounding unit of the panel value: the embedded-rule
     # difference can round to zero while the panel still carries ulp error
@@ -178,8 +166,8 @@ def _integrate_desingularized(f, interval, spec, alpha, vectorized):
 
 
 def _adaptive(f, lo, hi, spec, vectorized):
-    counter = _Counter()
-    value0, err0 = _gk15(f, lo, hi, vectorized, counter)
+    value0, err0 = _gk15(f, lo, hi, vectorized)
+    evaluations = 15
     # heap entries: (-err, insertion seq, lo, hi, value, err)
     heap = [(-err0, 0, lo, hi, value0, err0)]
     seq = 1
@@ -191,20 +179,20 @@ def _adaptive(f, lo, hi, spec, vectorized):
     while not stalled and subdivisions < spec.max_subdivisions:
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):
             break
-        neg_err, _, plo, phi, pval, perr = heapq.heappop(heap)
+        _, _, plo, phi, pval, perr = heap[0]
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # bisection cannot make progress at double precision
-            heapq.heappush(heap, (neg_err, seq, plo, phi, pval, perr))
             stalled = True
             break
-        lval, lerr = _gk15(f, plo, mid, vectorized, counter)
-        rval, rerr = _gk15(f, mid, phi, vectorized, counter)
+        lval, lerr = _gk15(f, plo, mid, vectorized)
+        rval, rerr = _gk15(f, mid, phi, vectorized)
+        evaluations += 30
         if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
-            heapq.heappush(heap, (neg_err, seq, plo, phi, pval, perr))
+            # the stalled panel is still heap[0], so it stays in the totals
             stalled = True
             break
-        heapq.heappush(heap, (-lerr, seq, plo, mid, lval, lerr))
+        heapq.heapreplace(heap, (-lerr, seq, plo, mid, lval, lerr))
         heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr))
         seq += 2
         total_value += lval + rval - pval
@@ -224,4 +212,4 @@ def _adaptive(f, lo, hi, spec, vectorized):
         and math.isfinite(err)
         and err <= max(spec.abs_tol, spec.rel_tol * abs(value))
     )
-    return QuadResult(value, err, counter.calls, converged)
+    return QuadResult(value, err, evaluations, converged)

@@ -262,37 +262,16 @@ def _proposition_checks(grid: mb.GridSpec) -> list[dict]:
 
 
 def _equality_checks(quad: QuadSpec) -> list[dict]:
-    out = []
-    fx = expr.parse_function("x")
     interval = Interval(0.0, 1.0)
-    upper, lower = th.pachpatte_bounds(fx, fx, interval, quad)
-    out.append(
-        _check(
-            "pachpatte/equality_upper_fx",
-            abs(upper.integral_avg - upper.bound),
-            1e-10,
-            "le",
-        )
-    )
-    out.append(
-        _check(
-            "pachpatte/equality_lower_fx",
-            abs(lower.midpoint_product - (lower.integral_avg + lower.bound)),
-            1e-10,
-            "le",
-        )
-    )
+    fx = expr.parse_function("x")
+    upper_fx, lower_fx = th.pachpatte_bounds(fx, fx, interval, quad)
     one = expr.parse_function("1")
-    upper, _ = th.pachpatte_bounds(one, one, interval, quad)
-    out.append(
-        _check(
-            "pachpatte/equality_upper_const1",
-            abs(upper.integral_avg - upper.bound),
-            1e-10,
-            "le",
-        )
-    )
-    return out
+    upper_one, _ = th.pachpatte_bounds(one, one, interval, quad)
+    reports = {"upper_fx": upper_fx, "lower_fx": lower_fx, "upper_const1": upper_one}
+    return [
+        _check(f"pachpatte/equality_{name}", abs(_slack(rep)), 1e-10, "le")
+        for name, rep in reports.items()
+    ]
 
 
 def _constant_checks(quad: QuadSpec) -> list[dict]:

@@ -275,10 +275,11 @@ def nesbitt_similarly_ordered_bound(
     """
     fa, fb = f(interval.a), f(interval.b)
     ga, gb = g(interval.a), g(interval.b)
-    if (fa - fb) * (ga - gb) < 0.0:
+    ordering = (fa - fb) * (ga - gb)
+    if not ordering >= 0.0:
         raise OrderingError(
             f"f and g are not similarly ordered on [{interval.a}, {interval.b}]: "
-            f"(f(a)-f(b))(g(a)-g(b)) = {(fa - fb) * (ga - gb):g} < 0"
+            f"(f(a)-f(b))(g(a)-g(b)) = {ordering:g}, not >= 0"
         )
     table = w.nesbitt().moments_closed_form()
     coeff_sum = table.m20.value + table.m11.value

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, NonFiniteError
 from .quadrature import QuadResult, QuadSpec, integrate_unit
 
 LN3 = math.log(3.0)
@@ -167,22 +167,27 @@ class WeightSystem:
                 MomentMethod.CLOSED_FORM,
             )
         p = self.p
-        m10 = (p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0))
-        m01 = 3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0))
-        m20 = (
-            1.0 / (p * (2.0 + p))
-            + (p - 1.0) / (p * (1.0 + p))
-            + (p - 1.0) ** 2 / (p * (2.0 + 3.0 * p))
-        )
-        m11 = young_cross_moment_proof_display(p)
-        if 2.0 / p - 1.0 > 0.0:
-            m02 = Moment(
-                ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 1.0, 3.0).value
-                + 2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p, 3.0).value
-                + 1.0 / p**2 * specfun.beta(2.0 / p - 1.0, 3.0).value
+        try:
+            m10 = (p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0))
+            m01 = 3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0))
+            m20 = (
+                1.0 / (p * (2.0 + p))
+                + (p - 1.0) / (p * (1.0 + p))
+                + (p - 1.0) ** 2 / (p * (2.0 + 3.0 * p))
             )
-        else:
-            m02 = Moment(math.nan, defined=False)
+            m11 = young_cross_moment_proof_display(p)
+            if 2.0 / p - 1.0 > 0.0:
+                m02 = Moment(
+                    ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 1.0, 3.0).value
+                    + 2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p, 3.0).value
+                    + 1.0 / p**2 * specfun.beta(2.0 / p - 1.0, 3.0).value
+                )
+            else:
+                m02 = Moment(math.nan, defined=False)
+        except OverflowError:
+            raise NonFiniteError(
+                f"the closed-form moments of {self.label()} overflow a double"
+            ) from None
         return MomentTable(
             Moment(m10), Moment(m01), Moment(m20), m02, Moment(m11),
             MomentMethod.CLOSED_FORM,

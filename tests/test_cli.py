@@ -163,6 +163,12 @@ def test_product_nesbitt_includes_ordered_bound(capsys):
     payload = json.loads(out)
     names = [r["name"] for r in payload["results"]]
     assert names == ["nesbitt_product", "nesbitt_similarly_ordered"]
+    # an opposite ordering drops the ordered bound, not the report
+    code = run(["product", "--f", "x", "--g", "1-x", "--class", "nesbitt",
+                "--a", "0", "--b", "1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [r["name"] for r in payload["results"]] == ["nesbitt_product"]
 
 
 def test_moments_text(capsys):
@@ -246,9 +252,19 @@ def _run_strict(argv):
         (["sandwich", "--f", "x", "--class", "young", "--p", "1e300", "--a", "0",
           "--b", "1"], EXIT_NUMERIC, "error: Young sandwich bracket mismatch"),
         # (p - 1)**2 overflows in the closed-form moment table
-        (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC, "error: "),
+        (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC,
+         "error: the closed-form moments of young(p=1e+300) overflow"),
         (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
           "--tol", "inf"], EXIT_USAGE, "error: tol must be positive and finite"),
+        # rejected before the scan allocates its ny*nt (y, t) terms
+        (["check", "--f", "x^2", "--class", "classical", "--a", "0", "--b", "1",
+          "--nx", "2", "--ny", "2", "--nt", "100000000"], EXIT_USAGE,
+         "error: grid nx=2, ny=2, nt=100000000 is too large"),
+        (["product", "--f", "x", "--g", "x", "--class", "young", "--p", "1e300",
+          "--a", "0", "--b", "1"], EXIT_NUMERIC,
+         "error: the closed-form moments of young(p=1e+300) overflow"),
+        (["constants", "--p", "1e300"], EXIT_NUMERIC,
+         "error: the closed-form moments of young(p=1e+300) overflow"),
     ],
 )
 def test_strict_exit_and_one_line_stderr(argv, code, err):

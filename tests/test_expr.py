@@ -293,3 +293,24 @@ def test_builtin_array_eval():
     f = builtin_function("abs_shift", 0.5)
     xs = np.array([0.0, 0.5, 2.0])
     assert list(f(xs)) == [0.5, 0.0, 1.5]
+    # every builtin is an expression tree: bit for bit its parsed source
+    # and the numpy formula, on arrays and on scalars, signed zeros included
+    xs = np.array([-1e308, -710.0, -2.5, -0.0, 0.0, 5e-324, 0.5, 1.25, 710.0, 1e308])
+    with np.errstate(over="ignore"):
+        cases = [
+            (("square", None), "x*x", xs * xs),
+            (("exponential", None), "exp(x)", np.exp(xs)),
+            (("identity", None), "x", xs),
+            (("constant", -1.25), "-1.25", np.full_like(xs, -1.25)),
+            (("constant", 0.0), "0.0", np.full_like(xs, 0.0)),
+            (("abs_shift", 0.5), "abs(x-0.5)", np.abs(xs - 0.5)),
+            (("abs_shift", -1e308), "abs(x-(-1e308))", np.abs(xs + 1e308)),
+        ]
+    for (name, param), source, expected in cases:
+        f = builtin_function(name, param)
+        parsed = parse_function(source)
+        assert f(xs).tobytes() == parsed(xs).tobytes() == expected.tobytes()
+        for x, e in zip(xs, expected):
+            bits = {float(f(float(x))).hex(), float(parsed(float(x))).hex()}
+            assert bits == {float(e).hex()}
+    assert builtin_function("abs_shift", 0.5).source == "abs_shift(0.5)"

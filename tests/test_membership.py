@@ -28,6 +28,13 @@ def test_gridspec_validation():
         GridSpec(tol=0.0)
     with pytest.raises(DomainError):
         GridSpec(tol=float("inf"))
+    # a scan holds the nx-long x axis and the ny*nt (y, t) terms whole, so
+    # either above 2**22 is rejected when the grid is built, before any array
+    with pytest.raises(DomainError, match="nx=4194305, ny=41, nt=99"):
+        GridSpec(nx=2**22 + 1)
+    with pytest.raises(DomainError, match="nx=2, ny=2, nt=100000000"):
+        GridSpec(nx=2, ny=2, nt=100_000_000)
+    GridSpec(nx=2**22, ny=2, nt=2**21)
 
 
 def test_square_is_nesbitt_convex():

@@ -47,6 +47,10 @@ def test_left_singularity_hint():
 def test_divergent_reports_nonconvergence():
     res = integrate_unit(lambda t: 1.0 / t)
     assert not res.converged
+    # the centre of the first panel is a pole: no panel is bisected
+    res = integrate_unit(lambda t: 1.0 / (t - 0.5), vectorized=True)
+    assert (res.evaluations, res.converged) == (15, False)
+    assert not math.isfinite(res.value)
 
 
 def test_constant_one():
@@ -153,3 +157,15 @@ def test_vectorized_matches_scalar():
     r_vec = integrate_unit(lambda t: np.exp(t) * t, spec, vectorized=True)
     assert r_scalar.converged and r_vec.converged
     assert abs(r_scalar.value - r_vec.value) <= 1e-12
+    # one rational lambda, evaluated per node and per panel array
+    cases = [
+        (lambda t: 1.0 / (1.0 + t * t), QuadSpec(), True, None),
+        (lambda t: 1.0 / t, QuadSpec(max_subdivisions=10), False, 315),
+        # divergent: bisection of the left panel stalls at double precision
+        (lambda t: 1.0 / t, spec, False, 30525),
+    ]
+    for f, case_spec, converged, evaluations in cases:
+        r_scalar = integrate_unit(f, case_spec)
+        assert r_scalar == integrate_unit(f, case_spec, vectorized=True)
+        assert r_scalar.converged is converged
+        assert evaluations in (None, r_scalar.evaluations)

@@ -178,6 +178,16 @@ def test_scan_memory_is_bounded():
         tracemalloc.stop()
     assert report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
     assert peak < 2 * 2**20
+    # GridSpec lets a scan hold the x axis and the (y, t) terms whole;
+    # measured 24.6 B per x point and 52.0 B per (y, t) term for this f
+    for (nx, ny, nt), per_point in (((2**16, 2, 2), 32), ((2, 2, 2**16), 64)):
+        tracemalloc.start()
+        try:
+            mb.check_convex(f, Interval(-1.0, 2.0), nesbitt(), mb.GridSpec(nx, ny, nt))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < per_point * max(nx, ny * nt)
 
 
 def test_rounding_in_large_values_is_not_a_violation():

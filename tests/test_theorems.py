@@ -252,6 +252,9 @@ def test_similarly_ordered_rejects_opposite_ordering():
     g = parse_function("-x+1")
     with pytest.raises(OrderingError):
         nesbitt_similarly_ordered_bound(FX, g, UNIT)
+    # f(a) - f(b) overflows to inf and g(a) - g(b) is 0: the ordering is NaN
+    with pytest.raises(OrderingError, match="nan, not >= 0"):
+        nesbitt_similarly_ordered_bound(parse_function("1e308*(1-2*x^3)"), ONE, UNIT)
 
 
 def test_similarly_ordered_constant():
