@@ -15,13 +15,14 @@ import dataclasses
 import json
 import re
 import sys
+import textwrap
 from typing import Any
 
 from . import membership as mb
 from . import theorems as th
 from . import weights as w
 from .errors import DomainError, OrderingError
-from .expr import ExprDomainError, ExprSyntaxError, parse_function
+from .expr import GRAMMAR, ExprDomainError, ExprSyntaxError, parse_function
 from .quadrature import Interval, QuadSpec
 from .suite import SCHEMA_VERSION, Overall, Report, verify_paper
 
@@ -30,17 +31,12 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-GRAMMAR_HELP = """\
-expression grammar (EBNF):
-  expr    = term { ("+" | "-") term } ;
-  term    = factor { ("*" | "/") factor } ;
-  factor  = "-" factor | power ;
-  power   = atom [ "^" factor ] ;           (right-associative)
-  atom    = NUMBER | "x" | FUNC "(" expr { "," expr } ")" | "(" expr ")" ;
-  FUNC    = "exp" | "ln" | "sqrt" | "abs" | "sin" | "cos" | "pow" ;
-"^" is real power: repeated multiplication for constant integer exponents,
-exp(y*ln x) with x > 0 otherwise.
-"""
+GRAMMAR_HELP = (
+    "expression grammar (EBNF):\n"
+    + textwrap.indent(GRAMMAR, "  ")
+    + '"^" is real power: repeated multiplication for constant integer exponents,\n'
+    "exp(y*ln x) with x > 0 otherwise.\n"
+)
 
 _EXIT_BY_OVERALL = {
     Overall.ALL_HOLD: EXIT_OK,
@@ -83,7 +79,8 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def _flatten(value: Any, prefix: str, out: dict) -> None:
+def _flatten(value: Any, prefix: str = "", out: dict | None = None) -> dict:
+    out = {} if out is None else out
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(value[k], f"{prefix}.{k}" if prefix else str(k), out)
@@ -92,6 +89,7 @@ def _flatten(value: Any, prefix: str, out: dict) -> None:
             _flatten(item, f"{prefix}[{i}]", out)
     else:
         out[prefix] = value
+    return out
 
 
 def report_to_json(report: Report) -> str:
@@ -114,8 +112,7 @@ def report_to_text(report: Report) -> str:
                 f"{rec['relation']} threshold={_fmt(rec['threshold'])}"
             )
             continue
-        flat: dict = {}
-        _flatten(rec, "", flat)
+        flat = _flatten(rec)
         name = flat.pop("name", "")
         kind = flat.pop("kind", "")
         parts = ", ".join(f"{k}={_fmt(v)}" for k, v in flat.items())
@@ -128,35 +125,13 @@ def report_to_csv(report: Report) -> str:
     if not rows:
         return "\n"
     if all(r.get("kind") == "constants" for r in rows):
-        header = ["name", "p", "closed_form", "oracle", "abs_diff"]
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    "" if r.get(col) is None else _fmt(r.get(col)) for col in header
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if all("metric" in r for r in rows):
-        lines = ["name,status,relation,metric,threshold"]
-        for r in rows:
-            lines.append(
-                f"{r['name']},{r['status']},{r['relation']},"
-                f"{_fmt(r['metric'])},{_fmt(r['threshold'])}"
-            )
-        return "\n".join(lines) + "\n"
-    flats = []
-    keys: list[str] = []
-    for r in rows:
-        flat: dict = {}
-        _flatten(r, "", flat)
-        flats.append(flat)
-        for k in flat:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for flat in flats:
-        lines.append(",".join(_fmt(flat[k]) if k in flat else "" for k in keys))
+        keys = ["name", "p", "closed_form", "oracle", "abs_diff"]
+    elif all("metric" in r for r in rows):
+        keys = ["name", "status", "relation", "metric", "threshold"]
+    else:
+        rows = [_flatten(r) for r in rows]
+        keys = list(dict.fromkeys(k for flat in rows for k in flat))
+    lines = [",".join(keys)] + [",".join(_fmt(r.get(k)) for k in keys) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -251,13 +226,7 @@ def _weight_system(args) -> w.WeightSystem:
 
 
 def _config_echo(args) -> dict:
-    skip = {"out"}
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        cfg[key] = value
-    return cfg
+    return {key: value for key, value in sorted(vars(args).items()) if key != "out"}
 
 
 def _cmd_check(args) -> Report:

@@ -1,13 +1,9 @@
 """Tokenizer, recursive-descent parser, and evaluator for user functions.
 
-Grammar (as printed by the CLI help):
-
-    expr    = term { ("+" | "-") term } ;
-    term    = factor { ("*" | "/") factor } ;
-    factor  = "-" factor | power ;
-    power   = atom [ "^" factor ] ;          (right-associative)
-    atom    = NUMBER | "x" | FUNC "(" expr { "," expr } ")" | "(" expr ")" ;
-    FUNC    = "exp" | "ln" | "sqrt" | "abs" | "sin" | "cos" | "pow" ;
+The expression language is defined once, here: `GRAMMAR` is its EBNF (the
+CLI prints it under `--help`), `FUNCTIONS` its function table and `_TOKEN`
+its lexical rules. Only decimal digits form numbers, and a source whose
+tree or parser nesting is deeper than `MAX_DEPTH` is a syntax error.
 
 "^" is real power: exact repeated multiplication for constant integer
 exponents, exp(y*ln x) with x > 0 otherwise. A NaN never propagates
@@ -17,6 +13,8 @@ so grid scans and pointwise recomputation agree bit-for-bit.
 """
 
 import enum
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -50,6 +48,7 @@ class TokenKind(enum.Enum):
     LPAREN = "("
     RPAREN = ")"
     COMMA = ","
+    END = "end of input"
 
 
 @dataclass(frozen=True)
@@ -59,58 +58,48 @@ class Token:
     position: int
 
 
-_SYMBOLS = {
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "^": TokenKind.CARET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ",": TokenKind.COMMA,
+# name -> (numpy function, domain-violation test or None, its message);
+# pow takes two arguments and is evaluated by _power
+FUNCTIONS = {
+    "exp": (np.exp, None, None),
+    "ln": (np.log, lambda v: v <= 0.0, "ln of a non-positive argument"),
+    "sqrt": (np.sqrt, lambda v: v < 0.0, "sqrt of a negative argument"),
+    "abs": (np.abs, None, None),
+    "sin": (np.sin, None, None),
+    "cos": (np.cos, None, None),
+    "pow": (None, None, None),
 }
 
-FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "abs": 1, "sin": 1, "cos": 1, "pow": 2}
+GRAMMAR = """\
+expr    = term { ("+" | "-") term } ;
+term    = factor { ("*" | "/") factor } ;
+factor  = "-" factor | power ;
+power   = atom [ "^" factor ] ;           (right-associative)
+atom    = NUMBER | "x" | FUNC "(" expr { "," expr } ")" | "(" expr ")" ;
+FUNC    = """ + " | ".join(f'"{name}"' for name in FUNCTIONS) + " ;\n"
+
+# a number (group 1), an identifier (group 2), a symbol, or whitespace;
+# \d is a decimal digit, which is what float() accepts
+_TOKEN = re.compile(
+    r"((?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|([^\W\d]\w*)|[-+*/^(),]|\s+"
+)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            tokens.append(Token(TokenKind.NUMBER, source[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(Token(TokenKind.IDENT, source[start:i], start))
-            continue
-        raise ExprSyntaxError(f"illegal character {ch!r}", i)
+    pos = 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        if match is None:
+            raise ExprSyntaxError(f"illegal character {source[pos]!r}", pos)
+        text = match.group()
+        if match.group(1):
+            tokens.append(Token(TokenKind.NUMBER, text, pos))
+        elif match.group(2):
+            tokens.append(Token(TokenKind.IDENT, text, pos))
+        elif not text.isspace():
+            tokens.append(Token(TokenKind(text), text, pos))
+        pos = match.end()
     return tokens
 
 
@@ -148,79 +137,91 @@ class Call:
 Ast = Union[Num, Var, Neg, BinOp, Call]
 
 
+MAX_DEPTH = 100
+"""The deepest tree, and the deepest nesting of factors, a source may have.
+
+It keeps parsing and every recursive walker of a tree well inside Python's
+recursion limit: a parser nesting level costs at most five stack frames.
+"""
+
+
+def _depth(node: Ast) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Neg):
+            stack.append((node.child, depth + 1))
+        elif isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Call):
+            stack += [(arg, depth + 1) for arg in node.args]
+    return deepest
+
+
+def _too_deep(position: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression is nested deeper than {MAX_DEPTH} levels", position)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        end = tokens[-1].position + len(tokens[-1].text) if tokens else 0
+        self.tokens = [*tokens, Token(TokenKind.END, "", end)]
         self.pos = 0
+        self.nesting = 0
 
-    def _end_position(self) -> int:
-        if not self.tokens:
-            return 0
-        last = self.tokens[-1]
-        return last.position + len(last.text)
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", self._end_position())
         self.pos += 1
         return tok
 
+    def accept(self, *kinds: TokenKind) -> Token | None:
+        return self.advance() if self.peek().kind in kinds else None
+
     def expect(self, kind: TokenKind) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError(
-                f"expected {kind.value!r}, found end of input", self._end_position()
-            )
+        tok = self.advance()
         if tok.kind is not kind:
-            raise ExprSyntaxError(
-                f"expected {kind.value!r}, found {tok.text!r}", tok.position
-            )
-        self.pos += 1
+            found = "end of input" if tok.kind is TokenKind.END else repr(tok.text)
+            raise ExprSyntaxError(f"expected {kind.value!r}, found {found}", tok.position)
         return tok
 
     def parse(self) -> Ast:
         node = self.expression()
         tok = self.peek()
-        if tok is not None:
+        if tok.kind is not TokenKind.END:
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.position)
+        if _depth(node) > MAX_DEPTH:
+            raise _too_deep(0)
         return node
 
     def expression(self) -> Ast:
         node = self.term()
-        while (tok := self.peek()) is not None and tok.kind in (
-            TokenKind.PLUS,
-            TokenKind.MINUS,
-        ):
-            self.advance()
+        while tok := self.accept(TokenKind.PLUS, TokenKind.MINUS):
             node = BinOp(tok.text, node, self.term())
         return node
 
     def term(self) -> Ast:
         node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in (
-            TokenKind.STAR,
-            TokenKind.SLASH,
-        ):
-            self.advance()
+        while tok := self.accept(TokenKind.STAR, TokenKind.SLASH):
             node = BinOp(tok.text, node, self.factor())
         return node
 
     def factor(self) -> Ast:
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.MINUS:
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
+        # every recursion of the parser passes through here
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise _too_deep(self.peek().position)
+        node = Neg(self.factor()) if self.accept(TokenKind.MINUS) else self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Ast:
         node = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.CARET:
-            self.advance()
+        if self.accept(TokenKind.CARET):
             # exponent re-enters at factor level: x^-2 parses, -x^2 = -(x^2)
             node = BinOp("^", node, self.factor())
         return node
@@ -234,20 +235,17 @@ class _Parser:
             self.expect(TokenKind.RPAREN)
             return node
         if tok.kind is TokenKind.IDENT:
-            nxt = self.peek()
-            if nxt is not None and nxt.kind is TokenKind.LPAREN:
+            if self.accept(TokenKind.LPAREN):
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.position)
-                self.advance()
                 args = [self.expression()]
-                while (t := self.peek()) is not None and t.kind is TokenKind.COMMA:
-                    self.advance()
+                while self.accept(TokenKind.COMMA):
                     args.append(self.expression())
                 self.expect(TokenKind.RPAREN)
-                if len(args) != FUNCTIONS[tok.text]:
+                arity = 2 if tok.text == "pow" else 1
+                if len(args) != arity:
                     raise ExprSyntaxError(
-                        f"{tok.text} takes {FUNCTIONS[tok.text]} argument(s), "
-                        f"got {len(args)}",
+                        f"{tok.text} takes {arity} argument(s), got {len(args)}",
                         tok.position,
                     )
                 return Call(tok.text, tuple(args))
@@ -257,6 +255,8 @@ class _Parser:
                 f"unknown identifier {tok.text!r} (only variable 'x' is allowed)",
                 tok.position,
             )
+        if tok.kind is TokenKind.END:
+            raise ExprSyntaxError("unexpected end of input", tok.position)
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.position)
 
 
@@ -313,6 +313,9 @@ def unparse(node: Ast) -> str:
 # --- evaluation --------------------------------------------------------------
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _const_value(node: Ast) -> float | None:
     """Fold an x-free subtree of +,-,*,/ and negation into a float."""
     if isinstance(node, Num):
@@ -320,25 +323,20 @@ def _const_value(node: Ast) -> float | None:
     if isinstance(node, Neg):
         v = _const_value(node.child)
         return None if v is None else -v
-    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+    if isinstance(node, BinOp) and node.op in _ARITH:
         lv = _const_value(node.left)
         rv = _const_value(node.right)
-        if lv is None or rv is None:
+        if lv is None or rv is None or (node.op == "/" and rv == 0.0):
             return None
-        if node.op == "+":
-            return lv + rv
-        if node.op == "-":
-            return lv - rv
-        if node.op == "*":
-            return lv * rv
-        return lv / rv if rv != 0.0 else None
+        return _ARITH[node.op](lv, rv)
     return None
 
 
-def _first_offending_x(xs: np.ndarray, mask) -> float:
-    flat = np.broadcast_to(mask, xs.shape).ravel()
-    idx = int(np.argmax(flat))
-    return float(xs.ravel()[idx])
+def _guard(bad, message: str, xs: np.ndarray) -> None:
+    """Raise a domain error at the first x where the mask `bad` holds."""
+    if np.any(bad):
+        idx = int(np.argmax(np.broadcast_to(bad, xs.shape).ravel()))
+        raise ExprDomainError(message, float(xs.ravel()[idx]))
 
 
 def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
@@ -346,11 +344,8 @@ def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
         return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
     invert = n < 0
     n = abs(n)
-    if invert and np.any(base == 0.0):
-        raise ExprDomainError(
-            "zero base with negative integer exponent",
-            _first_offending_x(xs, base == 0.0),
-        )
+    if invert:
+        _guard(base == 0.0, "zero base with negative integer exponent", xs)
     result = None
     acc = base
     while n:
@@ -367,11 +362,7 @@ def _power(base, exponent_node: Ast, xs: np.ndarray):
     if const is not None and float(const).is_integer() and abs(const) <= 2**31:
         return _int_power(base, int(const), xs)
     expo = _eval_node(exponent_node, xs)
-    if np.any(base <= 0.0):
-        raise ExprDomainError(
-            "non-integer power of a non-positive base",
-            _first_offending_x(xs, base <= 0.0),
-        )
+    _guard(base <= 0.0, "non-integer power of a non-positive base", xs)
     return np.exp(expo * np.log(base))
 
 
@@ -385,39 +376,18 @@ def _eval_node(node: Ast, xs: np.ndarray):
     if isinstance(node, Call):
         if node.name == "pow":
             return _power(_eval_node(node.args[0], xs), node.args[1], xs)
+        func, bad, message = FUNCTIONS[node.name]
         v = _eval_node(node.args[0], xs)
-        if node.name == "exp":
-            return np.exp(v)
-        if node.name == "ln":
-            if np.any(v <= 0.0):
-                raise ExprDomainError(
-                    "ln of a non-positive argument", _first_offending_x(xs, v <= 0.0)
-                )
-            return np.log(v)
-        if node.name == "sqrt":
-            if np.any(v < 0.0):
-                raise ExprDomainError(
-                    "sqrt of a negative argument", _first_offending_x(xs, v < 0.0)
-                )
-            return np.sqrt(v)
-        if node.name == "abs":
-            return np.abs(v)
-        if node.name == "sin":
-            return np.sin(v)
-        return np.cos(v)
+        if bad is not None:
+            _guard(bad(v), message, xs)
+        return func(v)
     if node.op == "^":
         return _power(_eval_node(node.left, xs), node.right, xs)
     left = _eval_node(node.left, xs)
     right = _eval_node(node.right, xs)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if np.any(right == 0.0):
-        raise ExprDomainError("division by zero", _first_offending_x(xs, right == 0.0))
-    return left / right
+    if node.op == "/":
+        _guard(right == 0.0, "division by zero", xs)
+    return _ARITH[node.op](left, right)
 
 
 BUILTINS = ("square", "exponential", "identity", "constant", "abs_shift")
@@ -437,10 +407,7 @@ class FunctionDef:
             xs = xs.reshape(1)
         with np.errstate(all="ignore"):
             values = np.broadcast_to(np.asarray(_eval_node(self.ast, xs)), xs.shape)
-        if np.isnan(values).any():
-            raise ExprDomainError(
-                "evaluation produced NaN", _first_offending_x(xs, np.isnan(values))
-            )
+        _guard(np.isnan(values), "evaluation produced NaN", xs)
         return float(values[0]) if scalar else values
 
 

@@ -228,18 +228,13 @@ def _proposition_checks(grid: mb.GridSpec) -> list[dict]:
         nx=grid.nx, ny=grid.ny, nt=2, t_min=0.5, tol=grid.tol
     )
     report = mb.check_convex(f, interval, ws, witness_grid)
-    if report.verdict is mb.Verdict.VIOLATED:
-        cert = report.certificate
-        out.append(
-            _check(
-                "proposition/negative_constant_gap_at_half",
-                abs(cert.gap - NEGATIVE_CONST_GAP) + abs(cert.t - 0.5),
-                1e-4,
-                "le",
-            )
-        )
-    else:
-        out.append(_check("proposition/negative_constant_gap_at_half", 1.0, 1e-4, "le"))
+    cert = report.certificate
+    metric = (
+        abs(cert.gap - NEGATIVE_CONST_GAP) + abs(cert.t - 0.5)
+        if report.verdict is mb.Verdict.VIOLATED
+        else 1.0
+    )
+    out.append(_check("proposition/negative_constant_gap_at_half", metric, 1e-4, "le"))
     default_report = mb.check_convex(f, interval, ws, grid)
     out.append(
         _check(

@@ -69,6 +69,15 @@ class MomentTable:
         }
 
 
+def _unit_t(t, subject: str) -> np.ndarray:
+    """t as a float array, refused unless every value lies in (0, 1]."""
+    t = np.asarray(t, dtype=float)
+    if t.size and (np.min(t) <= 0.0 or np.max(t) > 1.0):
+        bad = t[(t <= 0.0) | (t > 1.0)].flat[0]
+        raise DomainError(f"{subject} defined for t in (0, 1], got t={bad}")
+    return t
+
+
 @dataclass(frozen=True)
 class WeightSystem:
     kind: WeightKind
@@ -96,10 +105,7 @@ class WeightSystem:
         Single evaluation path for both the scalar API and grid scans, so a
         violation certificate recomputes bit-identically.
         """
-        t = np.asarray(t, dtype=float)
-        if t.size and (np.min(t) <= 0.0 or np.max(t) > 1.0):
-            bad = t[(t <= 0.0) | (t > 1.0)].flat[0]
-            raise DomainError(f"weights are defined for t in (0, 1], got t={bad}")
+        t = _unit_t(t, "weights are")
         if self.kind is WeightKind.CLASSICAL:
             return t, 1.0 - t
         if self.kind is WeightKind.YOUNG:
@@ -121,10 +127,7 @@ class WeightSystem:
 
     def lemma_rhs_arrays(self, t: np.ndarray) -> np.ndarray:
         """Right-hand side of the defining lemma inequality (>= 1 on (0, 1])."""
-        t = np.asarray(t, dtype=float)
-        if t.size and (np.min(t) <= 0.0 or np.max(t) > 1.0):
-            bad = t[(t <= 0.0) | (t > 1.0)].flat[0]
-            raise DomainError(f"lemma_rhs is defined for t in (0, 1], got t={bad}")
+        t = _unit_t(t, "lemma_rhs is")
         if self.kind is WeightKind.CLASSICAL:
             return np.ones_like(t)
         if self.kind is WeightKind.YOUNG:

@@ -265,6 +265,18 @@ def _run_strict(argv):
          "error: the closed-form moments of young(p=1e+300) overflow"),
         (["constants", "--p", "1e300"], EXIT_NUMERIC,
          "error: the closed-form moments of young(p=1e+300) overflow"),
+        # too deep for the parser, and a flat sum too deep for the evaluator
+        (["check", "--f", "(" * 400 + "x" + ")" * 400, "--class", "classical",
+          "--a", "0", "--b", "1"], EXIT_USAGE,
+         "error: expression is nested deeper than 100 levels"),
+        (["check", "--f", "+".join(["x"] * 3000), "--class", "classical",
+          "--a", "0", "--b", "1"], EXIT_USAGE,
+         "error: expression is nested deeper than 100 levels"),
+        # '²' is a digit to str.isdigit but not to float(): no number
+        (["check", "--f", "²", "--class", "classical", "--a", "0", "--b", "1"],
+         EXIT_USAGE, "error: unknown identifier '²'"),
+        (["check", "--f", "1²", "--class", "classical", "--a", "0", "--b", "1"],
+         EXIT_USAGE, "error: unexpected token '²'"),
     ],
 )
 def test_strict_exit_and_one_line_stderr(argv, code, err):

@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexa.expr import (
+    FUNCTIONS,
+    GRAMMAR,
+    MAX_DEPTH,
     BinOp,
     Call,
     ExprDomainError,
     ExprSyntaxError,
+    FunctionDef,
     Neg,
     Num,
     TokenKind,
@@ -170,6 +175,43 @@ def test_empty_input():
         parse_source("")
 
 
+def test_end_of_input_messages():
+    # the end of input is where the last token ends, trailing blanks aside
+    with pytest.raises(ExprSyntaxError, match=r"^unexpected end of input \(at offset 3\)$"):
+        parse_source("x + ")
+    with pytest.raises(
+        ExprSyntaxError, match=r"^expected '\)', found end of input \(at offset 4\)$"
+    ):
+        parse_source("(x+1 ")
+
+
+def test_only_decimal_digits_form_numbers():
+    assert parse_source("\u0663*x") == BinOp("*", Num(3.0), Var())  # Arabic-Indic 3
+    for source in ("\u00b2", "1\u00b2", "\u00bd"):  # superscript two, one half
+        with pytest.raises(ExprSyntaxError):
+            parse_source(source)
+
+
+def test_grammar_lists_every_function():
+    func_line = GRAMMAR.splitlines()[-1]
+    assert func_line == "FUNC    = " + " | ".join(f'"{n}"' for n in FUNCTIONS) + " ;"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: "+".join(["x"] * n),  # tree depth n, flat in the parser
+        lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),  # parser nesting n
+        lambda n: "-" * (n - 1) + "x",  # both
+        lambda n: "2^" * (n - 1) + "x",  # both, by the power chain
+    ],
+)
+def test_nesting_bound(build):
+    parse_function(build(MAX_DEPTH))(0.5)  # at the bound: parses and evaluates
+    with pytest.raises(ExprSyntaxError, match="nested deeper than"):
+        parse_source(build(MAX_DEPTH + 2))
+
+
 # -- round trip and evaluation ------------------------------------------------------
 
 
@@ -213,6 +255,34 @@ def _ast_strategy():
 @given(_ast_strategy())
 def test_generated_ast_roundtrip(tree):
     assert parse_source(unparse(tree)) == tree
+
+
+# -- fuzzing ------------------------------------------------------------------------
+
+_FUZZ_ALPHABET = "0123456789.eExyabcilnopqrstw_+-*/^(), " + "\u00b2\u00bd\u00e9\u0663\u00a0"
+_FUZZ_XS = np.array([-1e308, -2.5, -1.0, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.0, 710.0, 1e308])
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.text(alphabet=_FUZZ_ALPHABET, max_size=40))
+@example("\u00b2")
+@example("1\u00b2")
+@example("(" * 400 + "x" + ")" * 400)
+@example("+".join(["x"] * 3000))
+def test_fuzz_parse_and_evaluate(source):
+    """Any text parses or is a syntax error, and evaluates or is a domain error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            f = parse_function(source)
+        except ExprSyntaxError:
+            return
+        assert isinstance(f, FunctionDef)
+        for x in (_FUZZ_XS, 0.5):
+            try:
+                f(x)
+            except ExprDomainError:
+                pass
 
 
 # -- domain errors ------------------------------------------------------------------
