@@ -27,7 +27,7 @@ from .membership import (
     nonnegativity_witness,
 )
 from .quadrature import Interval, QuadResult, QuadSpec, integrate, integrate_unit
-from .specfun import SpecValue, beta, log_gamma
+from .specfun import beta, log_gamma
 from .theorems import (
     ConstantsRow,
     ProductBoundReport,
@@ -72,7 +72,6 @@ __all__ = [
     "QuadResult",
     "QuadSpec",
     "SandwichReport",
-    "SpecValue",
     "Verdict",
     "ViolationCertificate",
     "WeightKind",

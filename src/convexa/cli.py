@@ -49,21 +49,18 @@ _EXIT_BY_OVERALL = {
 
 
 def _record(kind: str, name: str, payload: dict) -> dict:
-    rec = {"kind": kind, "name": name}
-    rec.update(payload)
-    return rec
+    return {"kind": kind, "name": name} | payload
 
 
 def _membership_payload(report: mb.MembershipReport) -> dict:
-    payload = {
-        "verdict": report.verdict.value,
-        "samples": report.samples,
-        "max_slack": report.max_slack,
-        "max_gap": report.max_gap,
-    }
-    if report.certificate is not None:
-        payload["certificate"] = dataclasses.asdict(report.certificate)
-    return payload
+    payload = dataclasses.asdict(report)
+    if report.certificate is None:
+        del payload["certificate"]
+    return payload | {"verdict": report.verdict.value}
+
+
+def _holds(ok: bool) -> Overall:
+    return Overall.ALL_HOLD if ok else Overall.VIOLATION_FOUND
 
 
 # --- output formatting ----------------------------------------------------------
@@ -234,12 +231,8 @@ def _cmd_check(args) -> Report:
     ws = _weight_system(args)
     grid = mb.GridSpec(args.nx, args.ny, args.nt, args.t_min, args.tol)
     report = mb.check_convex(f, Interval(args.a, args.b), ws, grid)
-    overall = (
-        Overall.ALL_HOLD
-        if report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
-        else Overall.VIOLATION_FOUND
-    )
     rec = _record("membership", f"{args.f_source}/{ws.label()}", _membership_payload(report))
+    overall = _holds(report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION)
     return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
 
 
@@ -257,10 +250,8 @@ def _cmd_sandwich(args) -> Report:
     else:
         rep = th.nesbitt_sandwich(f, interval, quad)
         name = "nesbitt_sandwich"
-    overall = (
-        Overall.ALL_HOLD if rep.left_holds and rep.right_holds else Overall.VIOLATION_FOUND
-    )
     rec = _record("sandwich", name, dataclasses.asdict(rep))
+    overall = _holds(rep.left_holds and rep.right_holds)
     return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
 
 
@@ -272,32 +263,23 @@ def _cmd_product(args) -> Report:
     ws = _weight_system(args)
     interval = Interval(args.a, args.b)
     quad = _quad_spec(args)
-    records = []
     if ws.kind is w.WeightKind.CLASSICAL:
         upper, lower = th.pachpatte_bounds(f, g, interval, quad)
-        records.append(_record("product", "pachpatte_upper", dataclasses.asdict(upper)))
-        records.append(_record("product", "pachpatte_lower", dataclasses.asdict(lower)))
+        reports = {"pachpatte_upper": upper, "pachpatte_lower": lower}
     elif ws.kind is w.WeightKind.YOUNG:
         rep = th.young_product_bound(f, g, interval, args.p, quad)
-        records.append(
-            _record("product", f"young_product_p{args.p:g}", dataclasses.asdict(rep))
-        )
+        reports = {f"young_product_p{args.p:g}": rep}
     else:
-        rep = th.nesbitt_product_bound(f, g, interval, quad)
-        records.append(_record("product", "nesbitt_product", dataclasses.asdict(rep)))
+        reports = {"nesbitt_product": th.nesbitt_product_bound(f, g, interval, quad)}
         try:
             rep = th.nesbitt_similarly_ordered_bound(f, g, interval, quad)
+            reports["nesbitt_similarly_ordered"] = rep
         except OrderingError:
             pass  # the ordered bound only applies to similarly ordered f, g
-        else:
-            records.append(
-                _record("product", "nesbitt_similarly_ordered", dataclasses.asdict(rep))
-            )
-    overall = (
-        Overall.ALL_HOLD
-        if all(r.get("holds", True) for r in records)
-        else Overall.VIOLATION_FOUND
-    )
+    records = [
+        _record("product", name, dataclasses.asdict(rep)) for name, rep in reports.items()
+    ]
+    overall = _holds(all(r["holds"] for r in records))
     return Report(SCHEMA_VERSION, _config_echo(args), records, overall)
 
 
@@ -313,11 +295,8 @@ def _cmd_moments(args) -> Report:
     closed = ws.moments_closed_form().entries()
     oracle = ws.moments(_quad_spec(args)).entries()
     records = []
-    numeric_failure = False
-    for key in ("m10", "m01", "m20", "m02", "m11"):
-        c, o = closed[key], oracle[key]
-        if c.defined != o.defined:
-            numeric_failure = True
+    for key, c in closed.items():
+        o = oracle[key]
         payload = {
             "closed_form": c.value if c.defined else None,
             "oracle": o.value if o.defined else None,
@@ -325,7 +304,8 @@ def _cmd_moments(args) -> Report:
             "abs_diff": abs(c.value - o.value) if c.defined and o.defined else None,
         }
         records.append(_record("moments", f"{ws.label()}/{key}", payload))
-    overall = Overall.NUMERIC_FAILURE if numeric_failure else Overall.ALL_HOLD
+    agree = all(c.defined == oracle[key].defined for key, c in closed.items())
+    overall = Overall.ALL_HOLD if agree else Overall.NUMERIC_FAILURE
     return Report(SCHEMA_VERSION, _config_echo(args), records, overall)
 
 

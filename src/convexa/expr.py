@@ -13,6 +13,7 @@ so grid scans and pointwise recomputation agree bit-for-bit.
 """
 
 import enum
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -273,18 +274,28 @@ def parse_source(source: str) -> Ast:
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
+def _negative(node: Ast) -> bool:
+    return isinstance(node, Num) and math.copysign(1.0, node.value) < 0.0
+
+
 def _prec(node: Ast) -> int:
     if isinstance(node, BinOp):
         return _BIN_PREC[node.op]
-    if isinstance(node, Neg):
+    if isinstance(node, Neg) or _negative(node):
         return 3
     return 5
 
 
 def unparse(node: Ast) -> str:
-    """Render an Ast to source that re-parses to an identical tree."""
+    """Render an Ast to source that re-parses to an identical tree.
+
+    An infinite constant is written 1e999, and a negative one (-0.0 too) as
+    a negation, which re-parses to Neg(Num(c)) and evaluates bit for bit alike.
+    """
     if isinstance(node, Num):
-        return repr(node.value)
+        magnitude = abs(node.value)
+        text = "1e999" if magnitude == math.inf else repr(magnitude)
+        return "-" + text if _negative(node) else text
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Neg):

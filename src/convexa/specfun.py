@@ -5,7 +5,6 @@ bit-for-bit wherever IEEE-754 doubles and libm exp/log/sin are available.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -25,14 +24,6 @@ _LANCZOS_COEF = (
 _LOG_SQRT_2PI = 0.9189385332046727  # ln sqrt(2*pi)
 
 
-@dataclass(frozen=True)
-class SpecValue:
-    """A computed special-function value with an estimated absolute error."""
-
-    value: float
-    est_abs_error: float
-
-
 def _lanczos_log_gamma(x: float) -> float:
     # valid for x >= 0.5
     z = x - 1.0
@@ -43,26 +34,19 @@ def _lanczos_log_gamma(x: float) -> float:
     return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(series)
 
 
-def log_gamma(x: float) -> SpecValue:
+def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         # reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x);
         # sin(pi x) > 0 on (0, 0.5)
-        value = math.log(math.pi / math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
-    else:
-        value = _lanczos_log_gamma(x)
-    return SpecValue(value, 1e-14 * max(1.0, abs(value)))
+        return math.log(math.pi / math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
+    return _lanczos_log_gamma(x)
 
 
-def beta(x: float, y: float) -> SpecValue:
+def beta(x: float, y: float) -> float:
     """Beta(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), computed in log space."""
     if not x > 0.0 or not y > 0.0:
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    lx = log_gamma(x)
-    ly = log_gamma(y)
-    lxy = log_gamma(x + y)
-    value = math.exp(lx.value + ly.value - lxy.value)
-    est = value * (lx.est_abs_error + ly.est_abs_error + lxy.est_abs_error + 1e-16)
-    return SpecValue(value, est)
+    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))

@@ -286,10 +286,9 @@ def _constant_checks(quad: QuadSpec) -> list[dict]:
     ]
 
 
-def verify_paper(
-    quad: QuadSpec = QuadSpec(), grid: mb.GridSpec = mb.GridSpec()
-) -> Report:
+def verify_paper(quad: QuadSpec = QuadSpec()) -> Report:
     """Run the full verification suite and collect a deterministic report."""
+    grid = mb.GridSpec()
     results: list[dict] = []
     results += _lemma_checks()
     results += _moment_checks(quad)

@@ -30,11 +30,6 @@ class WeightKind(enum.Enum):
     NESBITT = "nesbitt"
 
 
-class MomentMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class WeightPair:
     wx: float
@@ -57,16 +52,14 @@ class MomentTable:
     m20: Moment  # int w_x^2
     m02: Moment  # int w_y^2
     m11: Moment  # int w_x * w_y
-    method: MomentMethod
 
     def entries(self) -> dict[str, Moment]:
-        return {
-            "m10": self.m10,
-            "m01": self.m01,
-            "m20": self.m20,
-            "m02": self.m02,
-            "m11": self.m11,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def symmetric(cls, first: float, second: float, cross: float) -> "MomentTable":
+        """The table of a system whose w_y(t) is w_x(1 - t): m01 = m10, m02 = m20."""
+        return cls(*(Moment(v) for v in (first, first, second, second, cross)))
 
 
 def _unit_t(t, subject: str) -> np.ndarray:
@@ -146,54 +139,41 @@ class WeightSystem:
         The Young cross moment uses the Beta combination confirmed by the
         quadrature oracle (the one appearing in the product-bound proof);
         see `theorems.constants_table` for the alternative display. The
-        Young m02 entry diverges for p >= 2.
+        Young m02 entry diverges for p >= 2. A Young p past ~7.7e153, where
+        3p^2 overflows a double, raises NonFiniteError.
         """
         if self.kind is WeightKind.CLASSICAL:
-            return MomentTable(
-                Moment(0.5),
-                Moment(0.5),
-                Moment(1.0 / 3.0),
-                Moment(1.0 / 3.0),
-                Moment(1.0 / 6.0),
-                MomentMethod.CLOSED_FORM,
-            )
+            return MomentTable.symmetric(0.5, 1.0 / 3.0, 1.0 / 6.0)
         if self.kind is WeightKind.NESBITT:
-            m_same = 1.5 * LN3 - 1.0
-            m_sq = 125.0 / 6.0 - (147.0 / 8.0) * LN3
-            m_cross = (117.0 / 8.0) * LN3 - 95.0 / 6.0
-            return MomentTable(
-                Moment(m_same),
-                Moment(m_same),
-                Moment(m_sq),
-                Moment(m_sq),
-                Moment(m_cross),
-                MomentMethod.CLOSED_FORM,
+            return MomentTable.symmetric(
+                1.5 * LN3 - 1.0,
+                125.0 / 6.0 - (147.0 / 8.0) * LN3,
+                (117.0 / 8.0) * LN3 - 95.0 / 6.0,
             )
         p = self.p
-        try:
-            m10 = (p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0))
-            m01 = 3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0))
-            m20 = (
+        # 3p^2 is the largest intermediate below; while it is finite, no
+        # product or power of the Young closed forms overflows
+        if not math.isfinite(3.0 * p * p):
+            raise NonFiniteError(
+                f"the closed-form moments of {self.label()} overflow a double"
+            )
+        m02 = Moment(math.nan, defined=False)
+        if 2.0 / p - 1.0 > 0.0:
+            m02 = Moment(
+                ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 1.0, 3.0)
+                + 2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p, 3.0)
+                + 1.0 / p**2 * specfun.beta(2.0 / p - 1.0, 3.0)
+            )
+        return MomentTable(
+            Moment((p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0))),
+            Moment(3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0))),
+            Moment(
                 1.0 / (p * (2.0 + p))
                 + (p - 1.0) / (p * (1.0 + p))
                 + (p - 1.0) ** 2 / (p * (2.0 + 3.0 * p))
-            )
-            m11 = young_cross_moment_proof_display(p)
-            if 2.0 / p - 1.0 > 0.0:
-                m02 = Moment(
-                    ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 1.0, 3.0).value
-                    + 2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p, 3.0).value
-                    + 1.0 / p**2 * specfun.beta(2.0 / p - 1.0, 3.0).value
-                )
-            else:
-                m02 = Moment(math.nan, defined=False)
-        except OverflowError:
-            raise NonFiniteError(
-                f"the closed-form moments of {self.label()} overflow a double"
-            ) from None
-        return MomentTable(
-            Moment(m10), Moment(m01), Moment(m20), m02, Moment(m11),
-            MomentMethod.CLOSED_FORM,
+            ),
+            m02,
+            Moment(young_cross_moment_proof_display(p)),
         )
 
     def integral(
@@ -232,10 +212,7 @@ class WeightSystem:
         The Young m02 entry genuinely diverges for p >= 2 (reported, not
         guessed).
         """
-        return MomentTable(
-            *(self.moment(key, spec) for key in MOMENT_INTEGRANDS),
-            MomentMethod.QUADRATURE,
-        )
+        return MomentTable(*(self.moment(key, spec) for key in MOMENT_INTEGRANDS))
 
 
 # moment key -> (integrand of (w_x, w_y), degree (i, j) of its monomial)
@@ -263,9 +240,9 @@ def nesbitt() -> WeightSystem:
 def young_cross_moment_proof_display(p: float) -> float:
     """int w_x w_y per the Beta combination the product-bound proof derives."""
     return (
-        2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p + 1.0, 2.0).value
-        + ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 2.0, 2.0).value
-        + 1.0 / p**2 * specfun.beta(2.0 / p, 2.0).value
+        2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p + 1.0, 2.0)
+        + ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 2.0, 2.0)
+        + 1.0 / p**2 * specfun.beta(2.0 / p, 2.0)
     )
 
 
@@ -277,9 +254,9 @@ def young_cross_moment_theorem_display(p: float) -> float:
     bound.
     """
     return (
-        (p - 1.0) / p**2 * specfun.beta(2.0 / p, 2.0).value
-        + ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 2.0, 2.0).value
-        + 1.0 / p * specfun.beta(2.0 / p + 1.0, 2.0).value
+        (p - 1.0) / p**2 * specfun.beta(2.0 / p, 2.0)
+        + ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 2.0, 2.0)
+        + 1.0 / p * specfun.beta(2.0 / p + 1.0, 2.0)
     )
 
 

@@ -277,6 +277,16 @@ def _run_strict(argv):
          EXIT_USAGE, "error: unknown identifier '²'"),
         (["check", "--f", "1²", "--class", "classical", "--a", "0", "--b", "1"],
          EXIT_USAGE, "error: unexpected token '²'"),
+        # 3p^2 overflows although p^2 does not: the closed forms read inf,
+        # 0 and NaN here unless the overflow is named
+        (["constants", "--p", "8e153", "--format", "csv"], EXIT_NUMERIC,
+         "error: the closed-form moments of young(p=8e+153) overflow a double"),
+        (["constants", "--p", "1e154"], EXIT_NUMERIC,
+         "error: the closed-form moments of young(p=1e+154) overflow a double"),
+        # (p + 1)(2p + 1) overflows, so the bracket's rational term reads 0
+        (["sandwich", "--f", "x", "--class", "young", "--p", "1.3e154", "--a", "0",
+          "--b", "1"], EXIT_NUMERIC,
+         "error: the sandwich bracket of young(p=1.3e+154) overflows a double"),
     ],
 )
 def test_strict_exit_and_one_line_stderr(argv, code, err):

@@ -233,10 +233,10 @@ _leaf = st.one_of(
 )
 
 
-def _ast_strategy():
+def _ast_strategy(leaf=_leaf):
     unary_names = st.sampled_from(["exp", "sin", "cos", "abs"])
     return st.recursive(
-        _leaf,
+        leaf,
         lambda children: st.one_of(
             st.builds(Neg, children),
             st.builds(
@@ -255,6 +255,26 @@ def _ast_strategy():
 @given(_ast_strategy())
 def test_generated_ast_roundtrip(tree):
     assert parse_source(unparse(tree)) == tree
+
+
+_ROUNDTRIP_XS = np.array([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+
+
+def _outcome(tree):
+    try:
+        return FunctionDef("f", tree)(_ROUNDTRIP_XS).tobytes()
+    except ExprDomainError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ast_strategy(st.one_of(st.just(Var()), st.builds(Num, st.floats(allow_nan=False)))))
+@example(BinOp("^", Num(-2.0), Var()))  # not -(2^x)
+@example(Num(math.inf))  # not the identifier inf
+@example(BinOp("^", Num(-0.0), Num(2.0)))  # +0.0, not -(0^2) = -0.0
+def test_any_constant_roundtrip_evaluates_alike(tree):
+    """Constants of any sign or size, -0.0 and +-inf re-parse to the same function."""
+    assert _outcome(parse_source(unparse(tree))) == _outcome(tree)
 
 
 # -- fuzzing ------------------------------------------------------------------------

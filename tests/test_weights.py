@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexa.errors import DomainError
+from convexa.errors import DomainError, NonFiniteError
 from convexa.weights import (
-    MomentMethod,
     WeightKind,
     WeightSystem,
     classical,
@@ -131,7 +130,6 @@ def test_young_limit_to_classical():
 
 def test_young_moments_closed_form_p2():
     table = young(2.0).moments_closed_form()
-    assert table.method is MomentMethod.CLOSED_FORM
     assert table.m10.value == pytest.approx(8.0 / 15.0, abs=1e-15)
     assert table.m01.value == pytest.approx(12.0 / 15.0, abs=1e-15)
     assert not table.m02.defined
@@ -158,6 +156,16 @@ def test_classical_moments_closed_form():
         table.m02.value,
         table.m11.value,
     ) == (0.5, 0.5, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+
+
+def test_young_closed_forms_overflow_bound():
+    """Up to 3p^2 = DBL_MAX (p ~ 7.7e153) the table holds its large-p limits."""
+    table = young(7e153).moments_closed_form()
+    values = [table.m10.value, table.m01.value, table.m20.value, table.m11.value]
+    assert values == pytest.approx([0.5, 1.5, 1.0 / 3.0, 1.0 / 6.0], rel=1e-15)
+    assert not table.m02.defined
+    with pytest.raises(NonFiniteError, match=r"young\(p=8e\+153\) overflow a double"):
+        young(8e153).moments_closed_form()
 
 
 @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9])
@@ -191,10 +199,6 @@ def test_moment_agreement_classical():
     oracle = classical().moments().entries()
     for key in closed:
         assert abs(closed[key].value - oracle[key].value) <= 1e-9
-
-
-def test_moments_method_flag():
-    assert nesbitt().moments().method is MomentMethod.QUADRATURE
 
 
 @pytest.mark.parametrize(
