@@ -6,8 +6,9 @@ text, JSON (schema_version "1", byte-stable across runs), or CSV with '.'
 decimals and 17 significant digits.
 
 Exit codes: 0 all checks hold, 1 violation or failed inequality, 2 usage or
-parse error, 3 numeric failure (any ArithmeticError: non-convergence,
-divergence, overflow or a non-finite value).
+parse error or an unwritable --out, 3 numeric failure (any ArithmeticError:
+non-convergence, divergence, overflow or a non-finite value). Every failure
+is one "error: ..." line on stderr, argparse's usage errors included.
 """
 
 import argparse
@@ -119,8 +120,6 @@ def report_to_text(report: Report) -> str:
 
 def report_to_csv(report: Report) -> str:
     rows = report.results
-    if not rows:
-        return "\n"
     if all(r.get("kind") == "constants" for r in rows):
         keys = ["name", "p", "closed_form", "oracle", "abs_diff"]
     elif all("metric" in r for r in rows):
@@ -143,8 +142,15 @@ def render(report: Report, fmt: str) -> str:
 # --- argument handling -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for `run` to report instead of printing usage."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convexa",
         description="Numerical verification of Young-/Nesbitt-convexity and "
         "their Hadamard-type inequalities.",
@@ -153,7 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, with_function=True, with_class=True, with_interval=True):
+    def add_common(sp, with_function=True, with_class=True, with_interval=True,
+                   with_quadrature=True):
         if with_function:
             sp.add_argument("--f", dest="f_source", required=True, help="function of x")
         if with_class:
@@ -169,12 +176,13 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--b", type=float, required=True)
         sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
         sp.add_argument("--out", help="write the report to this path")
-        sp.add_argument("--abs-tol", type=float, default=1e-10)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
-        sp.add_argument("--max-subdivisions", type=int, default=2000)
+        if with_quadrature:
+            sp.add_argument("--abs-tol", type=float, default=1e-10)
+            sp.add_argument("--rel-tol", type=float, default=1e-10)
+            sp.add_argument("--max-subdivisions", type=int, default=2000)
 
     sp = sub.add_parser("check", help="grid-search membership test")
-    add_common(sp)
+    add_common(sp, with_quadrature=False)
     sp.add_argument("--nx", type=int, default=41)
     sp.add_argument("--ny", type=int, default=41)
     sp.add_argument("--nt", type=int, default=99)
@@ -186,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("product", help="evaluate the class's product bound(s)")
     add_common(sp)
-    sp.add_argument("--g", dest="g_source", help="second function of x")
+    sp.add_argument("--g", dest="g_source", required=True, help="second function of x")
 
     sp = sub.add_parser("constants", help="closed-form constants vs quadrature oracle")
     sp.add_argument("--p", type=float, action="append", default=None,
@@ -210,16 +218,7 @@ def _quad_spec(args) -> QuadSpec:
 
 
 def _weight_system(args) -> w.WeightSystem:
-    cls = args.convexity_class
-    if cls == "young":
-        if args.p is None:
-            raise DomainError("--p is required when --class young")
-        return w.young(args.p)
-    if args.p is not None:
-        raise DomainError(f"--p is only valid with --class young, not {cls}")
-    if cls == "classical":
-        return w.classical()
-    return w.nesbitt()
+    return w.WeightSystem(w.WeightKind(args.convexity_class), args.p)
 
 
 def _config_echo(args) -> dict:
@@ -256,8 +255,6 @@ def _cmd_sandwich(args) -> Report:
 
 
 def _cmd_product(args) -> Report:
-    if args.g_source is None:
-        raise DomainError("--g is required for the product subcommand")
     f = parse_function(args.f_source)
     g = parse_function(args.g_source)
     ws = _weight_system(args)
@@ -347,25 +344,24 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_numbers(argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
+        args = _build_parser().parse_args(_attach_negative_numbers(argv))
         report = _COMMANDS[args.subcommand](args)
-    except (ExprSyntaxError, ExprDomainError, DomainError) as exc:
+        text = render(report, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except SystemExit:  # --help has printed
+        return EXIT_OK
+    except (argparse.ArgumentError, ExprSyntaxError, ExprDomainError, DomainError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = render(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return _EXIT_BY_OVERALL[report.overall]
 
 

@@ -151,7 +151,8 @@ def young_sandwich_coefficients(p: float) -> tuple[float, float]:
     The right bracket is evaluated both through its Beta expression and its
     rational simplification 2p/(p+1); disagreement beyond 1e-12 means the
     special-function layer is broken. Its rational term (about 1/2) reads 0
-    once (p+1)(2p+1) overflows a double, from p ~ 9.5e153: NonFiniteError.
+    once (p+1)(2p+1) overflows a double, from p ~ 9.5e153, and NaN once
+    p(p+2) overflows too, from p ~ 1.34e154: NonFiniteError.
     """
     left = 2.0 ** (1.0 / p) * p / (p + 1.0)
     rational = p * (p + 2.0) / ((p + 1.0) * (1.0 + 2.0 * p))
@@ -160,7 +161,7 @@ def young_sandwich_coefficients(p: float) -> tuple[float, float]:
         + (p - 1.0) / p * beta((1.0 + p) / p, 2.0)
         + 1.0 / p * beta(1.0 / p, 2.0)
     )
-    if rational == 0.0:
+    if not rational > 0.0:
         raise NonFiniteError(f"the sandwich bracket of young(p={p:g}) overflows a double")
     bracket_simple = 2.0 * p / (p + 1.0)
     if not abs(bracket_beta - bracket_simple) <= 1e-12:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, NonConvergenceError, NonFiniteError
 from .quadrature import QuadResult, QuadSpec, integrate_unit
 
 LN3 = math.log(3.0)
@@ -189,15 +189,25 @@ class WeightSystem:
         t = 0, so that monomial carries t^((i + j)/p - j); the exponent is
         passed to the quadrature as a left-endpoint hint when it lies in
         (-1, 0). Integrands that diverge are reported (converged=False).
+        An integrable monomial that double precision cannot resolve raises
+        NonConvergenceError: its exponent rounds to -1 (p past ~1.8e16), or
+        t underflows to 0 in the hint's substitution (m01 at most p past
+        ~121, m02 at most p in [1.984, 2)).
         """
         hint = None
+        unresolved = f"the {self.label()} integral of degree {degree} cannot be resolved"
         if self.kind is WeightKind.YOUNG:
             i, j = degree
             exponent = (i + j) / self.p - j
+            if (i + j) / self.p > j - 1 and not exponent > -1.0:
+                raise NonConvergenceError(f"{unresolved}: {i + j}/p - {j} rounds to -1")
             if -1.0 < exponent < 0.0:
                 hint = exponent
         local = dataclasses.replace(spec, left_singularity_exponent=hint)
-        return integrate_unit(lambda t: g(*self.eval_arrays(t)), local, vectorized=True)
+        try:
+            return integrate_unit(lambda t: g(*self.eval_arrays(t)), local, vectorized=True)
+        except DomainError as exc:
+            raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
 
     def moment(self, key: str, spec: QuadSpec = QuadSpec()) -> Moment:
         """One moment-table entry ("m10", ..., "m11") from the quadrature oracle."""

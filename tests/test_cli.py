@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexa.cli import (
     EXIT_NUMERIC,
@@ -220,6 +227,7 @@ def test_exit_matches_overall(capsys):
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+MISSING_DIR = os.path.join(SRC, "no-such-directory")
 
 
 def _run_strict(argv):
@@ -248,9 +256,10 @@ def _run_strict(argv):
           "--b", "1"], EXIT_OK, None),
         (["check", "--f", "x^2", "--class", "classical", "--a", "0",
           "--b", "inf"], EXIT_USAGE, "error: interval requires finite a < b"),
-        # the Young bracket is inf/inf = nan at this p
+        # the bracket's rational term is inf/inf = nan at this p
         (["sandwich", "--f", "x", "--class", "young", "--p", "1e300", "--a", "0",
-          "--b", "1"], EXIT_NUMERIC, "error: Young sandwich bracket mismatch"),
+          "--b", "1"], EXIT_NUMERIC,
+         "error: the sandwich bracket of young(p=1e+300) overflows a double"),
         # (p - 1)**2 overflows in the closed-form moment table
         (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC,
          "error: the closed-form moments of young(p=1e+300) overflow"),
@@ -287,6 +296,23 @@ def _run_strict(argv):
         (["sandwich", "--f", "x", "--class", "young", "--p", "1.3e154", "--a", "0",
           "--b", "1"], EXIT_NUMERIC,
          "error: the sandwich bracket of young(p=1.3e+154) overflows a double"),
+        # argparse's usage errors, one line each
+        (["check", "--class", "classical", "--a", "0", "--b", "1"], EXIT_USAGE,
+         "error: the following arguments are required: --f"),
+        (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
+          "--nx", "abc"], EXIT_USAGE, "error: argument --nx: invalid int value: 'abc'"),
+        (["bogus"], EXIT_USAGE, "error: argument subcommand: invalid choice: 'bogus'"),
+        (["product", "--f", "x", "--class", "nesbitt", "--a", "0", "--b", "1"],
+         EXIT_USAGE, "error: the following arguments are required: --g"),
+        (["constants", "--p", "1.5", "--out", MISSING_DIR + "/x.csv"], EXIT_USAGE,
+         "error: [Errno 2] No such file or directory"),
+        # the oracle's hint substitution underflows t, or its exponent rounds
+        (["constants", "--p", "200"], EXIT_NUMERIC, "error: the young(p=200) "
+         "integral of degree (0, 1) cannot be resolved: t underflows to 0"),
+        (["constants", "--p", "1.99"], EXIT_NUMERIC, "error: the young(p=1.99) "
+         "integral of degree (0, 2) cannot be resolved: t underflows to 0"),
+        (["constants", "--p", "1e17"], EXIT_NUMERIC, "error: the young(p=1e+17) "
+         "integral of degree (0, 1) cannot be resolved: 1/p - 1 rounds to -1"),
     ],
 )
 def test_strict_exit_and_one_line_stderr(argv, code, err):
@@ -297,6 +323,7 @@ def test_strict_exit_and_one_line_stderr(argv, code, err):
     else:
         assert proc.stderr.startswith(err)
         assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
 
 def test_negative_scientific_notation_reaches_option(capsys):
@@ -305,3 +332,92 @@ def test_negative_scientific_notation_reaches_option(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert (payload["config"]["a"], payload["config"]["b"]) == (-1.0, -0.5)
+
+
+_BAD_NUMBERS = ["nan", "inf", "-inf", "1e300", "-1e300", "abc", ""]
+_TOLERANCES = (["1e-10", "1e-6", "1e-3"],
+               ["1e-300", "0", "-1", "1e300", "nan", "inf", "abc", ""])
+# option -> (usual values, hostile values)
+_FUNCTION_OPTIONS = {
+    "--f": (["x", "x^2", "-1", "1-x", "exp(x)", "sqrt(x)", "ln(x)", "1/x", "abs(x-0.5)",
+             "sin(x)", "x^0.5", "pow(x, 3)"],
+            ["exp(exp(x))", "1e308*x", "-x", "(", "2$x", ""]),
+    "--a": (["0", "-1", "0.5", "-1e-3"], _BAD_NUMBERS),
+    "--b": (["1", "2", "0.5"], _BAD_NUMBERS),
+}
+_P = (["1.5", "2", "3", "1.01", "1.99", "10"],
+      ["200", "1e17", "1e300", "1", "0.5"] + _BAD_NUMBERS)
+_CLASS_OPTIONS = {"--class": (["classical", "young", "nesbitt"], ["bogus"]), "--p": _P}
+_QUADRATURE_OPTIONS = {"--abs-tol": _TOLERANCES, "--rel-tol": _TOLERANCES,
+                       "--max-subdivisions": (["2000", "50", "1"], ["0", "-1", "abc", ""])}
+_GRID = ([str(n) for n in range(2, 10)], ["-1", "0", "1", "abc", ""])
+_FUZZ_OPTIONS = {
+    "check": _FUNCTION_OPTIONS | _CLASS_OPTIONS | {
+        "--nx": _GRID, "--ny": _GRID, "--nt": _GRID,
+        "--t-min": (["1e-4", "0.01"], _BAD_NUMBERS), "--tol": _TOLERANCES},
+    "sandwich": _FUNCTION_OPTIONS | _CLASS_OPTIONS | _QUADRATURE_OPTIONS,
+    "product": _FUNCTION_OPTIONS | _CLASS_OPTIONS | _QUADRATURE_OPTIONS
+    | {"--g": _FUNCTION_OPTIONS["--f"]},
+    "constants": {"--p": _P} | _QUADRATURE_OPTIONS,
+    "moments": _CLASS_OPTIONS | _QUADRATURE_OPTIONS,
+}
+_REQUIRED = {"--f", "--g", "--class", "--a", "--b"}
+_NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv of one subcommand, plus a path for --out relative to a fresh directory.
+
+    A per-case hostility h in tenths sets how often a required option is
+    missing or doubled and how often a value comes from the hostile list, so
+    that well-formed runs that reach the numerics are common too.
+    """
+    hostility = draw(st.sampled_from([0, 0, 1, 3]))
+
+    def hostile():
+        return draw(st.integers(0, 9)) < hostility
+
+    subcommand = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [subcommand]
+    for option, (usual, bad) in _FUZZ_OPTIONS[subcommand].items():
+        present = option in _REQUIRED and not hostile() or draw(st.booleans())
+        for _ in range(present + hostile()):
+            argv += [option, draw(st.sampled_from(bad if hostile() else usual))]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    if hostile():
+        argv += draw(st.sampled_from([["--format", "xml"], ["--bogus"], ["-1"]]))
+    out = draw(st.sampled_from([None, "report.txt", "missing/report.txt"]))
+    return argv, out
+
+
+@settings(deadline=None, max_examples=200)
+@given(_fuzz_argv())
+def test_fuzz_cli_argv(case):
+    argv, out = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            out = os.path.join(tmp, out)
+            argv = argv + ["--out", out]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = run(argv)
+        report = stdout.getvalue()
+        if out is not None and os.path.exists(out):
+            assert report == ""
+            with open(out, encoding="utf-8") as handle:
+                report = handle.read()
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_NUMERIC)
+    # a report with exit 3 is one whose overall is NumericFailure
+    numeric_failure_report = code == EXIT_NUMERIC and err == ""
+    if code in (EXIT_OK, EXIT_VIOLATION) or numeric_failure_report:
+        assert err == ""
+        assert report != ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert report == ""
+    if not numeric_failure_report:
+        assert not _NAN.search(report), report

@@ -53,6 +53,20 @@ def test_divergent_reports_nonconvergence():
     assert not math.isfinite(res.value)
 
 
+def test_stalled_bisection_stops():
+    # a one-ulp interval: its midpoint rounds onto an endpoint, so the first
+    # panel cannot be bisected and the tolerance cannot be met
+    interval = Interval(1.0, math.nextafter(1.0, 2.0))
+    res = integrate(lambda x: x, interval, QuadSpec(abs_tol=1e-300, rel_tol=1e-300))
+    assert (res.evaluations, res.converged) == (15, False)
+    assert res.value == interval.width
+    # the first bisection puts a panel centre on the pole: its child is
+    # non-finite, so the finite parent panel is kept as the result
+    res = integrate_unit(lambda t: 1.0 / (t - 0.25), vectorized=True)
+    assert (res.evaluations, res.converged) == (45, False)
+    assert math.isfinite(res.value)
+
+
 def test_constant_one():
     res = integrate_unit(lambda t: 1.0)
     assert res.converged

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexa.errors import DomainError, NonFiniteError
+from convexa.errors import DomainError, NonConvergenceError, NonFiniteError
 from convexa.weights import (
     WeightKind,
     WeightSystem,
@@ -239,6 +239,20 @@ def test_moment_matches_table_entry():
             assert single.defined == entry.defined
             if entry.defined:
                 assert single.value == entry.value
+
+
+def test_unresolvable_oracle_integral_raises():
+    """An integrable monomial double precision cannot resolve raises; a divergent one does not."""
+    closed = young(100.0).moments_closed_form()
+    assert abs(young(100.0).moment("m01").value - closed.m01.value) <= 1e-9
+    assert not young(2.0).moment("m02").defined
+    for p, key, cause in [
+        (200.0, "m01", r"young\(p=200\) integral of degree \(0, 1\) .*: t underflows to 0"),
+        (1.99, "m02", r"young\(p=1.99\) integral of degree \(0, 2\) .*: t underflows to 0"),
+        (1e17, "m01", r"young\(p=1e\+17\) integral of degree \(0, 1\) .*: 1/p - 1 rounds to -1"),
+    ]:
+        with pytest.raises(NonConvergenceError, match=cause):
+            young(p).moment(key)
 
 
 def test_young_cross_moment_displays():
