@@ -22,6 +22,7 @@ from .membership import (
     MembershipReport,
     Verdict,
     ViolationCertificate,
+    check_classes,
     check_concave,
     check_convex,
     nonnegativity_witness,
@@ -79,6 +80,7 @@ __all__ = [
     "WeightSystem",
     "beta",
     "builtin_function",
+    "check_classes",
     "check_concave",
     "check_convex",
     "classical",

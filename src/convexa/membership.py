@@ -9,11 +9,13 @@ values is not reported as a violation. The scan runs over blocks of
 consecutive (x, y) pairs with whole t rows, so its memory does not grow
 with nx * ny * nt, and GridSpec caps the nx and ny * nt it holds whole;
 an inf or NaN anywhere on the grid raises NonFiniteError instead of
-becoming a verdict.
+becoming a verdict. One scan serves several weight systems, since
+f(tx+(1-t)y) does not depend on the weights.
 """
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,64 +116,98 @@ def _ieee_max(values: np.ndarray) -> float:
     return top
 
 
-def _scan(f, interval: Interval, ws: WeightSystem, grid: GridSpec, sign: float):
+def check_classes(
+    f: FunctionDef,
+    interval: Interval,
+    systems: Sequence[WeightSystem],
+    grid: GridSpec = GridSpec(),
+    concave: bool = False,
+) -> list[MembershipReport]:
+    """One scan of f against several weight systems, one report per system.
+
+    The points and f(tx+(1-t)y) do not depend on the weights, so each block
+    computes them once and every system forms its own right-hand side, gap,
+    maxima and certificate from them. Each report is bit-identical to the
+    one-class scan of its system, and the NonFiniteError raised is the one
+    the one-class scans, run in the given order, would raise first.
+    """
+    sign = -1.0 if concave else 1.0
     xs = np.linspace(interval.a, interval.b, grid.nx)
     ys = np.linspace(interval.a, interval.b, grid.ny)
     ts = np.linspace(grid.t_min, 1.0, grid.nt)
     pairs = grid.nx * grid.ny
     step = max(1, _BLOCK_SAMPLES // grid.nt)
-    gaps, slacks = [], []
-    certificate = None
+    gaps = [[] for _ in systems]
+    slacks = [[] for _ in systems]
+    certificates = [None] * len(systems)
+    errors = [None] * len(systems)
     with np.errstate(all="ignore"):
-        wx, wy = ws.eval_arrays(ts)
         fx = f(xs)
         fy = f(ys)
-        # the (y, t) terms, each bit-identical to its dense broadcast
+        # the (y, t) terms, each bit-identical to its dense broadcast; rows
+        # gathered from them cost less than the products formed per block
         y_part = (1.0 - ts)[None, :] * ys[:, None]
-        wy_fy = wy[None, :] * fy[:, None]
+        terms = []
+        for ws in systems:
+            wx, wy = ws.eval_arrays(ts)
+            terms.append((wx, wy[None, :] * fy[:, None]))
         for start in range(0, pairs, step):
             # consecutive (x, y) pairs in scan order, each with its whole t row
             i, j = np.divmod(np.arange(start, min(start + step, pairs)), grid.ny)
             points = ts[None, :] * xs[i, None] + y_part[j]
             lhs = f(points)
-            rhs = wx[None, :] * fx[i, None] + wy_fy[j]
-            gap = sign * (lhs - rhs)
-            block_gap = _ieee_max(gap)
-            block_slack = _ieee_max(-gap)
-            if not (math.isfinite(block_gap) and math.isfinite(block_slack)):
-                r, k = np.unravel_index(
-                    int(np.argmax(~np.isfinite(gap))), gap.shape
-                )
-                raise NonFiniteError(
-                    f"membership scan produced a non-finite value at "
-                    f"x={float(xs[i[r]])!r}, y={float(ys[j[r]])!r}, "
-                    f"t={float(ts[k])!r} (lhs={float(lhs[r, k])!r}, "
-                    f"rhs={float(rhs[r, k])!r})"
-                )
-            gaps.append(block_gap)
-            slacks.append(block_slack)
-            if certificate is not None or not block_gap > grid.tol:
-                continue
-            cells = np.flatnonzero(gap > grid.tol)
-            cells = cells[
-                _exceeds(gap.flat[cells], lhs.flat[cells], rhs.flat[cells], grid.tol)
-            ]
-            for flat in cells:
-                r, k = np.unravel_index(int(flat), gap.shape)
-                cert = _certificate_at(
-                    f, ws, float(xs[i[r]]), float(ys[j[r]]), float(ts[k]), sign
-                )
-                if _exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
-                    certificate = cert
-                    break
+            fxi = fx[i, None]
+            for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
+                if errors[c] is not None:
+                    continue
+                rhs = wx[None, :] * fxi + wy_fy[j]
+                gap = sign * (lhs - rhs)
+                block_gap = _ieee_max(gap)
+                block_slack = _ieee_max(-gap)
+                if not (math.isfinite(block_gap) and math.isfinite(block_slack)):
+                    r, k = np.unravel_index(
+                        int(np.argmax(~np.isfinite(gap))), gap.shape
+                    )
+                    errors[c] = NonFiniteError(
+                        f"membership scan produced a non-finite value at "
+                        f"x={float(xs[i[r]])!r}, y={float(ys[j[r]])!r}, "
+                        f"t={float(ts[k])!r} (lhs={float(lhs[r, k])!r}, "
+                        f"rhs={float(rhs[r, k])!r})"
+                    )
+                    if c == 0:
+                        # no earlier system's scan can raise first
+                        raise errors[c]
+                    continue
+                gaps[c].append(block_gap)
+                slacks[c].append(block_slack)
+                if certificates[c] is not None or not block_gap > grid.tol:
+                    continue
+                cells = np.flatnonzero(gap > grid.tol)
+                cells = cells[
+                    _exceeds(gap.flat[cells], lhs.flat[cells], rhs.flat[cells], grid.tol)
+                ]
+                for flat in cells:
+                    r, k = np.unravel_index(int(flat), gap.shape)
+                    cert = _certificate_at(
+                        f, ws, float(xs[i[r]]), float(ys[j[r]]), float(ts[k]), sign
+                    )
+                    if _exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
+                        certificates[c] = cert
+                        break
+    for error in errors:
+        if error is not None:
+            raise error
     samples = pairs * grid.nt
-    max_gap = _ieee_max(np.array(gaps))
-    max_slack = _ieee_max(np.array(slacks))
-    if certificate is None:
-        return MembershipReport(
-            Verdict.NO_VIOLATION_AT_RESOLUTION, None, samples, max_slack, max_gap
+    return [
+        MembershipReport(
+            Verdict.NO_VIOLATION_AT_RESOLUTION if cert is None else Verdict.VIOLATED,
+            cert,
+            samples,
+            _ieee_max(np.array(slacks[c])),
+            _ieee_max(np.array(gaps[c])),
         )
-    return MembershipReport(Verdict.VIOLATED, certificate, samples, max_slack, max_gap)
+        for c, cert in enumerate(certificates)
+    ]
 
 
 def check_convex(
@@ -181,7 +217,7 @@ def check_convex(
     grid: GridSpec = GridSpec(),
 ) -> MembershipReport:
     """Test f(tx+(1-t)y) <= w_x(t) f(x) + w_y(t) f(y) over the grid."""
-    return _scan(f, interval, ws, grid, 1.0)
+    return check_classes(f, interval, (ws,), grid)[0]
 
 
 def check_concave(
@@ -191,7 +227,7 @@ def check_concave(
     grid: GridSpec = GridSpec(),
 ) -> MembershipReport:
     """Test the reversed inequality over the grid."""
-    return _scan(f, interval, ws, grid, -1.0)
+    return check_classes(f, interval, (ws,), grid, concave=True)[0]
 
 
 def nonnegativity_witness(

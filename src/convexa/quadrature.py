@@ -3,7 +3,10 @@
 Supports integrands with an integrable power singularity t^alpha
 (alpha in (-1, 0]) at the left endpoint via the substitution
 t = a + u^(1/(1+alpha)), which turns the singular factor into a bounded one.
-Divergent integrands are reported (converged=False), never guessed.
+Divergent integrands are reported (converged=False), never guessed: a
+left-endpoint blow-up is stopped once the leftmost panel stops shrinking
+under bisection and a probe next to the endpoint confirms it (QUADPACK
+dqagse reports the same condition as ier=5).
 """
 
 import heapq
@@ -92,6 +95,10 @@ class QuadResult:
     error_estimate: float
     evaluations: int
     converged: bool
+    # why the refinement stopped: "converged", "budget" (max_subdivisions
+    # reached), "stalled" (a panel or its children cannot be resolved in
+    # double precision) or "divergent" (the left-endpoint test below)
+    stop_reason: str
 
 
 # off-centre node offsets in panel half-widths, one -x, +x pair per node x;
@@ -165,6 +172,20 @@ def _integrate_desingularized(f, interval, spec, alpha, vectorized):
     return _adaptive(g, 0.0, upper, spec, vectorized)
 
 
+# The divergence test. An integrable t^alpha keeps 2^-(1+alpha) < 1 of the
+# leftmost panel's value per bisection, a t^alpha with alpha <= -1 keeps all
+# of it. After _STILL_HALVINGS consecutive bisections of the leftmost panel
+# whose left child keeps more than _STILL_RATIO of its parent's |value|, one
+# probe panel _PROBE_ULPS ulps wide at the endpoint (a few bisections short
+# of where bisection stalls) decides: still more than _STILL_RATIO of the
+# leftmost panel, or non-finite, is divergence. Otherwise the integrand only
+# looks singular at the scales seen so far, like 1/(t + 1e-6), and the test
+# is off for the rest of the run.
+_STILL_HALVINGS = 16
+_STILL_RATIO = 0.99
+_PROBE_ULPS = 2.0**8
+
+
 def _adaptive(f, lo, hi, spec, vectorized):
     value0, err0 = _gk15(f, lo, hi, vectorized)
     evaluations = 15
@@ -174,23 +195,27 @@ def _adaptive(f, lo, hi, spec, vectorized):
     total_value = value0
     total_err = err0
     subdivisions = 0
-    stalled = not (math.isfinite(value0) and math.isfinite(err0))
+    still = 0  # consecutive non-shrinking bisections of the leftmost panel
+    reason = None if math.isfinite(value0) and math.isfinite(err0) else "stalled"
 
-    while not stalled and subdivisions < spec.max_subdivisions:
+    while reason is None:
+        if subdivisions >= spec.max_subdivisions:
+            reason = "budget"
+            break
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):
             break
         _, _, plo, phi, pval, perr = heap[0]
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # bisection cannot make progress at double precision
-            stalled = True
+            reason = "stalled"
             break
         lval, lerr = _gk15(f, plo, mid, vectorized)
         rval, rerr = _gk15(f, mid, phi, vectorized)
         evaluations += 30
         if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
             # the stalled panel is still heap[0], so it stays in the totals
-            stalled = True
+            reason = "stalled"
             break
         heapq.heapreplace(heap, (-lerr, seq, plo, mid, lval, lerr))
         heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr))
@@ -198,6 +223,15 @@ def _adaptive(f, lo, hi, spec, vectorized):
         total_value += lval + rval - pval
         total_err += lerr + rerr - perr
         subdivisions += 1
+        if plo == lo and still >= 0:
+            still = still + 1 if abs(lval) > _STILL_RATIO * abs(pval) else 0
+            if still == _STILL_HALVINGS:
+                probe_hi = min(lo + _PROBE_ULPS * math.ulp(lo), mid)
+                probe, _ = _gk15(f, lo, probe_hi, vectorized)
+                evaluations += 15
+                if not abs(probe) <= _STILL_RATIO * abs(lval):
+                    reason = "divergent"
+                still = -1  # one probe per run
 
     # authoritative totals: fixed reduction order by panel position
     panels = sorted(heap, key=lambda e: (e[2], e[3]))
@@ -207,9 +241,14 @@ def _adaptive(f, lo, hi, spec, vectorized):
         value += pval
         err += perr
     converged = (
-        not stalled
+        reason in (None, "budget")
         and math.isfinite(value)
         and math.isfinite(err)
         and err <= max(spec.abs_tol, spec.rel_tol * abs(value))
     )
-    return QuadResult(value, err, evaluations, converged)
+    if converged:
+        reason = "converged"
+    elif reason is None:
+        # the running totals met the tolerance, the final sums do not
+        reason = "stalled"
+    return QuadResult(value, err, evaluations, converged, reason)

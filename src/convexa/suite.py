@@ -176,10 +176,11 @@ def _battery_checks(quad: QuadSpec, grid: mb.GridSpec) -> list[dict]:
     out = []
     classes = [("classical", w.classical()), ("nesbitt", w.nesbitt())]
     classes += [(f"young_p{p:g}", w.young(p)) for p in SANDWICH_P_VALUES]
+    systems = [ws for _, ws in classes]
     for f, interval, tag in _battery():
         members: dict[str, bool] = {}
-        for cname, ws in classes:
-            report = mb.check_convex(f, interval, ws, grid)
+        reports = mb.check_classes(f, interval, systems, grid)
+        for (cname, _), report in zip(classes, reports):
             members[cname] = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
             out.append(
                 _check(f"membership/{tag}/{cname}", report.max_gap, grid.tol, "le")

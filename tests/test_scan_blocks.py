@@ -80,17 +80,29 @@ def _bits(report):
     )
 
 
-def _assert_matches_dense(f, interval, ws, grid, concave):
+def _assert_matches_dense(f, interval, systems, grid, concave):
+    """check_classes over `systems`, and the one-class scan of the first of
+    them, against the dense reference of each system, bit for bit."""
     scan = mb.check_concave if concave else mb.check_convex
     sign = -1.0 if concave else 1.0
-    try:
-        want = _dense_scan(f, interval, ws, grid, sign)
-    except NonFiniteError as exc:
-        with pytest.raises(NonFiniteError) as got:
-            scan(f, interval, ws, grid)
-        assert str(got.value) == str(exc)
-        return
-    assert _bits(scan(f, interval, ws, grid)) == _bits(want)
+    wants = []
+    for ws in systems:
+        try:
+            wants.append(_dense_scan(f, interval, ws, grid, sign))
+        except NonFiniteError as exc:
+            # the first system in order whose own scan raises decides
+            with pytest.raises(NonFiniteError) as got:
+                mb.check_classes(f, interval, systems, grid, concave)
+            assert str(got.value) == str(exc)
+            if not wants:
+                with pytest.raises(NonFiniteError) as got:
+                    scan(f, interval, ws, grid)
+                assert str(got.value) == str(exc)
+            return
+    reports = mb.check_classes(f, interval, systems, grid, concave)
+    assert [_bits(r) for r in reports] == [_bits(w) for w in wants]
+    assert _bits(scan(f, interval, systems[0], grid)) == _bits(wants[0])
+    return reports
 
 
 SOURCES = [
@@ -119,7 +131,7 @@ NT_VALUES = st.one_of(
 @settings(deadline=None, max_examples=120)
 @given(
     source=st.sampled_from(SOURCES),
-    ws=st.sampled_from(SYSTEMS),
+    systems=st.lists(st.sampled_from(SYSTEMS), min_size=1, max_size=4),
     concave=st.booleans(),
     a=st.floats(-2.0, 1.0),
     width=st.floats(0.25, 3.0),
@@ -129,12 +141,16 @@ NT_VALUES = st.one_of(
     t_min=st.sampled_from([1e-4, 0.05, 0.5]),
     tol=st.sampled_from([1e-9, 1e-3]),
 )
-def test_blocked_scan_matches_dense(source, ws, concave, a, width, nt, nx, ny, t_min, tol):
+def test_blocked_scan_matches_dense(
+    source, systems, concave, a, width, nt, nx, ny, t_min, tol
+):
     if nt > 100:
         # keep the dense reference small: few pairs when t rows are long
         nx, ny = min(nx, 3), min(ny, 5)
     grid = mb.GridSpec(nx=nx, ny=ny, nt=nt, t_min=t_min, tol=tol)
-    _assert_matches_dense(parse_function(source), Interval(a, a + width), ws, grid, concave)
+    _assert_matches_dense(
+        parse_function(source), Interval(a, a + width), systems, grid, concave
+    )
 
 
 @settings(deadline=None, max_examples=60)
@@ -162,7 +178,88 @@ def test_first_violator_just_after_block_boundary(nt, blocks, extra, nx, ws):
     if ws.kind.value == "classical":
         assert report.certificate.x == 0.0
         assert report.certificate.y == float(ys[first])
-    _assert_matches_dense(f, interval, ws, grid, concave=False)
+    _assert_matches_dense(f, interval, [ws], grid, concave=False)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    nt=st.integers(97, 400),
+    blocks=st.integers(1, 2),
+    extra=st.integers(1, 30),
+    nx=st.integers(2, 4),
+    ws=st.sampled_from(SYSTEMS[1:]),
+    concave=st.booleans(),
+)
+def test_one_class_violator_just_after_block_boundary(
+    nt, blocks, extra, nx, ws, concave
+):
+    # with w_x = t*L(t) and w_y = (1-t)*L(t), the convex gap of c - x (and
+    # the concave gap of x - c) at (0, y, t) is (L - 1) * ((1-t)*y - c):
+    # zero in the classical class (L = 1) and, for L > 1, positive from
+    # the first y past c / (1 - t_min), placed to open the block after
+    # `blocks` full blocks
+    per_block = mb._BLOCK_SAMPLES // nt
+    ny = blocks * per_block + extra
+    interval = Interval(0.0, 1.0)
+    grid = mb.GridSpec(nx=nx, ny=ny, nt=nt)
+    ys = np.linspace(interval.a, interval.b, ny)
+    first = blocks * per_block
+    c = (1.0 - grid.t_min) * 0.5 * (float(ys[first - 1]) + float(ys[first]))
+    source = f"x - {c!r}" if concave else f"{c!r} - x"
+    f = parse_function(source)
+    reports = _assert_matches_dense(f, interval, [classical(), ws], grid, concave)
+    assert reports[0].verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+    cert = reports[1].certificate
+    assert (cert.x, cert.y, cert.t) == (0.0, float(ys[first]), grid.t_min)
+
+
+def test_classes_violate_independently():
+    # -1 holds with equality in the classical class and fails wherever
+    # w_x + w_y > 1; each failing class carries its own first certificate
+    f = parse_function("-1")
+    systems = [young(2.0), classical(), nesbitt(), young(1.5)]
+    grid = mb.GridSpec(nx=9, ny=7, nt=31)
+    reports = _assert_matches_dense(f, Interval(0.0, 1.0), systems, grid, concave=False)
+    verdicts = [r.verdict for r in reports]
+    assert verdicts == [
+        mb.Verdict.VIOLATED,
+        mb.Verdict.NO_VIOLATION_AT_RESOLUTION,
+        mb.Verdict.VIOLATED,
+        mb.Verdict.VIOLATED,
+    ]
+    assert reports[1].certificate is None
+    certs = {r.certificate for r in reports if r.certificate is not None}
+    assert len(certs) == 3
+
+
+@pytest.mark.parametrize(
+    "order, raised",
+    [
+        ((0, 1, 2), 1),  # nesbitt raises, though young(7) meets inf a block earlier
+        ((2, 1, 0), 2),
+        ((1, 2), 1),
+        ((0,), None),
+    ],
+)
+def test_non_finite_error_of_the_first_raising_class(order, raised):
+    # f = 1e308*x is finite, and so is its classical right-hand side;
+    # w_y * f(y) overflows for y past ~0.005 under young(7) (w_y ~ 383
+    # at t_min) and only for y past 0.9 under nesbitt (w_y <= 2), which is
+    # in the second block of the scan
+    f = parse_function("1e308*x")
+    systems = [classical(), nesbitt(), young(7.0)]
+    grid = mb.GridSpec(nx=2, ny=41, nt=400)
+    interval = Interval(0.0, 1.0)
+    chosen = [systems[k] for k in order]
+    if raised is None:
+        _assert_matches_dense(f, interval, chosen, grid, concave=False)
+        return
+    with pytest.raises(NonFiniteError) as want:
+        _dense_scan(f, interval, systems[raised], grid, 1.0)
+    with pytest.raises(NonFiniteError) as got:
+        mb.check_classes(f, interval, chosen, grid)
+    assert str(got.value) == str(want.value)
+    _assert_matches_dense(f, interval, chosen, grid, concave=False)
 
 
 def test_scan_memory_is_bounded():
@@ -179,11 +276,17 @@ def test_scan_memory_is_bounded():
     assert report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
     assert peak < 2 * 2**20
     # GridSpec lets a scan hold the x axis and the (y, t) terms whole;
-    # measured 24.6 B per x point and 52.0 B per (y, t) term for this f
-    for (nx, ny, nt), per_point in (((2**16, 2, 2), 32), ((2, 2, 2**16), 64)):
+    # measured 25.1 B per x point, and per (y, t) term 52.1 B for one
+    # system and 96.1 B for five, for this f
+    cases = (
+        ((2**16, 2, 2), SYSTEMS[1:2], 32),
+        ((2, 2, 2**16), SYSTEMS[1:2], 64),
+        ((2, 2, 2**16), SYSTEMS, 128),
+    )
+    for (nx, ny, nt), systems, per_point in cases:
         tracemalloc.start()
         try:
-            mb.check_convex(f, Interval(-1.0, 2.0), nesbitt(), mb.GridSpec(nx, ny, nt))
+            mb.check_classes(f, Interval(-1.0, 2.0), systems, mb.GridSpec(nx, ny, nt))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,12 +7,14 @@ from convexa.quadrature import QuadSpec
 from convexa.suite import Overall, verify_paper
 
 # integrand evaluations of the default verify_paper() run; raising it means
-# the suite computes integrals it does not check
-VERIFY_PAPER_EVALUATIONS = 40_770
+# the suite computes integrals it does not check. 495 + 15 of them stop the
+# divergent Young p=2 m02 integral (16 bisections and the endpoint probe)
+VERIFY_PAPER_EVALUATIONS = 10_695
 # points the default verify_paper() run evaluates through FunctionDef:
-# 61 scans of 41*41*99 samples, the 41*41*2 witness scan, their x and y
-# axes, certificates and the quadrature panels
-VERIFY_PAPER_F_POINTS = 10_164_090
+# 12 battery scans of 41*41*99 samples (one per (f, interval), shared by
+# its five classes), the Proposition's 41*41*99 default-grid and 41*41*2
+# witness scans, their x and y axes, certificates and the quadrature panels
+VERIFY_PAPER_F_POINTS = 2_172_042
 
 
 def test_square_expansion_uses_suite_quad_spec():
