@@ -5,9 +5,10 @@ worded NoViolationAtResolution. Scan order is fixed (x outer, y middle,
 t inner, all ascending) and the first violating cell is certified, which
 makes the result deterministic and exactly reproducible. A cell violates
 when its gap exceeds tol * max(1, |lhs|, |rhs|), so rounding in large
-values is not reported as a violation. The scan runs over blocks of
-consecutive (x, y) pairs with whole t rows, so its memory does not grow
-with nx * ny * nt, and GridSpec caps the nx and ny * nt it holds whole;
+values is not reported as a violation. The scan runs over tiles of whole
+x rows, or of y slices of one x row, each with whole t rows, so its memory
+does not grow with nx * ny * nt, and GridSpec caps the nx and ny * nt it
+holds whole;
 an inf or NaN anywhere on the grid raises NonFiniteError instead of
 becoming a verdict. One scan serves several weight systems, since
 f(tx+(1-t)y) does not depend on the weights.
@@ -83,9 +84,9 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
-# samples per block of the scan: 64 KiB per float64 temporary keeps a block
+# samples per tile of the scan: 64 KiB per float64 temporary keeps a tile
 # in L2 and under glibc's default 128 KiB mmap threshold, so temporaries are
-# reused from the heap instead of being mapped and faulted in per block
+# reused from the heap instead of being mapped and faulted in per tile
 _BLOCK_SAMPLES = 8192
 
 
@@ -106,14 +107,41 @@ def _ieee_max(values: np.ndarray) -> float:
     """np.max with +0.0 above -0.0, as in IEEE 754-2019 maximum.
 
     np.max leaves a tie of signed zeros to its SIMD lane order, so without
-    this the sign of a zero maximum would depend on the block boundaries.
+    this the sign of a zero maximum would depend on the tile boundaries.
     """
-    top = float(np.max(values))
+    top = float(values.max())
     if top == 0.0 and math.copysign(1.0, top) < 0.0 and not np.signbit(
         values[values == 0.0]
     ).all():
         return 0.0
     return top
+
+
+def _ieee_min(values: np.ndarray) -> float:
+    """np.min with -0.0 below +0.0; -_ieee_min(v) is _ieee_max(-v) bit for bit."""
+    bottom = float(values.min())
+    if bottom == 0.0 and math.copysign(1.0, bottom) > 0.0 and np.signbit(
+        values[values == 0.0]
+    ).any():
+        return -0.0
+    return bottom
+
+
+def _tiles(nx: int, ny: int, nt: int):
+    """The scan's tiles in scan order, as (i0, i1, y slices) per x row group.
+
+    A tile has whole t rows: k = _BLOCK_SAMPLES // (ny*nt) whole x rows when
+    one fits, else one x row cut into the fewest y slices of at most
+    max(1, _BLOCK_SAMPLES // nt) rows, balanced so no slice is a short tail.
+    """
+    if ny * nt <= _BLOCK_SAMPLES:
+        rows, y_slices = _BLOCK_SAMPLES // (ny * nt), [(0, ny)]
+    else:
+        count = -(-ny // max(1, _BLOCK_SAMPLES // nt))
+        cuts = [ny * s // count for s in range(count + 1)]
+        rows, y_slices = 1, list(zip(cuts, cuts[1:]))
+    for i0 in range(0, nx, rows):
+        yield i0, min(i0 + rows, nx), y_slices
 
 
 def check_classes(
@@ -125,18 +153,17 @@ def check_classes(
 ) -> list[MembershipReport]:
     """One scan of f against several weight systems, one report per system.
 
-    The points and f(tx+(1-t)y) do not depend on the weights, so each block
-    computes them once and every system forms its own right-hand side, gap,
-    maxima and certificate from them. Each report is bit-identical to the
-    one-class scan of its system, and the NonFiniteError raised is the one
-    the one-class scans, run in the given order, would raise first.
+    The points and f(tx+(1-t)y) do not depend on the weights, so each tile
+    computes them once and every system forms its own right-hand side,
+    difference, extrema and certificate from them. Each report is
+    bit-identical to the one-class scan of its system, and the
+    NonFiniteError raised is the one the one-class scans, run in the given
+    order, would raise first.
     """
     sign = -1.0 if concave else 1.0
     xs = np.linspace(interval.a, interval.b, grid.nx)
     ys = np.linspace(interval.a, interval.b, grid.ny)
     ts = np.linspace(grid.t_min, 1.0, grid.nt)
-    pairs = grid.nx * grid.ny
-    step = max(1, _BLOCK_SAMPLES // grid.nt)
     gaps = [[] for _ in systems]
     slacks = [[] for _ in systems]
     certificates = [None] * len(systems)
@@ -144,60 +171,66 @@ def check_classes(
     with np.errstate(all="ignore"):
         fx = f(xs)
         fy = f(ys)
-        # the (y, t) terms, each bit-identical to its dense broadcast; rows
-        # gathered from them cost less than the products formed per block
+        # the (y, t) terms, each bit-identical to its dense broadcast; tiles
+        # slice them instead of forming the products per tile
         y_part = (1.0 - ts)[None, :] * ys[:, None]
         terms = []
         for ws in systems:
             wx, wy = ws.eval_arrays(ts)
             terms.append((wx, wy[None, :] * fy[:, None]))
-        for start in range(0, pairs, step):
-            # consecutive (x, y) pairs in scan order, each with its whole t row
-            i, j = np.divmod(np.arange(start, min(start + step, pairs)), grid.ny)
-            points = ts[None, :] * xs[i, None] + y_part[j]
-            lhs = f(points)
-            fxi = fx[i, None]
-            for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
-                if errors[c] is not None:
-                    continue
-                rhs = wx[None, :] * fxi + wy_fy[j]
-                gap = sign * (lhs - rhs)
-                block_gap = _ieee_max(gap)
-                block_slack = _ieee_max(-gap)
-                if not (math.isfinite(block_gap) and math.isfinite(block_slack)):
-                    r, k = np.unravel_index(
-                        int(np.argmax(~np.isfinite(gap))), gap.shape
-                    )
-                    errors[c] = NonFiniteError(
-                        f"membership scan produced a non-finite value at "
-                        f"x={float(xs[i[r]])!r}, y={float(ys[j[r]])!r}, "
-                        f"t={float(ts[k])!r} (lhs={float(lhs[r, k])!r}, "
-                        f"rhs={float(rhs[r, k])!r})"
-                    )
-                    if c == 0:
-                        # no earlier system's scan can raise first
-                        raise errors[c]
-                    continue
-                gaps[c].append(block_gap)
-                slacks[c].append(block_slack)
-                if certificates[c] is not None or not block_gap > grid.tol:
-                    continue
-                cells = np.flatnonzero(gap > grid.tol)
-                cells = cells[
-                    _exceeds(gap.flat[cells], lhs.flat[cells], rhs.flat[cells], grid.tol)
-                ]
-                for flat in cells:
-                    r, k = np.unravel_index(int(flat), gap.shape)
-                    cert = _certificate_at(
-                        f, ws, float(xs[i[r]]), float(ys[j[r]]), float(ts[k]), sign
-                    )
-                    if _exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
-                        certificates[c] = cert
-                        break
+        for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
+            x_part = ts * xs[i0:i1, None, None]
+            fxi = fx[i0:i1, None, None]
+            for j0, j1 in y_slices:
+                points = x_part + y_part[j0:j1]
+                lhs = f(points)
+                for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
+                    if errors[c] is not None:
+                        continue
+                    # w_x f(x) is one t row per x, so it is formed per tile
+                    rhs = wx * fxi + wy_fy[j0:j1]
+                    d = lhs - rhs
+                    top = _ieee_max(d)
+                    bottom = _ieee_min(d)
+                    if not (math.isfinite(top) and math.isfinite(bottom)):
+                        a, b, k = np.unravel_index(
+                            int(np.argmax(~np.isfinite(d))), d.shape
+                        )
+                        errors[c] = NonFiniteError(
+                            f"membership scan produced a non-finite value at "
+                            f"x={float(xs[i0 + a])!r}, y={float(ys[j0 + b])!r}, "
+                            f"t={float(ts[k])!r} (lhs={float(lhs[a, b, k])!r}, "
+                            f"rhs={float(rhs[a, b, k])!r})"
+                        )
+                        if c == 0:
+                            # no earlier system's scan can raise first
+                            raise errors[c]
+                        continue
+                    gap, slack = (-bottom, top) if concave else (top, -bottom)
+                    gaps[c].append(gap)
+                    slacks[c].append(slack)
+                    if certificates[c] is not None or not gap > grid.tol:
+                        continue
+                    signed = sign * d
+                    cells = np.flatnonzero(signed > grid.tol)
+                    cells = cells[
+                        _exceeds(
+                            signed.flat[cells], lhs.flat[cells], rhs.flat[cells], grid.tol
+                        )
+                    ]
+                    for flat in cells:
+                        a, b, k = np.unravel_index(int(flat), d.shape)
+                        cert = _certificate_at(
+                            f, ws, float(xs[i0 + a]), float(ys[j0 + b]),
+                            float(ts[k]), sign,
+                        )
+                        if _exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
+                            certificates[c] = cert
+                            break
     for error in errors:
         if error is not None:
             raise error
-    samples = pairs * grid.nt
+    samples = grid.nx * grid.ny * grid.nt
     return [
         MembershipReport(
             Verdict.NO_VIOLATION_AT_RESOLUTION if cert is None else Verdict.VIOLATED,

@@ -99,11 +99,21 @@ class QuadResult:
     # reached), "stalled" (a panel or its children cannot be resolved in
     # double precision) or "divergent" (the left-endpoint test below)
     stop_reason: str
+    # panels bisected, at most spec.max_subdivisions (a bisection whose
+    # children are non-finite stops the run and is not counted)
+    subdivisions: int
 
 
 # off-centre node offsets in panel half-widths, one -x, +x pair per node x;
 # the centre is placed directly, as h * 0.0 is NaN when the width overflows
 _OFFSETS = tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
+
+
+def _value_or_nan(f, t: float) -> float:
+    try:
+        return f(t)
+    except (ArithmeticError, ValueError):
+        return math.nan
 
 
 def _gk15(f, lo: float, hi: float, vectorized: bool):
@@ -115,7 +125,10 @@ def _gk15(f, lo: float, hi: float, vectorized: bool):
         with np.errstate(all="ignore"):
             vals = np.asarray(f(np.array(nodes)), dtype=float).tolist()
     else:
-        vals = list(map(f, nodes))
+        # an outermost node can round onto an end of the panel, where f may
+        # be undefined: an exception there reads as the non-finite value a
+        # vectorized f returns, one at an inner node propagates
+        vals = [f(t) if lo < t < hi else _value_or_nan(f, t) for t in nodes]
     kron = _WGK[7] * vals[0]
     gauss = _WG[3] * vals[0]
     for i in range(7):
@@ -251,4 +264,4 @@ def _adaptive(f, lo, hi, spec, vectorized):
     elif reason is None:
         # the running totals met the tolerance, the final sums do not
         reason = "stalled"
-    return QuadResult(value, err, evaluations, converged, reason)
+    return QuadResult(value, err, evaluations, converged, reason, subdivisions)

@@ -79,6 +79,28 @@ def test_budget_stop_reason():
     assert (res.converged, res.stop_reason) == (True, "converged")
 
 
+def test_subdivisions_count_bisections():
+    # a quadratic is exact on the first panel; 1/t bisects until the budget
+    assert integrate_unit(lambda t: t * t).subdivisions == 0
+    res = integrate_unit(lambda t: 1.0 / t, QuadSpec(max_subdivisions=10))
+    assert (res.stop_reason, res.subdivisions) == ("budget", 10)
+
+
+def test_scalar_node_on_panel_end_stalls():
+    # bisecting towards the pole at 3 narrows the right panel until its
+    # outermost node rounds onto 3: there the scalar 1/(3 - t) raises
+    # ZeroDivisionError where the array call reads inf, and both stall alike
+    def f(t):
+        return 1.0 / (3.0 - t)
+
+    res = integrate(f, Interval(2.0, 3.0))
+    assert (res.evaluations, res.converged, res.stop_reason) == (1365, False, "stalled")
+    assert res == integrate(f, Interval(2.0, 3.0), vectorized=True)
+    # the centre of [2, 3] is an inner node: the evaluator's error propagates
+    with pytest.raises(ZeroDivisionError):
+        integrate(lambda t: 1.0 / (t - 2.5), Interval(2.0, 3.0))
+
+
 # unhinted t^alpha: (alpha, integrand evaluations), as before the divergence
 # test existed; the left panel keeps 2^-(1+alpha) <= 0.979 of its value per
 # bisection, so the test never fires

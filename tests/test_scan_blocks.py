@@ -1,9 +1,9 @@
-"""The blocked membership scan against a dense reference, bit for bit.
+"""The tiled membership scan against a dense reference, bit for bit.
 
 `_dense_scan` below is the whole-grid broadcast the scan used to be, with
 the current contract applied: the scaled violation test, NonFiniteError
 for an inf or NaN, and +0.0 above -0.0 in the maxima. It exists only here,
-as the reference that blocking must reproduce exactly.
+as the reference that tiling must reproduce exactly.
 """
 
 import math
@@ -105,6 +105,14 @@ def _assert_matches_dense(f, interval, systems, grid, concave):
     return reports
 
 
+def _tile_cuts(ny, nt):
+    """The y slice bounds of one x row, by the documented tile rule."""
+    if ny * nt <= mb._BLOCK_SAMPLES:
+        return [0, ny]
+    count = math.ceil(ny / max(1, mb._BLOCK_SAMPLES // nt))
+    return [ny * s // count for s in range(count + 1)]
+
+
 SOURCES = [
     "x^2",
     "-1",
@@ -120,7 +128,7 @@ SOURCES = [
     "1.7e308",  # finite, but w_y * f overflows where w_y > 1
 ]
 SYSTEMS = [classical(), nesbitt(), young(1.5), young(2.0), young(7.0)]
-# a few samples short of, at, and past one block, and one pair per block
+# a few samples short of, at, and past one tile, and one pair per tile
 NT_VALUES = st.one_of(
     st.integers(2, 60),
     st.sampled_from([mb._BLOCK_SAMPLES // 4 - 1, mb._BLOCK_SAMPLES // 8]),
@@ -164,12 +172,11 @@ def test_blocked_scan_matches_dense(
 def test_first_violator_just_after_block_boundary(nt, blocks, extra, nx, ws):
     # -|x - c| is linear on each side of c, so in scan order the first
     # violating pair is (a, y) with y the first grid point past c; c is put
-    # so that pair opens the block after `blocks` full blocks
-    per_block = mb._BLOCK_SAMPLES // nt
-    ny = blocks * per_block + extra
+    # so that pair opens the y slice after the first `blocks` slices
+    ny = blocks * (mb._BLOCK_SAMPLES // nt) + extra
     interval = Interval(0.0, 1.0)
     ys = np.linspace(interval.a, interval.b, ny)
-    first = blocks * per_block
+    first = _tile_cuts(ny, nt)[blocks]
     c = 0.5 * (float(ys[first - 1]) + float(ys[first]))
     f = parse_function(f"-abs(x - {c!r})")
     grid = mb.GridSpec(nx=nx, ny=ny, nt=nt)
@@ -196,14 +203,13 @@ def test_one_class_violator_just_after_block_boundary(
     # with w_x = t*L(t) and w_y = (1-t)*L(t), the convex gap of c - x (and
     # the concave gap of x - c) at (0, y, t) is (L - 1) * ((1-t)*y - c):
     # zero in the classical class (L = 1) and, for L > 1, positive from
-    # the first y past c / (1 - t_min), placed to open the block after
-    # `blocks` full blocks
-    per_block = mb._BLOCK_SAMPLES // nt
-    ny = blocks * per_block + extra
+    # the first y past c / (1 - t_min), placed to open the y slice after
+    # the first `blocks` slices
+    ny = blocks * (mb._BLOCK_SAMPLES // nt) + extra
     interval = Interval(0.0, 1.0)
     grid = mb.GridSpec(nx=nx, ny=ny, nt=nt)
     ys = np.linspace(interval.a, interval.b, ny)
-    first = blocks * per_block
+    first = _tile_cuts(ny, nt)[blocks]
     c = (1.0 - grid.t_min) * 0.5 * (float(ys[first - 1]) + float(ys[first]))
     source = f"x - {c!r}" if concave else f"{c!r} - x"
     f = parse_function(source)
@@ -211,6 +217,99 @@ def test_one_class_violator_just_after_block_boundary(
     assert reports[0].verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
     cert = reports[1].certificate
     assert (cert.x, cert.y, cert.t) == (0.0, float(ys[first]), grid.t_min)
+
+
+# (ny, nt) around the tile rule: whole x rows per tile up to ny*nt = 8,192
+# (8,191 is prime, so 8,190 stands for one short), balanced y slices past it,
+# and one (x, y) pair per tile once nt alone exceeds 8,192
+TILE_REGIMES = [
+    pytest.param(45, 91, id="two_rows-4095"),
+    pytest.param(90, 91, id="one_row-8190"),
+    pytest.param(64, 128, id="one_row-8192"),
+    pytest.param(2731, 3, id="two_slices-8193"),
+    pytest.param(3, 2731, id="slices_of_1_and_2_rows-8193"),
+    pytest.param(3, mb._BLOCK_SAMPLES + 8, id="one_pair-nt_past_block"),
+]
+
+
+def test_tiles_follow_the_rule():
+    shapes = [(41, 41, 99), (161, 161, 199), (101, 101, 199), (200, 100, 83),
+              (200, 41, 199), (300, 3000, 3), (2**16, 2, 2), (2, 2, 2**16),
+              (7, 45, 91), (5, 2731, 3), (4, 3, 2731)]
+    for nx, ny, nt in shapes:
+        cuts = _tile_cuts(ny, nt)
+        y_slices = list(zip(cuts, cuts[1:]))
+        rows = max(1, mb._BLOCK_SAMPLES // (ny * nt))
+        assert list(mb._tiles(nx, ny, nt)) == [
+            (i0, min(i0 + rows, nx), y_slices) for i0 in range(0, nx, rows)
+        ]
+        sizes = [j1 - j0 for j0, j1 in y_slices]
+        assert max(sizes) - min(sizes) <= 1
+        assert rows * max(sizes) * nt <= max(mb._BLOCK_SAMPLES, nt)
+
+
+@pytest.mark.parametrize("ny, nt", TILE_REGIMES)
+@pytest.mark.parametrize("source", ["sin(3*x)", "x^3 - x", "exp(x)"])
+def test_tile_regimes_match_dense(ny, nt, source):
+    # nx = 5 leaves a short last tile when two x rows make one
+    grid = mb.GridSpec(nx=5, ny=ny, nt=nt)
+    f = parse_function(source)
+    for systems in (SYSTEMS[:1], SYSTEMS):
+        for concave in (False, True):
+            _assert_matches_dense(f, Interval(-1.0, 1.5), systems, grid, concave)
+
+
+@pytest.mark.parametrize("ny, nt", TILE_REGIMES)
+def test_first_violator_just_after_tile_boundary(ny, nt):
+    # with whole x rows per tile the boundary falls between x rows k - 1 and
+    # k; otherwise between y slices, and the violator opens the second one
+    interval = Interval(0.0, 1.0)
+    ys = np.linspace(interval.a, interval.b, ny)
+    cases = []
+    if ny * nt <= mb._BLOCK_SAMPLES:
+        k = mb._BLOCK_SAMPLES // (ny * nt)
+        grid = mb.GridSpec(nx=k + 3, ny=ny, nt=nt)
+        xs = np.linspace(interval.a, interval.b, grid.nx)
+        # x^2 - beta*|x - c| breaks classical convexity only on pairs that
+        # straddle c less than 2*beta apart: with c halfway between x_row
+        # and the next y, the pair (x_row, that y) is the first, and every
+        # pair from an earlier x row is at least half an x step too wide;
+        # row k opens a tile, and row k + 1 is inside one when k > 1
+        for row in (k, k + 1):
+            x, y = float(xs[row]), float(ys[np.searchsorted(ys, xs[row], side="right")])
+            c = 0.5 * (x + y)
+            beta = 0.5 * (y - x + 0.5 * float(xs[1] - xs[0]))
+            cases.append((x, y, f"x^2 - {beta!r}*abs(x - {c!r}) + 2"))
+    else:
+        grid = mb.GridSpec(nx=3, ny=ny, nt=nt)
+        # -|x - c|, as above: the first violating pair is (a, first y past c)
+        first = _tile_cuts(ny, nt)[1]
+        x, y = interval.a, float(ys[first])
+        c = 0.5 * (float(ys[first - 1]) + y)
+        cases.append((x, y, f"-abs(x - {c!r})"))
+    for x, y, source in cases:
+        for concave, text in ((False, source), (True, f"-({source})")):
+            f = parse_function(text)
+            for systems in (SYSTEMS[:1], SYSTEMS):
+                reports = _assert_matches_dense(f, interval, systems, grid, concave)
+                cert = reports[0].certificate
+                assert (cert.x, cert.y) == (x, y)
+
+
+def test_non_finite_cell_inside_a_tile():
+    # two x rows per tile; f is finite except within ~3e-14 of c = x_3, the
+    # second row of the second tile, which no earlier point or y reaches,
+    # so the first non-finite cell is (x_3, y_0, t_0), where w_x * f(x) = inf
+    grid = mb.GridSpec(nx=8, ny=45, nt=91)
+    assert mb._BLOCK_SAMPLES // (grid.ny * grid.nt) == 2
+    interval = Interval(0.0, 1.0)
+    c = float(np.linspace(interval.a, interval.b, grid.nx)[3])
+    f = parse_function(f"exp(-1e26*(x - {c!r})^2)*1e308*2")
+    for systems in (SYSTEMS[:1], SYSTEMS):
+        for concave in (False, True):
+            with pytest.raises(NonFiniteError, match=rf"at x={c!r}, y=0.0, t=0.0001 "):
+                mb.check_classes(f, interval, systems, grid, concave)
+            _assert_matches_dense(f, interval, systems, grid, concave)
 
 
 def test_classes_violate_independently():
@@ -235,7 +334,7 @@ def test_classes_violate_independently():
 @pytest.mark.parametrize(
     "order, raised",
     [
-        ((0, 1, 2), 1),  # nesbitt raises, though young(7) meets inf a block earlier
+        ((0, 1, 2), 1),  # nesbitt raises, though young(7) meets inf a tile earlier
         ((2, 1, 0), 2),
         ((1, 2), 1),
         ((0,), None),
@@ -245,7 +344,7 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
     # f = 1e308*x is finite, and so is its classical right-hand side;
     # w_y * f(y) overflows for y past ~0.005 under young(7) (w_y ~ 383
     # at t_min) and only for y past 0.9 under nesbitt (w_y <= 2), which is
-    # in the second block of the scan
+    # in the last y slice of the first x row
     f = parse_function("1e308*x")
     systems = [classical(), nesbitt(), young(7.0)]
     grid = mb.GridSpec(nx=2, ny=41, nt=400)
@@ -263,8 +362,8 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
 
 
 def test_scan_memory_is_bounded():
-    # one dense 101x101x199 float64 array is 16 MB; a blocked scan holds a
-    # few 64 KiB block temporaries and the ny x nt (y, t) terms
+    # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds a
+    # few 64 KiB tile temporaries and the ny x nt (y, t) terms
     f = parse_function("exp(sqrt(1 + x^2))")
     grid = mb.GridSpec(nx=101, ny=101, nt=199)
     tracemalloc.start()
@@ -276,8 +375,8 @@ def test_scan_memory_is_bounded():
     assert report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
     assert peak < 2 * 2**20
     # GridSpec lets a scan hold the x axis and the (y, t) terms whole;
-    # measured 25.1 B per x point, and per (y, t) term 52.1 B for one
-    # system and 96.1 B for five, for this f
+    # measured 24.1 B per x point, and per (y, t) term 56.0 B for one
+    # system and 100.1 B for five, for this f
     cases = (
         ((2**16, 2, 2), SYSTEMS[1:2], 32),
         ((2, 2, 2**16), SYSTEMS[1:2], 64),
@@ -328,3 +427,20 @@ def test_signed_zero_maximum():
     assert mb._ieee_max(np.array([-0.0, 0.0, -0.0])).hex() == "0x0.0p+0"
     assert mb._ieee_max(np.array([-0.0, -0.0])).hex() == "-0x0.0p+0"
     assert mb._ieee_max(np.array([-1.0, -0.0])).hex() == "-0x0.0p+0"
+    assert mb._ieee_min(np.array([0.0, -0.0, 0.0])).hex() == "-0x0.0p+0"
+    assert mb._ieee_min(np.array([0.0, 0.0])).hex() == "0x0.0p+0"
+    assert mb._ieee_min(np.array([1.0, 0.0])).hex() == "0x0.0p+0"
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1e-310, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(EDGE_FLOATS, min_size=1, max_size=40))
+def test_ieee_min_is_negated_ieee_max(values):
+    v = np.array(values)
+    assert (-mb._ieee_min(v)).hex() == mb._ieee_max(-v).hex()
