@@ -245,7 +245,7 @@ def _cmd_sandwich(args) -> Report:
         name = "hadamard_classical"
     elif ws.kind is w.WeightKind.YOUNG:
         rep = th.young_sandwich(f, interval, args.p, quad)
-        name = f"young_sandwich_p{args.p:g}"
+        name = f"young_sandwich_p{w.exponent_text(args.p)}"
     else:
         rep = th.nesbitt_sandwich(f, interval, quad)
         name = "nesbitt_sandwich"
@@ -265,7 +265,7 @@ def _cmd_product(args) -> Report:
         reports = {"pachpatte_upper": upper, "pachpatte_lower": lower}
     elif ws.kind is w.WeightKind.YOUNG:
         rep = th.young_product_bound(f, g, interval, args.p, quad)
-        reports = {f"young_product_p{args.p:g}": rep}
+        reports = {f"young_product_p{w.exponent_text(args.p)}": rep}
     else:
         reports = {"nesbitt_product": th.nesbitt_product_bound(f, g, interval, quad)}
         try:
@@ -295,13 +295,13 @@ def _cmd_moments(args) -> Report:
     for key, c in closed.items():
         o = oracle[key]
         payload = {
-            "closed_form": c.value if c.defined else None,
-            "oracle": o.value if o.defined else None,
-            "defined": c.defined,
-            "abs_diff": abs(c.value - o.value) if c.defined and o.defined else None,
+            "closed_form": c,
+            "oracle": o,
+            "defined": c is not None,
+            "abs_diff": None if c is None or o is None else abs(c - o),
         }
         records.append(_record("moments", f"{ws.label()}/{key}", payload))
-    agree = all(c.defined == oracle[key].defined for key, c in closed.items())
+    agree = all((c is None) == (oracle[key] is None) for key, c in closed.items())
     overall = Overall.ALL_HOLD if agree else Overall.NUMERIC_FAILURE
     return Report(SCHEMA_VERSION, _config_echo(args), records, overall)
 

@@ -50,7 +50,7 @@ _WG = (
 
 @dataclass(frozen=True)
 class Interval:
-    """Ordered finite endpoints a < b."""
+    """Ordered finite endpoints a < b, with a finite width b - a."""
 
     a: float
     b: float
@@ -59,6 +59,10 @@ class Interval:
         if not -math.inf < self.a < self.b < math.inf:
             raise DomainError(
                 f"interval requires finite a < b, got [{self.a}, {self.b}]"
+            )
+        if not math.isfinite(self.width):
+            raise DomainError(
+                f"interval width b - a overflows a double on [{self.a}, {self.b}]"
             )
 
     @property

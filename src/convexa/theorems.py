@@ -28,7 +28,7 @@ from .specfun import beta
 LN3 = w.LN3
 
 # ln(3*sqrt(3)/e), per f(a)+f(b)
-NESBITT_RIGHT_COEFF = w.nesbitt().moments_closed_form().m10.value
+NESBITT_RIGHT_COEFF = w.nesbitt().moments_closed_form().m10
 NESBITT_ORDERED_COEFF = 5.0 - (30.0 / 8.0) * LN3  # per M(a,b)
 
 
@@ -124,7 +124,7 @@ def _right_bound(ws: w.WeightSystem, f, interval, spec, left_at_mid: bool) -> Sa
     """
     table = ws.moments_closed_form()
     avg, err = _average(f, interval, spec)
-    m10, m01 = table.m10.value, table.m01.value
+    m10, m01 = table.m10, table.m01
     fa, fb = f(interval.a), f(interval.b)
     right = m10 * (fa + fb) if m10 == m01 else m10 * fa + m01 * fb
     left = f(interval.midpoint) if left_at_mid else avg
@@ -162,7 +162,9 @@ def young_sandwich_coefficients(p: float) -> tuple[float, float]:
         + 1.0 / p * beta(1.0 / p, 2.0)
     )
     if not rational > 0.0:
-        raise NonFiniteError(f"the sandwich bracket of young(p={p:g}) overflows a double")
+        raise NonFiniteError(
+            f"the sandwich bracket of young(p={w.exponent_text(p)}) overflows a double"
+        )
     bracket_simple = 2.0 * p / (p + 1.0)
     if not abs(bracket_beta - bracket_simple) <= 1e-12:
         raise ArithmeticError(
@@ -210,14 +212,14 @@ def nesbitt_sandwich(
 def _moment_product_bound(ws: w.WeightSystem, f, g, interval, spec) -> ProductBoundReport:
     """avg of fg <= m20 f(a)g(a) + m02 f(b)g(b) + m11 N, from the moment table."""
     table = ws.moments_closed_form()
-    if not table.m02.defined:
+    if table.m02 is None:
         raise DivergentCoefficient(
             f"the f(b)g(b) coefficient m02 of {ws.label()} diverges "
             "(for Young weights beta(2/p - 1, 3), which requires 2/p - 1 > 0)"
         )
     return _product_report(
         f, g, interval, _average(f, interval, spec, g),
-        table.m20.value, table.m02.value, table.m11.value,
+        table.m20, table.m02, table.m11,
     )
 
 
@@ -287,7 +289,7 @@ def nesbitt_similarly_ordered_bound(
             f"(f(a)-f(b))(g(a)-g(b)) = {ordering:g}, not >= 0"
         )
     table = w.nesbitt().moments_closed_form()
-    coeff_sum = table.m20.value + table.m11.value
+    coeff_sum = table.m20 + table.m11
     if abs(NESBITT_ORDERED_COEFF - coeff_sum) > 1e-12:
         raise ArithmeticError(
             "ordered-bound coefficient is not the sum of the product-bound "
@@ -313,7 +315,7 @@ def pachpatte_bounds(
     mid = interval.midpoint
     lower = _product_report(
         f, g, interval, (upper.integral_avg, upper.quad_error),
-        table.m11.value, table.m11.value, table.m20.value, 2.0 * f(mid) * g(mid),
+        table.m11, table.m11, table.m20, 2.0 * f(mid) * g(mid),
     )
     return upper, lower
 
@@ -352,10 +354,10 @@ def constants_table(
         oracle = {
             key: _oracle(ws, g, degree, spec)
             for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
-            if closed[key].defined
+            if closed[key] is not None
         }
         for key, value in oracle.items():
-            rows.append(_row(f"young_{key}", p, closed[key].value, value))
+            rows.append(_row(f"young_{key}", p, closed[key], value))
         rows.append(
             _row(
                 "young_m11_theorem_display",
@@ -371,7 +373,7 @@ def constants_table(
     ws = w.nesbitt()
     closed = ws.moments_closed_form().entries()
     nesbitt = [
-        (f"nesbitt_{key}", closed[key].value, g, degree)
+        (f"nesbitt_{key}", closed[key], g, degree)
         for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
     ]
     nesbitt += [

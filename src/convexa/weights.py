@@ -38,28 +38,22 @@ class WeightPair:
 
 
 @dataclass(frozen=True)
-class Moment:
-    """A weight moment value, or a divergence marker (defined=False)."""
-
-    value: float
-    defined: bool = True
-
-
-@dataclass(frozen=True)
 class MomentTable:
-    m10: Moment  # int w_x
-    m01: Moment  # int w_y
-    m20: Moment  # int w_x^2
-    m02: Moment  # int w_y^2
-    m11: Moment  # int w_x * w_y
+    """The five weight moments; None marks a divergent or unconverged one."""
 
-    def entries(self) -> dict[str, Moment]:
+    m10: float | None  # int w_x
+    m01: float | None  # int w_y
+    m20: float | None  # int w_x^2
+    m02: float | None  # int w_y^2
+    m11: float | None  # int w_x * w_y
+
+    def entries(self) -> dict[str, float | None]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def symmetric(cls, first: float, second: float, cross: float) -> "MomentTable":
         """The table of a system whose w_y(t) is w_x(1 - t): m01 = m10, m02 = m20."""
-        return cls(*(Moment(v) for v in (first, first, second, second, cross)))
+        return cls(first, first, second, second, cross)
 
 
 def _unit_t(t, subject: str) -> np.ndarray:
@@ -87,7 +81,7 @@ class WeightSystem:
 
     def label(self) -> str:
         if self.kind is WeightKind.YOUNG:
-            return f"young(p={self.p:g})"
+            return f"young(p={exponent_text(self.p)})"
         return self.kind.value
 
     # -- pointwise evaluation ------------------------------------------------
@@ -139,8 +133,8 @@ class WeightSystem:
         The Young cross moment uses the Beta combination confirmed by the
         quadrature oracle (the one appearing in the product-bound proof);
         see `theorems.constants_table` for the alternative display. The
-        Young m02 entry diverges for p >= 2. A Young p past ~7.7e153, where
-        3p^2 overflows a double, raises NonFiniteError.
+        Young m02 entry diverges for p >= 2 and is None. A Young p past
+        ~7.7e153, where 3p^2 overflows a double, raises NonFiniteError.
         """
         if self.kind is WeightKind.CLASSICAL:
             return MomentTable.symmetric(0.5, 1.0 / 3.0, 1.0 / 6.0)
@@ -157,23 +151,21 @@ class WeightSystem:
             raise NonFiniteError(
                 f"the closed-form moments of {self.label()} overflow a double"
             )
-        m02 = Moment(math.nan, defined=False)
+        m02 = None
         if 2.0 / p - 1.0 > 0.0:
-            m02 = Moment(
+            m02 = (
                 ((p - 1.0) / p) ** 2 * specfun.beta(2.0 / p + 1.0, 3.0)
                 + 2.0 * (p - 1.0) / p**2 * specfun.beta(2.0 / p, 3.0)
                 + 1.0 / p**2 * specfun.beta(2.0 / p - 1.0, 3.0)
             )
         return MomentTable(
-            Moment((p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0))),
-            Moment(3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0))),
-            Moment(
-                1.0 / (p * (2.0 + p))
-                + (p - 1.0) / (p * (1.0 + p))
-                + (p - 1.0) ** 2 / (p * (2.0 + 3.0 * p))
-            ),
+            (p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0)),
+            3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0)),
+            1.0 / (p * (2.0 + p))
+            + (p - 1.0) / (p * (1.0 + p))
+            + (p - 1.0) ** 2 / (p * (2.0 + 3.0 * p)),
             m02,
-            Moment(young_cross_moment_proof_display(p)),
+            young_cross_moment_proof_display(p),
         )
 
     def integral(
@@ -209,18 +201,17 @@ class WeightSystem:
         except DomainError as exc:
             raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
 
-    def moment(self, key: str, spec: QuadSpec = QuadSpec()) -> Moment:
-        """One moment-table entry ("m10", ..., "m11") from the quadrature oracle."""
+    def moment(self, key: str, spec: QuadSpec = QuadSpec()) -> float | None:
+        """One moment-table entry ("m10", ..., "m11") from the quadrature
+        oracle; None when the integral does not converge."""
         res = self.integral(*MOMENT_INTEGRANDS[key], spec)
-        if not res.converged:
-            return Moment(math.nan, defined=False)
-        return Moment(res.value)
+        return res.value if res.converged else None
 
     def moments(self, spec: QuadSpec = QuadSpec()) -> MomentTable:
         """Moment table from the adaptive-quadrature oracle.
 
-        The Young m02 entry genuinely diverges for p >= 2 (reported, not
-        guessed).
+        The Young m02 entry genuinely diverges for p >= 2 and is None
+        (reported, not guessed).
         """
         return MomentTable(*(self.moment(key, spec) for key in MOMENT_INTEGRANDS))
 
@@ -233,6 +224,12 @@ MOMENT_INTEGRANDS = {
     "m02": (lambda wx, wy: wy**2, (0, 2)),
     "m11": (lambda wx, wy: wx * wy, (1, 1)),
 }
+
+
+def exponent_text(p: float) -> str:
+    """p as text: its :g form when that reads back as p, else its repr."""
+    short = f"{p:g}"
+    return short if float(short) == p else repr(p)
 
 
 def classical() -> WeightSystem:

@@ -62,19 +62,19 @@ def test_a2_moment_oracle():
     for p in LEMMA_P_VALUES:
         closed = young(p).moments_closed_form().entries()
         oracle = young(p).moments().entries()
-        assert closed["m10"].value == pytest.approx(
+        assert closed["m10"] == pytest.approx(
             (p * p + 2.0 * p) / ((p + 1.0) * (2.0 * p + 1.0)), abs=1e-15
         )
-        assert closed["m01"].value == pytest.approx(
+        assert closed["m01"] == pytest.approx(
             3.0 * p * p / ((p + 1.0) * (2.0 * p + 1.0)), abs=1e-15
         )
         for key in ("m10", "m01"):
-            worst = max(worst, abs(closed[key].value - oracle[key].value))
+            worst = max(worst, abs(closed[key] - oracle[key]))
     closed = nesbitt().moments_closed_form().entries()
     oracle = nesbitt().moments().entries()
-    assert closed["m10"].value == pytest.approx(0.6479184330, abs=1e-10)
+    assert closed["m10"] == pytest.approx(0.6479184330, abs=1e-10)
     for key in ("m10", "m01", "m20", "m02", "m11"):
-        worst = max(worst, abs(closed[key].value - oracle[key].value))
+        worst = max(worst, abs(closed[key] - oracle[key]))
     _report("A2", worst <= 1e-9, f"max |quadrature - closed form| = {worst:.3e}")
 
 
@@ -142,7 +142,7 @@ def test_a5_sandwich_theorems_on_battery():
 def test_a6_degeneration():
     p = 1.0 + 1e-8
     table = young(p).moments_closed_form()
-    coeff_dev = max(abs(table.m10.value - 0.5), abs(table.m01.value - 0.5))
+    coeff_dev = max(abs(table.m10 - 0.5), abs(table.m01 - 0.5))
     worst = 0.0
     for source, (a, b) in (("x^2", (0.0, 1.0)), ("exp(x)", (1.0, 3.0))):
         f = parse_function(source)

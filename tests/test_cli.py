@@ -116,6 +116,16 @@ def test_product_divergent_exit_code(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("p,suffix", [("1.5", "1.5"), ("1.9999999999", "1.9999999999")])
+def test_young_record_names_read_back_as_p(p, suffix, capsys):
+    for sub, extra in (("sandwich", []), ("product", ["--g", "x"])):
+        code = run([sub, "--f", "x", *extra, "--class", "young", "--p", p,
+                    "--a", "0", "--b", "1", "--format", "json"])
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert code == EXIT_OK
+        assert record["name"] == f"young_{sub}_p{suffix}"
+
+
 def test_product_requires_g(capsys):
     code = run(
         ["product", "--f", "x", "--class", "nesbitt", "--a", "0", "--b", "1"]
@@ -231,99 +241,126 @@ MISSING_DIR = os.path.join(SRC, "no-such-directory")
 
 
 def _run_strict(argv):
-    """The CLI in a fresh interpreter with every Python warning an error."""
+    """(exit code, stdout, stderr) of `run` with every Python warning an error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = run(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _assert_strict(got, out, stderr, code, err):
+    assert got == code, stderr
+    if err is None:
+        assert stderr == ""
+    else:
+        assert stderr.startswith(err)
+        assert stderr.count("\n") == 1
+        assert out == ""
+
+
+STRICT_CASES = [
+    # convex; its ~4e-9 gaps are rounding at lhs ~ 2e5
+    (["check", "--f", "exp(exp(x))", "--class", "classical", "--a", "0",
+      "--b", "2.6"], EXIT_OK, None),
+    # exp(exp(7)) overflows, so gaps are inf - inf
+    (["check", "--f", "exp(exp(x))", "--class", "classical", "--a", "0",
+      "--b", "7"], EXIT_NUMERIC, "error: membership scan produced a non-finite value"),
+    (["check", "--f", "x^2", "--class", "young", "--p", "inf", "--a", "0",
+      "--b", "1"], EXIT_USAGE, "error: Young weights require a finite p > 1"),
+    (["constants", "--p", "inf"], EXIT_USAGE,
+     "error: Young weights require a finite p > 1"),
+    (["check", "--f", "x^2", "--class", "classical", "--a", "-1e-3",
+      "--b", "1"], EXIT_OK, None),
+    (["check", "--f", "x^2", "--class", "classical", "--a", "0",
+      "--b", "inf"], EXIT_USAGE, "error: interval requires finite a < b"),
+    # the bracket's rational term is inf/inf = nan at this p
+    (["sandwich", "--f", "x", "--class", "young", "--p", "1e300", "--a", "0",
+      "--b", "1"], EXIT_NUMERIC,
+     "error: the sandwich bracket of young(p=1e+300) overflows a double"),
+    # (p - 1)**2 overflows in the closed-form moment table
+    (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC,
+     "error: the closed-form moments of young(p=1e+300) overflow"),
+    (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
+      "--tol", "inf"], EXIT_USAGE, "error: tol must be positive and finite"),
+    # rejected before the scan allocates its ny*nt (y, t) terms
+    (["check", "--f", "x^2", "--class", "classical", "--a", "0", "--b", "1",
+      "--nx", "2", "--ny", "2", "--nt", "100000000"], EXIT_USAGE,
+     "error: grid nx=2, ny=2, nt=100000000 is too large"),
+    (["product", "--f", "x", "--g", "x", "--class", "young", "--p", "1e300",
+      "--a", "0", "--b", "1"], EXIT_NUMERIC,
+     "error: the closed-form moments of young(p=1e+300) overflow"),
+    (["constants", "--p", "1e300"], EXIT_NUMERIC,
+     "error: the closed-form moments of young(p=1e+300) overflow"),
+    # too deep for the parser, and a flat sum too deep for the evaluator
+    (["check", "--f", "(" * 400 + "x" + ")" * 400, "--class", "classical",
+      "--a", "0", "--b", "1"], EXIT_USAGE,
+     "error: expression is nested deeper than 100 levels"),
+    (["check", "--f", "+".join(["x"] * 3000), "--class", "classical",
+      "--a", "0", "--b", "1"], EXIT_USAGE,
+     "error: expression is nested deeper than 100 levels"),
+    # '²' is a digit to str.isdigit but not to float(): no number
+    (["check", "--f", "²", "--class", "classical", "--a", "0", "--b", "1"],
+     EXIT_USAGE, "error: unknown identifier '²'"),
+    (["check", "--f", "1²", "--class", "classical", "--a", "0", "--b", "1"],
+     EXIT_USAGE, "error: unexpected token '²'"),
+    # 3p^2 overflows although p^2 does not: the closed forms read inf,
+    # 0 and NaN here unless the overflow is named
+    (["constants", "--p", "8e153", "--format", "csv"], EXIT_NUMERIC,
+     "error: the closed-form moments of young(p=8e+153) overflow a double"),
+    (["constants", "--p", "1e154"], EXIT_NUMERIC,
+     "error: the closed-form moments of young(p=1e+154) overflow a double"),
+    # (p + 1)(2p + 1) overflows, so the bracket's rational term reads 0
+    (["sandwich", "--f", "x", "--class", "young", "--p", "1.3e154", "--a", "0",
+      "--b", "1"], EXIT_NUMERIC,
+     "error: the sandwich bracket of young(p=1.3e+154) overflows a double"),
+    # argparse's usage errors, one line each
+    (["check", "--class", "classical", "--a", "0", "--b", "1"], EXIT_USAGE,
+     "error: the following arguments are required: --f"),
+    (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
+      "--nx", "abc"], EXIT_USAGE, "error: argument --nx: invalid int value: 'abc'"),
+    (["bogus"], EXIT_USAGE, "error: argument subcommand: invalid choice: 'bogus'"),
+    (["product", "--f", "x", "--class", "nesbitt", "--a", "0", "--b", "1"],
+     EXIT_USAGE, "error: the following arguments are required: --g"),
+    (["constants", "--p", "1.5", "--out", MISSING_DIR + "/x.csv"], EXIT_USAGE,
+     "error: [Errno 2] No such file or directory"),
+    # the oracle's hint substitution underflows t, or its exponent rounds
+    (["constants", "--p", "200"], EXIT_NUMERIC, "error: the young(p=200) "
+     "integral of degree (0, 1) cannot be resolved: t underflows to 0"),
+    (["constants", "--p", "1.99"], EXIT_NUMERIC, "error: the young(p=1.99) "
+     "integral of degree (0, 2) cannot be resolved: t underflows to 0"),
+    (["constants", "--p", "1e17"], EXIT_NUMERIC, "error: the young(p=1e+17) "
+     "integral of degree (0, 1) cannot be resolved: 1/p - 1 rounds to -1"),
+    # b - a overflows a double although a and b are finite
+    (["check", "--f", "x", "--class", "classical", "--a", "-1e308", "--b", "1e308"],
+     EXIT_USAGE, "error: interval width b - a overflows a double"),
+    (["sandwich", "--f", "x", "--class", "classical", "--a", "-1e308", "--b", "1e308"],
+     EXIT_USAGE, "error: interval width b - a overflows a double"),
+    (["product", "--f", "x", "--g", "x", "--class", "classical", "--a", "-1e308",
+      "--b", "1e308"], EXIT_USAGE, "error: interval width b - a overflows a double"),
+    # p is named by text that reads back as p, not as its :g rounding 2
+    (["moments", "--class", "young", "--p", "1.9999999999"], EXIT_NUMERIC,
+     "error: the young(p=1.9999999999) integral of degree (0, 2) cannot be "
+     "resolved: t underflows to 0"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", STRICT_CASES)
+def test_strict_exit_and_one_line_stderr(argv, code, err):
+    _assert_strict(*_run_strict(argv), code, err)
+
+
+@pytest.mark.parametrize("argv,code,err", STRICT_CASES[:2])
+def test_module_entry_point_strict(argv, code, err):
+    """`python -W error -m convexa.cli` in a fresh interpreter, so that a
+    warning at import time fails too, and the exit code reaches the shell."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "convexa.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-
-
-@pytest.mark.parametrize(
-    "argv,code,err",
-    [
-        # convex; its ~4e-9 gaps are rounding at lhs ~ 2e5
-        (["check", "--f", "exp(exp(x))", "--class", "classical", "--a", "0",
-          "--b", "2.6"], EXIT_OK, None),
-        # exp(exp(7)) overflows, so gaps are inf - inf
-        (["check", "--f", "exp(exp(x))", "--class", "classical", "--a", "0",
-          "--b", "7"], EXIT_NUMERIC, "error: membership scan produced a non-finite value"),
-        (["check", "--f", "x^2", "--class", "young", "--p", "inf", "--a", "0",
-          "--b", "1"], EXIT_USAGE, "error: Young weights require a finite p > 1"),
-        (["constants", "--p", "inf"], EXIT_USAGE,
-         "error: Young weights require a finite p > 1"),
-        (["check", "--f", "x^2", "--class", "classical", "--a", "-1e-3",
-          "--b", "1"], EXIT_OK, None),
-        (["check", "--f", "x^2", "--class", "classical", "--a", "0",
-          "--b", "inf"], EXIT_USAGE, "error: interval requires finite a < b"),
-        # the bracket's rational term is inf/inf = nan at this p
-        (["sandwich", "--f", "x", "--class", "young", "--p", "1e300", "--a", "0",
-          "--b", "1"], EXIT_NUMERIC,
-         "error: the sandwich bracket of young(p=1e+300) overflows a double"),
-        # (p - 1)**2 overflows in the closed-form moment table
-        (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC,
-         "error: the closed-form moments of young(p=1e+300) overflow"),
-        (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
-          "--tol", "inf"], EXIT_USAGE, "error: tol must be positive and finite"),
-        # rejected before the scan allocates its ny*nt (y, t) terms
-        (["check", "--f", "x^2", "--class", "classical", "--a", "0", "--b", "1",
-          "--nx", "2", "--ny", "2", "--nt", "100000000"], EXIT_USAGE,
-         "error: grid nx=2, ny=2, nt=100000000 is too large"),
-        (["product", "--f", "x", "--g", "x", "--class", "young", "--p", "1e300",
-          "--a", "0", "--b", "1"], EXIT_NUMERIC,
-         "error: the closed-form moments of young(p=1e+300) overflow"),
-        (["constants", "--p", "1e300"], EXIT_NUMERIC,
-         "error: the closed-form moments of young(p=1e+300) overflow"),
-        # too deep for the parser, and a flat sum too deep for the evaluator
-        (["check", "--f", "(" * 400 + "x" + ")" * 400, "--class", "classical",
-          "--a", "0", "--b", "1"], EXIT_USAGE,
-         "error: expression is nested deeper than 100 levels"),
-        (["check", "--f", "+".join(["x"] * 3000), "--class", "classical",
-          "--a", "0", "--b", "1"], EXIT_USAGE,
-         "error: expression is nested deeper than 100 levels"),
-        # '²' is a digit to str.isdigit but not to float(): no number
-        (["check", "--f", "²", "--class", "classical", "--a", "0", "--b", "1"],
-         EXIT_USAGE, "error: unknown identifier '²'"),
-        (["check", "--f", "1²", "--class", "classical", "--a", "0", "--b", "1"],
-         EXIT_USAGE, "error: unexpected token '²'"),
-        # 3p^2 overflows although p^2 does not: the closed forms read inf,
-        # 0 and NaN here unless the overflow is named
-        (["constants", "--p", "8e153", "--format", "csv"], EXIT_NUMERIC,
-         "error: the closed-form moments of young(p=8e+153) overflow a double"),
-        (["constants", "--p", "1e154"], EXIT_NUMERIC,
-         "error: the closed-form moments of young(p=1e+154) overflow a double"),
-        # (p + 1)(2p + 1) overflows, so the bracket's rational term reads 0
-        (["sandwich", "--f", "x", "--class", "young", "--p", "1.3e154", "--a", "0",
-          "--b", "1"], EXIT_NUMERIC,
-         "error: the sandwich bracket of young(p=1.3e+154) overflows a double"),
-        # argparse's usage errors, one line each
-        (["check", "--class", "classical", "--a", "0", "--b", "1"], EXIT_USAGE,
-         "error: the following arguments are required: --f"),
-        (["check", "--f", "x", "--class", "classical", "--a", "0", "--b", "1",
-          "--nx", "abc"], EXIT_USAGE, "error: argument --nx: invalid int value: 'abc'"),
-        (["bogus"], EXIT_USAGE, "error: argument subcommand: invalid choice: 'bogus'"),
-        (["product", "--f", "x", "--class", "nesbitt", "--a", "0", "--b", "1"],
-         EXIT_USAGE, "error: the following arguments are required: --g"),
-        (["constants", "--p", "1.5", "--out", MISSING_DIR + "/x.csv"], EXIT_USAGE,
-         "error: [Errno 2] No such file or directory"),
-        # the oracle's hint substitution underflows t, or its exponent rounds
-        (["constants", "--p", "200"], EXIT_NUMERIC, "error: the young(p=200) "
-         "integral of degree (0, 1) cannot be resolved: t underflows to 0"),
-        (["constants", "--p", "1.99"], EXIT_NUMERIC, "error: the young(p=1.99) "
-         "integral of degree (0, 2) cannot be resolved: t underflows to 0"),
-        (["constants", "--p", "1e17"], EXIT_NUMERIC, "error: the young(p=1e+17) "
-         "integral of degree (0, 1) cannot be resolved: 1/p - 1 rounds to -1"),
-    ],
-)
-def test_strict_exit_and_one_line_stderr(argv, code, err):
-    proc = _run_strict(argv)
-    assert proc.returncode == code, proc.stderr
-    if err is None:
-        assert proc.stderr == ""
-    else:
-        assert proc.stderr.startswith(err)
-        assert proc.stderr.count("\n") == 1
-        assert proc.stdout == ""
+    _assert_strict(proc.returncode, proc.stdout, proc.stderr, code, err)
 
 
 def test_negative_scientific_notation_reaches_option(capsys):
@@ -334,7 +371,7 @@ def test_negative_scientific_notation_reaches_option(capsys):
     assert (payload["config"]["a"], payload["config"]["b"]) == (-1.0, -0.5)
 
 
-_BAD_NUMBERS = ["nan", "inf", "-inf", "1e300", "-1e300", "abc", ""]
+_BAD_NUMBERS = ["nan", "inf", "-inf", "1e300", "-1e300", "1e308", "-1e308", "abc", ""]
 _TOLERANCES = (["1e-10", "1e-6", "1e-3"],
                ["1e-300", "0", "-1", "1e300", "nan", "inf", "abc", ""])
 # option -> (usual values, hostile values)
@@ -395,21 +432,15 @@ def _fuzz_argv(draw):
 @given(_fuzz_argv())
 def test_fuzz_cli_argv(case):
     argv, out = case
-    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if out is not None:
             out = os.path.join(tmp, out)
             argv = argv + ["--out", out]
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("error")
-            code = run(argv)
-        report = stdout.getvalue()
+        code, report, err = _run_strict(argv)
         if out is not None and os.path.exists(out):
             assert report == ""
             with open(out, encoding="utf-8") as handle:
                 report = handle.read()
-    err = stderr.getvalue()
     assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_NUMERIC)
     # a report with exit 3 is one whose overall is NumericFailure
     numeric_failure_report = code == EXIT_NUMERIC and err == ""

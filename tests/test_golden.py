@@ -1,20 +1,31 @@
 """Golden bytes: report digests and exit codes that a refactor must keep.
 
 Each case pins the sha256 of the CLI's stdout and its exit code. A change
-that alters one of these bytes is a schema change, not a refactor.
+that alters one of these bytes is a schema change, not a refactor. The
+verify-paper JSON digest is the benchmark's own (`VERIFY_PAPER_SHA256` in
+perfbench/workloads.py), read from there so that it is pinned once.
 """
 
 import hashlib
+import importlib.util
+import pathlib
 
 import pytest
 
 from convexa.cli import EXIT_OK, run
 
+_WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _verify_paper_digest() -> str:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.VERIFY_PAPER_SHA256
+
+
 GOLDEN = [
-    (
-        ["verify-paper", "--format", "json"],
-        "736e82d6944ab12dff4e5ba808fd2272e52136b5cb2f6e5cb4706a24b751a4cb",
-    ),
+    (["verify-paper", "--format", "json"], _verify_paper_digest()),
     (
         ["verify-paper", "--format", "csv"],
         "ca7a04897276722b9e18792fb2ae6a8a9ec6e8c9e258f812a030b2cb17546b68",

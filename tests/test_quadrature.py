@@ -223,6 +223,9 @@ def test_interval_validation():
         Interval(1.0, 1.0)
     with pytest.raises(DomainError):
         Interval(2.0, 1.0)
+    with pytest.raises(DomainError, match=r"width b - a overflows a double on \[-1e\+308"):
+        Interval(-1e308, 1e308)
+    assert Interval(-1e308, 7e307).width == 1.7e308
 
 
 @pytest.mark.parametrize(
