@@ -45,6 +45,36 @@ GOLDEN = [
     ),
 ]
 
+# the sandwich and product theorems of each class, for f = x^2 (and
+# g = exp(x)) on [0, 1]
+_CLASSES = {
+    "classical": ["--class", "classical"],
+    "young": ["--class", "young", "--p", "1.5"],
+    "nesbitt": ["--class", "nesbitt"],
+}
+_THEOREM_DIGESTS = {
+    ("sandwich", "classical"):
+        "ceea78d29a3c448d20066e15bd19cd0a83d9462054bd416fea585683e566aabe",
+    ("sandwich", "young"):
+        "cd23f14fc948f37c3b681998eaea37e976e31f6e4211ed3e7dae696aff414d8b",
+    ("sandwich", "nesbitt"):
+        "63cc454cb5c0019c634ceadebf2d45207483394979dacf8883bc15f670d7bedc",
+    ("product", "classical"):
+        "909c5e52ffe20aaae759268ff9f5a4135c78b67587d28742d487271598af29ff",
+    ("product", "young"):
+        "83be572f9d72cf72913c180f15e33c1b3bc484248f46ac1adeb78a78157075d6",
+    ("product", "nesbitt"):
+        "cea9def6b52a1fc1b162d95d840bb78fa6df3ed0cadcddd985208ef5a55a9d1d",
+}
+GOLDEN += [
+    (
+        [command, "--f", "x^2"] + (["--g", "exp(x)"] if command == "product" else [])
+        + _CLASSES[cls] + ["--a", "0", "--b", "1", "--format", "json"],
+        digest,
+    )
+    for (command, cls), digest in _THEOREM_DIGESTS.items()
+]
+
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_report_bytes_pinned(argv, digest, capsys):
