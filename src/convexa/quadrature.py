@@ -71,7 +71,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        return _midpoint(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,10 @@ class QuadSpec:
     left_singularity_exponent: float | None = None
 
     def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        for name in ("abs_tol", "rel_tol"):
+            tol = getattr(self, name)
+            if not 0.0 < tol < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {tol}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be a positive integer")
         e = self.left_singularity_exponent
@@ -113,26 +113,21 @@ class QuadResult:
 _OFFSETS = tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
 
 
-def _value_or_nan(f, t: float) -> float:
-    try:
-        return f(t)
-    except (ArithmeticError, ValueError):
-        return math.nan
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2, also where lo + hi overflows. The halves are added
+    only then: below 2^-1021 halving an end can round, 0.5 * (lo + hi)
+    cannot."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
-def _gk15(f, lo: float, hi: float, vectorized: bool):
+def _gk15(f, lo: float, hi: float):
     """One Gauss-Kronrod panel: (kronrod value, |K15 - G7| error estimate)."""
-    c = 0.5 * (lo + hi)
+    c = _midpoint(lo, hi)
     h = 0.5 * (hi - lo)
     nodes = [c] + [c + h * x for x in _OFFSETS]
-    if vectorized:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(np.array(nodes)), dtype=float).tolist()
-    else:
-        # an outermost node can round onto an end of the panel, where f may
-        # be undefined: an exception there reads as the non-finite value a
-        # vectorized f returns, one at an inner node propagates
-        vals = [f(t) if lo < t < hi else _value_or_nan(f, t) for t in nodes]
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(np.array(nodes)), dtype=float).tolist()
     kron = _WGK[7] * vals[0]
     gauss = _WG[3] * vals[0]
     for i in range(7):
@@ -148,34 +143,31 @@ def _gk15(f, lo: float, hi: float, vectorized: bool):
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
     spec: QuadSpec = QuadSpec(),
-    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate f over the interval to the requested tolerance.
 
-    With `vectorized=True` the integrand is called once per panel with an
-    ndarray of nodes instead of once per node. Evaluator exceptions
-    propagate to the caller. Refinement always bisects the panel with the
-    largest error estimate; identical inputs give bit-identical results.
+    The integrand is called once per panel with an ndarray of its 15 nodes
+    and returns one value per node. Evaluator exceptions propagate to the
+    caller. Refinement always bisects the panel with the largest error
+    estimate; identical inputs give bit-identical results.
     """
     alpha = spec.left_singularity_exponent
     if alpha is not None and alpha != 0.0:
-        return _integrate_desingularized(f, interval, spec, alpha, vectorized)
-    return _adaptive(f, interval.a, interval.b, spec, vectorized)
+        return _integrate_desingularized(f, interval, spec, alpha)
+    return _adaptive(f, interval.a, interval.b, spec)
 
 
 def integrate_unit(
-    f: Callable[[float], float],
-    spec: QuadSpec = QuadSpec(),
-    vectorized: bool = False,
+    f: Callable[[np.ndarray], np.ndarray], spec: QuadSpec = QuadSpec()
 ) -> QuadResult:
     """Integrate f over [0, 1]."""
-    return integrate(f, Interval(0.0, 1.0), spec, vectorized)
+    return integrate(f, Interval(0.0, 1.0), spec)
 
 
-def _integrate_desingularized(f, interval, spec, alpha, vectorized):
+def _integrate_desingularized(f, interval, spec, alpha):
     # t = a + u^m with m = 1/(1+alpha): a factor (t-a)^alpha in f becomes
     # bounded, at the cost of the Jacobian m*u^(m-1).
     a = interval.a
@@ -186,7 +178,7 @@ def _integrate_desingularized(f, interval, spec, alpha, vectorized):
     def g(u):
         return f(a + u**m) * (m * u ** (m - 1.0))
 
-    return _adaptive(g, 0.0, upper, spec, vectorized)
+    return _adaptive(g, 0.0, upper, spec)
 
 
 # The divergence test. An integrable t^alpha keeps 2^-(1+alpha) < 1 of the
@@ -203,8 +195,8 @@ _STILL_RATIO = 0.99
 _PROBE_ULPS = 2.0**8
 
 
-def _adaptive(f, lo, hi, spec, vectorized):
-    value0, err0 = _gk15(f, lo, hi, vectorized)
+def _adaptive(f, lo, hi, spec):
+    value0, err0 = _gk15(f, lo, hi)
     evaluations = 15
     # heap entries: (-err, insertion seq, lo, hi, value, err)
     heap = [(-err0, 0, lo, hi, value0, err0)]
@@ -222,13 +214,13 @@ def _adaptive(f, lo, hi, spec, vectorized):
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):
             break
         _, _, plo, phi, pval, perr = heap[0]
-        mid = 0.5 * (plo + phi)
+        mid = _midpoint(plo, phi)
         if mid <= plo or mid >= phi:
             # bisection cannot make progress at double precision
             reason = "stalled"
             break
-        lval, lerr = _gk15(f, plo, mid, vectorized)
-        rval, rerr = _gk15(f, mid, phi, vectorized)
+        lval, lerr = _gk15(f, plo, mid)
+        rval, rerr = _gk15(f, mid, phi)
         evaluations += 30
         if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
             # the stalled panel is still heap[0], so it stays in the totals
@@ -244,7 +236,7 @@ def _adaptive(f, lo, hi, spec, vectorized):
             still = still + 1 if abs(lval) > _STILL_RATIO * abs(pval) else 0
             if still == _STILL_HALVINGS:
                 probe_hi = min(lo + _PROBE_ULPS * math.ulp(lo), mid)
-                probe, _ = _gk15(f, lo, probe_hi, vectorized)
+                probe, _ = _gk15(f, lo, probe_hi)
                 evaluations += 15
                 if not abs(probe) <= _STILL_RATIO * abs(lval):
                     reason = "divergent"

@@ -16,7 +16,6 @@ from typing import Callable
 from . import weights as w
 from .errors import (
     DivergentCoefficient,
-    DomainError,
     NonConvergenceError,
     NonFiniteError,
     OrderingError,
@@ -90,10 +89,8 @@ def _average(
     f: Callable, interval: Interval, spec: QuadSpec, g: Callable | None = None
 ) -> tuple[float, float]:
     """Average of f, or of the product f*g, over the interval, with its error."""
-    funcs = (f,) if g is None else (f, g)
     integrand = f if g is None else lambda x: f(x) * g(x)
-    vectorized = all(isinstance(h, FunctionDef) for h in funcs)
-    res = integrate(integrand, interval, spec, vectorized=vectorized)
+    res = integrate(integrand, interval, spec)
     if not res.converged:
         raise NonConvergenceError(
             f"integral over [{interval.a}, {interval.b}] did not converge "
@@ -108,41 +105,39 @@ def _require_finite(**members: float | None) -> None:
             raise NonFiniteError(f"bound member {name} is not finite: {value!r}")
 
 
-def _sandwich(left, middle, right, err) -> SandwichReport:
-    _require_finite(left=left, middle=middle, right=right)
-    ct = _check_tol(err)
-    margins = (middle - left, right - middle)
-    return SandwichReport(
-        left, middle, right, margins[0] >= -ct, margins[1] >= -ct, margins, err, ct
-    )
+def _sandwich(f, interval, spec, left_coeff, m10, m01) -> SandwichReport:
+    """left <= avg integral <= m10 f(a) + m01 f(b): the defining inequality
+    integrated over t.
 
-
-def _right_bound(ws: w.WeightSystem, f, interval, spec, left_at_mid: bool) -> SandwichReport:
-    """avg integral <= m10 f(a) + m01 f(b): the defining inequality integrated over t.
-
-    The left member is f(mid) when left_at_mid, else the average itself.
+    The left member is left_coeff * f(mid), or the average itself when
+    left_coeff is None.
     """
-    table = ws.moments_closed_form()
     avg, err = _average(f, interval, spec)
-    m10, m01 = table.m10, table.m01
     fa, fb = f(interval.a), f(interval.b)
     right = m10 * (fa + fb) if m10 == m01 else m10 * fa + m01 * fb
-    left = f(interval.midpoint) if left_at_mid else avg
-    return _sandwich(left, avg, right, err)
+    left = avg if left_coeff is None else left_coeff * f(interval.midpoint)
+    _require_finite(left=left, middle=avg, right=right)
+    ct = _check_tol(err)
+    margins = (avg - left, right - avg)
+    return SandwichReport(
+        left, avg, right, margins[0] >= -ct, margins[1] >= -ct, margins, err, ct
+    )
 
 
 def hadamard_classical(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f((a+b)/2) <= avg integral <= (f(a)+f(b))/2 for classically convex f."""
-    return _right_bound(w.classical(), f, interval, spec, left_at_mid=True)
+    table = w.classical().moments_closed_form()
+    return _sandwich(f, interval, spec, 1.0, table.m10, table.m01)
 
 
 def young_right_bound(
     f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """avg integral <= m10(p) f(a) + m01(p) f(b); left member unused (= middle)."""
-    return _right_bound(w.young(p), f, interval, spec, left_at_mid=False)
+    table = w.young(p).moments_closed_form()
+    return _sandwich(f, interval, spec, None, table.m10, table.m01)
 
 
 def young_sandwich_coefficients(p: float) -> tuple[float, float]:
@@ -178,13 +173,9 @@ def young_sandwich(
     f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """2^(1/p) p/(p+1) f(mid) <= avg integral <= bracket * (f(a)+f(b))/2."""
-    if not p > 1.0:
-        raise DomainError(f"young_sandwich requires p > 1, got {p}")
+    w.young(p)  # the Young exponent rule
     left_coeff, bracket = young_sandwich_coefficients(p)
-    avg, err = _average(f, interval, spec)
-    left = left_coeff * f(interval.midpoint)
-    right = bracket * 0.5 * (f(interval.a) + f(interval.b))
-    return _sandwich(left, avg, right, err)
+    return _sandwich(f, interval, spec, left_coeff, bracket * 0.5, bracket * 0.5)
 
 
 def young_product_bound(
@@ -206,7 +197,8 @@ def nesbitt_sandwich(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f(mid) <= avg integral <= ((3/2)ln3 - 1)(f(a) + f(b))."""
-    return _right_bound(w.nesbitt(), f, interval, spec, left_at_mid=True)
+    table = w.nesbitt().moments_closed_form()
+    return _sandwich(f, interval, spec, 1.0, table.m10, table.m01)
 
 
 def _moment_product_bound(ws: w.WeightSystem, f, g, interval, spec) -> ProductBoundReport:

@@ -197,7 +197,7 @@ class WeightSystem:
                 hint = exponent
         local = dataclasses.replace(spec, left_singularity_exponent=hint)
         try:
-            return integrate_unit(lambda t: g(*self.eval_arrays(t)), local, vectorized=True)
+            return integrate_unit(lambda t: g(*self.eval_arrays(t)), local)
         except DomainError as exc:
             raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
 

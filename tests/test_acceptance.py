@@ -85,7 +85,7 @@ def test_a3_erratum_detection():
         wx, wy = ws.eval_arrays(t)
         return wx * wy
 
-    res = integrate_unit(cross, QuadSpec(), vectorized=True)
+    res = integrate_unit(cross, QuadSpec())
     assert res.converged
     proof_diff = abs(res.value - young_cross_moment_proof_display(1.5))
     theorem_diff = abs(res.value - young_cross_moment_theorem_display(1.5))
@@ -110,7 +110,7 @@ def test_a4_divergence():
             young_product_bound(f, f, Interval(0.0, 1.0), p)
         except DivergentCoefficient:
             raised += 1
-    res = integrate_unit(lambda t: t**-1.0 * (1.0 - t) ** 2, QuadSpec(), vectorized=True)
+    res = integrate_unit(lambda t: t**-1.0 * (1.0 - t) ** 2, QuadSpec())
     ok = raised == 2 and not res.converged
     _report("A4", ok, f"DivergentCoefficient raised {raised}/2, converged={res.converged}")
 

@@ -343,6 +343,17 @@ STRICT_CASES = [
     (["moments", "--class", "young", "--p", "1.9999999999"], EXIT_NUMERIC,
      "error: the young(p=1.9999999999) integral of degree (0, 2) cannot be "
      "resolved: t underflows to 0"),
+    # a + b overflows a double although b - a does not: the midpoints of the
+    # interval and of every quadrature panel stay finite
+    (["sandwich", "--f", "1e-300*1e-10*x", "--class", "classical", "--a", "1e308",
+      "--b", "1.7e308"], EXIT_OK, None),
+    (["product", "--f", "1e-300*1e-10*x", "--g", "1e-300*1e-10*x", "--class",
+      "classical", "--a", "1e308", "--b", "1.7e308"], EXIT_OK, None),
+    # an infinite tolerance would accept any first panel as converged
+    (["constants", "--p", "1.5", "--abs-tol", "inf"], EXIT_USAGE,
+     "error: abs_tol must be positive and finite, got inf"),
+    (["moments", "--class", "young", "--p", "2", "--abs-tol", "inf"], EXIT_USAGE,
+     "error: abs_tol must be positive and finite, got inf"),
 ]
 
 

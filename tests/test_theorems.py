@@ -128,8 +128,10 @@ def test_young_sandwich_degenerates_to_hadamard():
 
 
 def test_young_sandwich_domain():
-    with pytest.raises(DomainError):
-        young_sandwich(FX, UNIT, 0.9)
+    # the WeightSystem exponent rule, before any coefficient or integral
+    for p in (0.9, 1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="Young weights require a finite p > 1"):
+            young_sandwich(FX, UNIT, p)
 
 
 # -- Young product bound -------------------------------------------------------------
@@ -222,7 +224,7 @@ def test_nesbitt_square_expansion_consistency():
         wx, wy = ws.eval_arrays(t)
         return (wx + wy) ** 2
 
-    res = integrate_unit(total, QuadSpec(), vectorized=True)
+    res = integrate_unit(total, QuadSpec())
     assert res.converged
     lhs = table.m20 + 2.0 * table.m11 + table.m02
     assert abs(lhs - res.value) <= 1e-9

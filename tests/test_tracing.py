@@ -2,7 +2,9 @@
 
 The tracer wraps public names of every layer by name, so a renamed or
 deleted name breaks `perfbench/run.py --trace 1`; installing it here makes
-that a Tier-1 failure instead.
+that a Tier-1 failure instead. One traced verify-paper cycle must count the
+integrand evaluations and f-points that tests/test_suite.py gates, so a
+wrapper that stops counting fails too.
 """
 
 import importlib
@@ -10,6 +12,8 @@ import pathlib
 
 import convexa
 from convexa import cli, expr, membership, quadrature, specfun, suite, theorems, weights
+from convexa.suite import Overall
+from test_suite import VERIFY_PAPER_EVALUATIONS, VERIFY_PAPER_F_POINTS
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = (convexa, cli, expr, membership, quadrature, specfun, suite, theorems, weights)
@@ -38,3 +42,20 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
         tracer.uninstall()
     assert _bindings() == before
     assert specfun.beta is beta and theorems.beta is beta and convexa.beta is beta
+
+
+def test_traced_verify_paper_counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        report = cli.verify_paper()
+        text = cli.render(report, "json")
+        counts, *_ = tracer.finish_cycle()
+    finally:
+        tracer.uninstall()
+    assert report.overall is Overall.ALL_HOLD
+    assert counts["quadrature.evals"] == VERIFY_PAPER_EVALUATIONS
+    assert counts["expr.eval_points"] == VERIFY_PAPER_F_POINTS
+    assert counts["cli.render_calls"] == 1
+    assert counts["cli.report_bytes"] == len(text.encode("utf-8"))

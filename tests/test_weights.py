@@ -242,9 +242,9 @@ def test_integral_singularity_hint(monkeypatch, ws, degree, hint):
     seen = []
     original = weights_module.integrate_unit
 
-    def spy(f, spec, vectorized=False):
+    def spy(f, spec):
         seen.append(spec.left_singularity_exponent)
-        return original(f, spec, vectorized)
+        return original(f, spec)
 
     monkeypatch.setattr(weights_module, "integrate_unit", spy)
     ws.integral(lambda wx, wy: wx**degree[0] * wy**degree[1], degree)
