@@ -354,6 +354,11 @@ STRICT_CASES = [
      "error: abs_tol must be positive and finite, got inf"),
     (["moments", "--class", "young", "--p", "2", "--abs-tol", "inf"], EXIT_USAGE,
      "error: abs_tol must be positive and finite, got inf"),
+    # the systems are built one at a time: p = 1e17 fails in its oracle
+    # before p = 0.5 is refused
+    (["constants", "--p", "1e17", "--p", "0.5"], EXIT_NUMERIC, "error: the "
+     "young(p=1e+17) integral of degree (0, 1) cannot be resolved: 1/p - 1 "
+     "rounds to -1"),
 ]
 
 

@@ -35,6 +35,16 @@ GOLDEN = [
          "--p", "3", "--p", "10", "--format", "csv"],
         "54567b1d6dfae41f2b80e961cfe87f03e545d8f73bfecd027dd69d92fe557504",
     ),
+    # JSON shows the note column and Nesbitt's "p": null, which CSV omits
+    (
+        ["constants", "--format", "json"],
+        "52e47b08bb907d994d3a9503f707930d44a1c6d8cfe5d856aee9070cf0729bb2",
+    ),
+    # 26 rows: young_m02 diverges at p >= 2 and has no row
+    (
+        ["constants", "--p", "1.01", "--p", "2", "--p", "10", "--format", "json"],
+        "1632cec7c669694ac506a569b2d4eb9523f344865ff20086231f8519e84268e4",
+    ),
     (
         ["moments", "--class", "young", "--p", "1.5", "--format", "json"],
         "319cce0036a21c9386d7edf13534288382574b9a397f72fc629de5d8bd0e3ccf",
