@@ -127,7 +127,12 @@ def _gk15(f, lo: float, hi: float):
     h = 0.5 * (hi - lo)
     nodes = [c] + [c + h * x for x in _OFFSETS]
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(np.array(nodes)), dtype=float).tolist()
+        out = np.asarray(f(np.array(nodes)), dtype=float)
+    if out.shape != (15,):
+        raise TypeError(
+            f"an integrand must return one value per node: shape (15,), got {out.shape}"
+        )
+    vals = out.tolist()
     kron = _WGK[7] * vals[0]
     gauss = _WG[3] * vals[0]
     for i in range(7):

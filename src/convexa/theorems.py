@@ -9,6 +9,7 @@ check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
 integration noise, and an inf or NaN member raises NonFiniteError.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -91,6 +92,10 @@ def _average(
     """Average of f, or of the product f*g, over the interval, with its error."""
     integrand = f if g is None else lambda x: f(x) * g(x)
     res = integrate(integrand, interval, spec)
+    if not math.isfinite(res.value):
+        raise NonFiniteError(
+            f"integral over [{interval.a}, {interval.b}] is not finite: {res.value!r}"
+        )
     if not res.converged:
         raise NonConvergenceError(
             f"integral over [{interval.a}, {interval.b}] did not converge "
@@ -315,19 +320,17 @@ def pachpatte_bounds(
 # --- constants validation table ----------------------------------------------
 
 
-def _oracle(ws: w.WeightSystem, g, degree, spec: QuadSpec) -> float:
-    res = ws.integral(g, degree, spec)
-    if not res.converged:
-        raise NonConvergenceError("constants oracle integral did not converge")
-    return res.value
-
-
 def _row(name, p, closed, oracle, note="") -> ConstantsRow:
     return ConstantsRow(name, p, closed, oracle, abs(closed - oracle), note)
 
 
-def _w_sum(wx, wy):
-    return wx + wy
+def _oracle_row(ws: w.WeightSystem, name, closed, g, degree, spec) -> ConstantsRow:
+    """The row of a constant whose oracle is the integral of g(w_x, w_y)."""
+    res = ws.integral(g, degree, spec)
+    if not res.converged:
+        raise NonConvergenceError(f"constants oracle {name} of {ws.label()} did not "
+                                  f"converge (error estimate {res.error_estimate:g})")
+    return _row(name, ws.p, closed, res.value)
 
 
 def constants_table(
@@ -335,44 +338,31 @@ def constants_table(
 ) -> list[ConstantsRow]:
     """Closed-form constants next to their quadrature-oracle values.
 
-    Includes the cross coefficient as displayed in the Young product-bound
-    theorem, which disagrees with the oracle away from p = 2 (the proof
-    display is the one used in bounds); it is marked "erratum candidate".
+    Per weight system, young(p) for each p and then nesbitt(), built one at
+    a time: its defined moments, one extra row and w_x + w_y. Young's extra
+    row is the cross coefficient as displayed in the product-bound theorem,
+    which disagrees with the oracle away from p = 2 (the proof display is
+    the one used in bounds); it is marked "erratum candidate".
     """
     rows: list[ConstantsRow] = []
-    for p in p_values:
-        ws = w.young(p)
+    for ws in itertools.chain(map(w.young, p_values), [w.nesbitt()]):
+        kind, p = ws.kind.value, ws.p
         closed = ws.moments_closed_form().entries()
-        oracle = {
-            key: _oracle(ws, g, degree, spec)
+        moments = {
+            key: _oracle_row(ws, f"{kind}_{key}", closed[key], g, degree, spec)
             for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
             if closed[key] is not None
         }
-        for key, value in oracle.items():
-            rows.append(_row(f"young_{key}", p, closed[key], value))
-        rows.append(
-            _row(
-                "young_m11_theorem_display",
-                p,
-                w.young_cross_moment_theorem_display(p),
-                oracle["m11"],
-                note="erratum candidate",
-            )
-        )
-        rows.append(
-            _row("young_w_sum", p, 2.0 * p / (p + 1.0), _oracle(ws, _w_sum, (0, 1), spec))
-        )
-    ws = w.nesbitt()
-    closed = ws.moments_closed_form().entries()
-    nesbitt = [
-        (f"nesbitt_{key}", closed[key], g, degree)
-        for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
-    ]
-    nesbitt += [
-        ("nesbitt_ordered_coeff", NESBITT_ORDERED_COEFF,
-         lambda wx, wy: wx * (wx + wy), (1, 1)),
-        ("nesbitt_w_sum", 3.0 * LN3 - 2.0, _w_sum, (0, 1)),
-    ]
-    for name, closed_value, g, degree in nesbitt:
-        rows.append(_row(name, None, closed_value, _oracle(ws, g, degree, spec)))
+        rows += moments.values()
+        if p is None:
+            rows.append(_oracle_row(ws, "nesbitt_ordered_coeff", NESBITT_ORDERED_COEFF,
+                                    lambda wx, wy: wx * (wx + wy), (1, 1), spec))
+            w_sum = 3.0 * LN3 - 2.0
+        else:
+            display = w.young_cross_moment_theorem_display(p)
+            rows.append(_row("young_m11_theorem_display", p, display,
+                             moments["m11"].oracle, "erratum candidate"))
+            w_sum = 2.0 * p / (p + 1.0)
+        rows.append(_oracle_row(ws, f"{kind}_w_sum", w_sum, lambda wx, wy: wx + wy,
+                                (0, 1), spec))
     return rows

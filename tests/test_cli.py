@@ -359,6 +359,19 @@ STRICT_CASES = [
     (["constants", "--p", "1e17", "--p", "0.5"], EXIT_NUMERIC, "error: the "
      "young(p=1e+17) integral of degree (0, 1) cannot be resolved: 1/p - 1 "
      "rounds to -1"),
+    # an integrand that overflows a double is named, not blamed on convergence
+    (["product", "--f", "1e-300*1e-10*x", "--g", "exp(x)", "--class", "classical",
+      "--a", "1e308", "--b", "1.7e308"], EXIT_NUMERIC,
+     "error: integral over [1e+308, 1.7e+308] is not finite: inf"),
+    (["sandwich", "--f", "exp(x)", "--class", "classical", "--a", "700", "--b", "800"],
+     EXIT_NUMERIC, "error: integral over [700.0, 800.0] is not finite: inf"),
+    # the average 1.35e307 is a double, the integral is not
+    (["sandwich", "--f", "x", "--class", "classical", "--a", "1e307", "--b", "1.7e307"],
+     EXIT_NUMERIC, "error: integral over [1e+307, 1.7e+307] is not finite: inf"),
+    # the oracle names the system, the row and the error estimate
+    (["constants", "--p", "1.5", "--max-subdivisions", "1"], EXIT_NUMERIC,
+     "error: constants oracle young_m10 of young(p=1.5) did not converge "
+     "(error estimate 1.94634e-05)"),
 ]
 
 

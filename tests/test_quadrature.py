@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ def test_evaluator_error_propagates():
     f = parse_function("ln(x)")
     with pytest.raises(ExprDomainError):
         integrate(f, Interval(-1.0, 1.0), QuadSpec())
+
+
+@pytest.mark.parametrize(
+    "f,shape",
+    [
+        (lambda t: 1.0, "()"),
+        (lambda t: np.ones(3), "(3,)"),
+        (lambda t: np.ones((15, 1)), "(15, 1)"),
+    ],
+)
+def test_integrand_must_return_one_value_per_node(f, shape):
+    contract = f"one value per node: shape (15,), got {shape}"
+    with pytest.raises(TypeError, match=re.escape(contract) + "$"):
+        integrate_unit(f)
 
 
 def test_interval_validation():
