@@ -155,9 +155,10 @@ def integrate(
     """Integrate f over the interval to the requested tolerance.
 
     The integrand is called once per panel with an ndarray of its 15 nodes
-    and returns one value per node. Evaluator exceptions propagate to the
-    caller. Refinement always bisects the panel with the largest error
-    estimate; identical inputs give bit-identical results.
+    and returns one value per node; a return of any other shape raises
+    TypeError. Evaluator exceptions propagate to the caller. Refinement
+    always bisects the panel with the largest error estimate; identical
+    inputs give bit-identical results.
     """
     alpha = spec.left_singularity_exponent
     if alpha is not None and alpha != 0.0:
