@@ -5,9 +5,10 @@ CLI prints it under `--help`), `FUNCTIONS` its function table and `_TOKEN`
 its lexical rules. Only decimal digits form numbers, and a source whose
 tree or parser nesting is deeper than `MAX_DEPTH` is a syntax error.
 
-"^" is real power: exact repeated multiplication for constant integer
-exponents, exp(y*ln x) with x > 0 otherwise. A NaN never propagates
-silently; it is converted to a domain error carrying the offending x.
+"^" is real power: exact repeated multiplication for an integer exponent
+that does not depend on x, exp(y*ln x) with x > 0 otherwise. A NaN never
+propagates silently; it is converted to a domain error carrying the
+offending x.
 Evaluation accepts a scalar or an ndarray and uses one code path for both,
 so grid scans and pointwise recomputation agree bit-for-bit.
 """
@@ -327,22 +328,6 @@ def unparse(node: Ast) -> str:
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _const_value(node: Ast) -> float | None:
-    """Fold an x-free subtree of +,-,*,/ and negation into a float."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        v = _const_value(node.child)
-        return None if v is None else -v
-    if isinstance(node, BinOp) and node.op in _ARITH:
-        lv = _const_value(node.left)
-        rv = _const_value(node.right)
-        if lv is None or rv is None or (node.op == "/" and rv == 0.0):
-            return None
-        return _ARITH[node.op](lv, rv)
-    return None
-
-
 def _guard(bad, message: str, xs: np.ndarray) -> None:
     """Raise a domain error at the first x where the mask `bad` holds."""
     if np.any(bad):
@@ -369,10 +354,10 @@ def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
 
 
 def _power(base, exponent_node: Ast, xs: np.ndarray):
-    const = _const_value(exponent_node)
-    if const is not None and float(const).is_integer() and abs(const) <= 2**31:
-        return _int_power(base, int(const), xs)
     expo = _eval_node(exponent_node, xs)
+    # a scalar, not an ndarray, is an exponent that does not depend on x
+    if not isinstance(expo, np.ndarray) and expo.is_integer() and abs(expo) <= 2**31:
+        return _int_power(base, int(expo), xs)
     _guard(base <= 0.0, "non-integer power of a non-positive base", xs)
     return np.exp(expo * np.log(base))
 

@@ -71,25 +71,26 @@ def _lemma_checks() -> list[dict]:
     return out
 
 
-def _moment_checks(quad: QuadSpec) -> list[dict]:
+def _moment_checks(quad: QuadSpec) -> tuple[list[dict], dict]:
+    """The moment checks, and their oracle values keyed by (label, key)."""
     every = tuple(w.MOMENT_INTEGRANDS)
     cases = [(w.young(p), every) for p in MOMENT_P_FULL]
     cases += [(w.young(p), ("m10", "m01")) for p in MOMENT_P_FIRST_ONLY]
     cases.append((w.nesbitt(), every))
-    out = []
+    out, oracles = [], {}
     for ws, keys in cases:
         closed = ws.moments_closed_form().entries()
         for key in keys:
-            oracle = ws.moment(key, quad)
+            oracle = oracles[ws.label(), key] = ws.moment(key, quad)
             diff = float("inf") if oracle is None else abs(closed[key] - oracle)
             out.append(
                 _check(f"moments/{ws.label()}/{key}", diff, 1e-9, "le", kind="numeric")
             )
-    return out
+    return out, oracles
 
 
-def _erratum_checks(quad: QuadSpec) -> list[dict]:
-    cross = w.young(1.5).moment("m11", quad)
+def _erratum_checks(oracles: dict) -> list[dict]:
+    cross = oracles["young(p=1.5)", "m11"]
     if cross is None:
         return [_check("erratum/oracle_p1.5", float("inf"), 1e-9, "le", kind="numeric")]
     proof = w.young_cross_moment_proof_display(1.5)
@@ -292,8 +293,9 @@ def verify_paper(quad: QuadSpec = QuadSpec()) -> Report:
     grid = mb.GridSpec()
     results: list[dict] = []
     results += _lemma_checks()
-    results += _moment_checks(quad)
-    results += _erratum_checks(quad)
+    moment_results, oracles = _moment_checks(quad)
+    results += moment_results
+    results += _erratum_checks(oracles)
     results += _divergence_checks(quad)
     results += _battery_checks(quad, grid)
     results += _degeneration_checks(quad)

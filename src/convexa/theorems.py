@@ -91,7 +91,12 @@ def _average(
 ) -> tuple[float, float]:
     """Average of f, or of the product f*g, over the interval, with its error."""
     integrand = f if g is None else lambda x: f(x) * g(x)
+    width = interval.width
     res = integrate(integrand, interval, spec)
+    if math.isinf(res.value):
+        # the integral overflows a double where the average need not
+        res = integrate(lambda x: integrand(x) / width, interval, spec)
+        width = 1.0
     if not math.isfinite(res.value):
         raise NonFiniteError(
             f"integral over [{interval.a}, {interval.b}] is not finite: {res.value!r}"
@@ -99,9 +104,9 @@ def _average(
     if not res.converged:
         raise NonConvergenceError(
             f"integral over [{interval.a}, {interval.b}] did not converge "
-            f"(error estimate {res.error_estimate:g})"
+            f"({res.stop_reason}, error estimate {res.error_estimate:g})"
         )
-    return res.value / interval.width, res.error_estimate / interval.width
+    return res.value / width, res.error_estimate / width
 
 
 def _require_finite(**members: float | None) -> None:

@@ -365,13 +365,24 @@ STRICT_CASES = [
      "error: integral over [1e+308, 1.7e+308] is not finite: inf"),
     (["sandwich", "--f", "exp(x)", "--class", "classical", "--a", "700", "--b", "800"],
      EXIT_NUMERIC, "error: integral over [700.0, 800.0] is not finite: inf"),
-    # the average 1.35e307 is a double, the integral is not
+    # the integral overflows a double, the average 1.35e307 does not
     (["sandwich", "--f", "x", "--class", "classical", "--a", "1e307", "--b", "1.7e307"],
-     EXIT_NUMERIC, "error: integral over [1e+307, 1.7e+307] is not finite: inf"),
+     EXIT_OK, None),
     # the oracle names the system, the row and the error estimate
     (["constants", "--p", "1.5", "--max-subdivisions", "1"], EXIT_NUMERIC,
      "error: constants oracle young_m10 of young(p=1.5) did not converge "
      "(error estimate 1.94634e-05)"),
+    # a theorem integral that does not converge names its stop reason
+    (["sandwich", "--f", "1/x", "--class", "classical", "--a", "0", "--b", "1"],
+     EXIT_NUMERIC, "error: integral over [0.0, 1.0] did not converge (divergent, "
+     "error estimate 1.84609)"),
+    (["sandwich", "--f", "x", "--class", "nesbitt", "--a", "1e307", "--b", "1.7e307"],
+     EXIT_OK, None),
+    (["product", "--f", "x", "--g", "1", "--class", "classical", "--a", "1e307",
+      "--b", "1.7e307"], EXIT_OK, None),
+    # sqrt(4) does not depend on x, so it is the integer exponent 2
+    (["check", "--f", "x^sqrt(4)", "--class", "classical", "--a", "-1", "--b", "1"],
+     EXIT_OK, None),
 ]
 
 

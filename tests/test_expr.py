@@ -344,6 +344,25 @@ def test_negative_base_integer_power_allowed():
     assert evaluate(parse_function("x^-2"), -2.0) == 0.25
 
 
+def test_exponent_free_of_x_is_an_integer_power():
+    # exact where exp(y*ln x) is not, and defined at a negative base
+    assert evaluate(parse_function("2^3^2"), 0.0) == 512.0
+    assert evaluate(parse_function("x^sqrt(4)"), -3.0) == 9.0
+    assert evaluate(parse_function("x^exp(0)"), -2.0) == -2.0
+    assert evaluate(parse_function("pow(x, abs(-3))"), -2.0) == -8.0
+
+
+@pytest.mark.parametrize("source,x,message", [
+    ("x^(1/0)", 2.0, "division by zero"),
+    ("x^ln(0)", 2.0, "ln of a non-positive argument"),
+    ("x^sqrt(2)", -1.0, "non-integer power of a non-positive base"),
+])
+def test_exponent_free_of_x_keeps_its_domain_errors(source, x, message):
+    with pytest.raises(ExprDomainError, match=message) as exc:
+        evaluate(parse_function(source), x)
+    assert exc.value.x == x
+
+
 def test_nan_converted_to_domain_error():
     # inf - inf inside, without a negative-domain trigger
     f = parse_function("exp(1/x) - exp(1/x)*1")

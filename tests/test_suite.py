@@ -9,7 +9,7 @@ from convexa.suite import Overall, verify_paper
 # integrand evaluations of the default verify_paper() run; raising it means
 # the suite computes integrals it does not check. 495 + 15 of them stop the
 # divergent Young p=2 m02 integral (16 bisections and the endpoint probe)
-VERIFY_PAPER_EVALUATIONS = 10_695
+VERIFY_PAPER_EVALUATIONS = 10_200
 # points the default verify_paper() run evaluates through FunctionDef:
 # 12 battery scans of 41*41*99 samples (one per (f, interval), shared by
 # its five classes), the Proposition's 41*41*99 default-grid and 41*41*2

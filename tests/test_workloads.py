@@ -1,7 +1,9 @@
 """The benchmark's own correctness checks (perfbench/workloads.py) in Tier-1.
 
 One oracle-sweep cycle at seed 0 runs constants_table and the eight
-theorems on seeded inputs whose values have closed forms. Each result, or
+theorems on seeded inputs whose values have closed forms; one grid-scan
+cycle at seed 0 scans seeded members and violators of four classes and
+recomputes each certificate. Each result, or
 the exception it raised, goes through the workload's `evaluate`, as the
 benchmark's worker does, so a change that would make the benchmark report
 incorrect outputs fails here first. The known-defect probes are left out.
@@ -18,6 +20,21 @@ def test_oracle_sweep_cycle_passes_its_checks(monkeypatch):
     workloads = importlib.import_module("workloads")
     ops = [op for batch in workloads.oracle_sweep(0).batches for op in batch]
     assert len(ops) == 193
+    failures = []
+    for op in ops:
+        try:
+            result = op.run()
+        except Exception as exc:  # a failed operation, checked below
+            result = exc
+        failures += [f"{op.name}: {s}" for s in workloads.evaluate(op, result)[0]]
+    assert failures == []
+
+
+def test_grid_scan_cycle_passes_its_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = [op for batch in workloads.grid_scan(0).batches for op in batch]
+    assert len(ops) == 16
     failures = []
     for op in ops:
         try:
