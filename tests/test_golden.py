@@ -1,4 +1,5 @@
-"""Golden bytes: report digests and exit codes that a refactor must keep.
+"""Golden bytes: report digests, help texts and exit codes that a refactor
+must keep.
 
 Each case pins the sha256 of the CLI's stdout and its exit code. A change
 that alters one of these bytes is a schema change, not a refactor. The
@@ -92,3 +93,27 @@ def test_report_bytes_pinned(argv, digest, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of each --help text at 80 columns (argparse wraps help to the
+# terminal width, read from COLUMNS); the layout is argparse's, so these pin
+# the options, their order, choices, defaults and help strings as rendered
+# by the Python 3.11 standard library
+HELP_DIGESTS = {
+    "": "06f16dcd30fc0b9894ecc47ab3a0781ea9da1089483809561c6ce18e6256fa38",
+    "check": "795a991ea7034b14b2247584fe7958beef4aa93fa4b23ddf2d2089c68f62dbe9",
+    "sandwich": "a5dadb3aa74f2988aa08ccd96246514b010d07f8987aaaed4a2a01deaac657f7",
+    "product": "faeb971a1558010d778a5c28ba2cbf81f803875f6399bdfc1d5136a39a333c4f",
+    "constants": "f5d45d8bc247d0bf1d39a8b23212e229ab2cc5e8beb09ae4a79aabd0ed492cb7",
+    "moments": "b64cbea4959e9686bda012cf5cee93dc796771c277482ee0d2cc54068a3d77f0",
+    "verify-paper": "b0ff0aa9935c4aba01fb6c1a43e6fe518025b1c60dc89cb2c9e2e21fe7ce98ff",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=lambda c: c or "convexa")
+def test_help_text_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(([command] if command else []) + ["--help"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[command]
