@@ -159,53 +159,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, with_function=True, with_class=True, with_interval=True,
-                   with_quadrature=True):
-        if with_function:
-            sp.add_argument("--f", dest="f_source", required=True, help="function of x")
-        if with_class:
-            sp.add_argument(
-                "--class",
-                dest="convexity_class",
-                choices=["classical", "young", "nesbitt"],
-                required=True,
-            )
-            sp.add_argument("--p", type=float, help="Young exponent (p > 1)")
-        if with_interval:
-            sp.add_argument("--a", type=float, required=True)
-            sp.add_argument("--b", type=float, required=True)
-        sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        sp.add_argument("--out", help="write the report to this path")
-        if with_quadrature:
-            sp.add_argument("--abs-tol", type=float, default=1e-10)
-            sp.add_argument("--rel-tol", type=float, default=1e-10)
-            sp.add_argument("--max-subdivisions", type=int, default=2000)
+    # the input groups, each declared once; a subcommand lists those it reads
+    function = argparse.ArgumentParser(add_help=False)
+    function.add_argument("--f", dest="f_source", required=True, help="function of x")
+    weight_class = argparse.ArgumentParser(add_help=False)
+    weight_class.add_argument("--class", dest="convexity_class", required=True,
+                              choices=[k.value for k in w.WeightKind])
+    weight_class.add_argument("--p", type=float, help="Young exponent (p > 1)")
+    interval = argparse.ArgumentParser(add_help=False)
+    interval.add_argument("--a", type=float, required=True)
+    interval.add_argument("--b", type=float, required=True)
+    exponents = argparse.ArgumentParser(add_help=False)
+    exponents.add_argument("--p", type=float, action="append",
+                           help="Young exponent; repeatable")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    output.add_argument("--out", help="write the report to this path")
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--abs-tol", type=float, default=1e-10)
+    quadrature.add_argument("--rel-tol", type=float, default=1e-10)
+    quadrature.add_argument("--max-subdivisions", type=int, default=2000)
+    theorem = [function, weight_class, interval, output, quadrature]
 
-    sp = sub.add_parser("check", help="grid-search membership test")
-    add_common(sp, with_quadrature=False)
+    sp = sub.add_parser("check", parents=[function, weight_class, interval, output],
+                        help="grid-search membership test")
     sp.add_argument("--nx", type=int, default=41)
     sp.add_argument("--ny", type=int, default=41)
     sp.add_argument("--nt", type=int, default=99)
     sp.add_argument("--t-min", type=float, default=1e-4)
     sp.add_argument("--tol", type=float, default=1e-9)
-
-    sp = sub.add_parser("sandwich", help="evaluate the class's sandwich inequality")
-    add_common(sp)
-
-    sp = sub.add_parser("product", help="evaluate the class's product bound(s)")
-    add_common(sp)
+    sub.add_parser("sandwich", parents=theorem,
+                   help="evaluate the class's sandwich inequality")
+    sp = sub.add_parser("product", parents=theorem,
+                        help="evaluate the class's product bound(s)")
     sp.add_argument("--g", dest="g_source", required=True, help="second function of x")
-
-    sp = sub.add_parser("constants", help="closed-form constants vs quadrature oracle")
-    sp.add_argument("--p", type=float, action="append", default=None,
-                    help="Young exponent; repeatable")
-    add_common(sp, with_function=False, with_class=False, with_interval=False)
-
-    sp = sub.add_parser("moments", help="weight moments: closed form and quadrature")
-    add_common(sp, with_function=False, with_interval=False)
-
-    sp = sub.add_parser("verify-paper", help="run the full verification suite")
-    add_common(sp, with_function=False, with_class=False, with_interval=False)
+    sub.add_parser("constants", parents=[exponents, output, quadrature],
+                   help="closed-form constants vs quadrature oracle")
+    sub.add_parser("moments", parents=[weight_class, output, quadrature],
+                   help="weight moments: closed form and quadrature")
+    sub.add_parser("verify-paper", parents=[output, quadrature],
+                   help="run the full verification suite")
     return parser
 
 

@@ -84,17 +84,17 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
-# samples per tile of the scan: 64 KiB per float64 temporary keeps a tile
-# in L2 and under glibc's default 128 KiB mmap threshold, so temporaries are
-# reused from the heap instead of being mapped and faulted in per tile
+# samples per tile: 64 KiB per float64 temporary keeps a tile in L2 and under
+# glibc's 128 KiB mmap threshold, so temporaries come from the heap; whether a
+# freed one is reused or trimmed and faulted in again is set by the heap layout
 _BLOCK_SAMPLES = 8192
 
 
 def _certificate_at(f, ws, x, y, t, sign) -> ViolationCertificate:
-    # scalar recomputation through the same evaluation path as the grid scan
-    wx, wy = ws.eval_arrays(np.array([t]))
+    # scalar recomputation; ws.eval shares the grid scan's evaluation path
+    pair = ws.eval(t)
     lhs = f(t * x + (1.0 - t) * y)
-    rhs = float(wx[0]) * f(x) + float(wy[0]) * f(y)
+    rhs = pair.wx * f(x) + pair.wy * f(y)
     return ViolationCertificate(x, y, t, lhs, rhs, sign * (lhs - rhs))
 
 
@@ -106,16 +106,13 @@ def _exceeds(gap, lhs, rhs, tol):
 def _tiles(nx: int, ny: int, nt: int):
     """The scan's tiles in scan order, as (i0, i1, y slices) per x row group.
 
-    A tile has whole t rows: k = _BLOCK_SAMPLES // (ny*nt) whole x rows when
-    one fits, else one x row cut into the fewest y slices of at most
-    max(1, _BLOCK_SAMPLES // nt) rows, balanced so no slice is a short tail.
+    A tile is max(1, _BLOCK_SAMPLES // (ny*nt)) x rows by the fewest balanced
+    y slices of at most max(1, _BLOCK_SAMPLES // nt) rows, with whole t rows.
     """
-    if ny * nt <= _BLOCK_SAMPLES:
-        rows, y_slices = _BLOCK_SAMPLES // (ny * nt), [(0, ny)]
-    else:
-        count = -(-ny // max(1, _BLOCK_SAMPLES // nt))
-        cuts = [ny * s // count for s in range(count + 1)]
-        rows, y_slices = 1, list(zip(cuts, cuts[1:]))
+    count = -(-ny // max(1, _BLOCK_SAMPLES // nt))
+    cuts = [ny * s // count for s in range(count + 1)]
+    y_slices = list(zip(cuts, cuts[1:]))
+    rows = max(1, _BLOCK_SAMPLES // (ny * nt))
     for i0 in range(0, nx, rows):
         yield i0, min(i0 + rows, nx), y_slices
 

@@ -108,9 +108,8 @@ class QuadResult:
     subdivisions: int
 
 
-# off-centre node offsets in panel half-widths, one -x, +x pair per node x;
-# the centre is placed directly, as h * 0.0 is NaN when the width overflows
-_OFFSETS = tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
+# half-width offsets, centre first (Interval keeps h finite, so c + h * 0.0 == c)
+_OFFSETS = np.array([0.0] + [s * x for x in _XGK[:7] for s in (-1.0, 1.0)])
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -125,9 +124,8 @@ def _gk15(f, lo: float, hi: float):
     """One Gauss-Kronrod panel: (kronrod value, |K15 - G7| error estimate)."""
     c = _midpoint(lo, hi)
     h = 0.5 * (hi - lo)
-    nodes = [c] + [c + h * x for x in _OFFSETS]
     with np.errstate(all="ignore"):
-        out = np.asarray(f(np.array(nodes)), dtype=float)
+        out = np.asarray(f(c + h * _OFFSETS), dtype=float)
     if out.shape != (15,):
         raise TypeError(
             f"an integrand must return one value per node: shape (15,), got {out.shape}"

@@ -226,9 +226,7 @@ def _proposition_checks(grid: mb.GridSpec) -> list[dict]:
     interval = Interval(0.0, 1.0)
     ws = w.young(2.0)
     # canonical Proposition witness: a t-grid whose first point is 1/2
-    witness_grid = mb.GridSpec(
-        nx=grid.nx, ny=grid.ny, nt=2, t_min=0.5, tol=grid.tol
-    )
+    witness_grid = dataclasses.replace(grid, nt=2, t_min=0.5)
     report = mb.check_convex(f, interval, ws, witness_grid)
     cert = report.certificate
     metric = (
