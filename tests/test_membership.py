@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexa.errors import DomainError
 from convexa.expr import ExprDomainError, parse_function
 from convexa.membership import (
     GridSpec,
     Verdict,
+    check_classes,
     check_concave,
     check_convex,
     nonnegativity_witness,
@@ -146,6 +149,45 @@ def test_domination_implication(source):
         assert ok
         report = check_convex(f, interval, ws)
         assert report.verdict is Verdict.NO_VIOLATION_AT_RESOLUTION
+
+
+_COEFF = st.floats(0.0, 10.0)
+# c * b(x) with c >= 0 and b >= 0 on [-3, inf)
+_NONNEGATIVE_TERM = st.one_of(
+    st.builds(lambda c, k: f"{c!r}*x^{2 * k}", _COEFF, st.integers(0, 3)),
+    st.builds(lambda c, k: f"{c!r}*exp({k}*x)", _COEFF, st.integers(-2, 2)),
+    st.builds(lambda c: f"{c!r}*sqrt(x+3)", _COEFF),
+    st.builds(lambda c, s: f"{c!r}*abs(x-({s!r}))", _COEFF, st.floats(-3.0, 5.0)),
+    st.builds(lambda c: f"{c!r}*cos(x)^2", _COEFF),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    terms=st.lists(_NONNEGATIVE_TERM, min_size=1, max_size=4),
+    a=st.floats(-3.0, 2.0),
+    width=st.floats(0.05, 3.0),
+    ps=st.tuples(st.floats(1.01, 10.0), st.floats(1.01, 10.0)),
+    shape=st.tuples(st.integers(2, 21), st.integers(2, 21), st.integers(2, 40)),
+    t_min=st.floats(1e-4, 0.5),
+)
+def test_dominating_scans_gap_no_more_than_classical(terms, a, width, ps, shape, t_min):
+    # for f >= 0 the weights that dominate (t, 1 - t) give a right-hand side
+    # no smaller than the classical one at every cell, so no larger gap, up
+    # to the rounding of the right-hand sides (magnitude max|f| on the grid)
+    f = parse_function(" + ".join(terms))
+    interval = Interval(a, a + width)
+    grid = GridSpec(*shape, t_min=t_min)
+    systems = [classical(), nesbitt(), young(ps[0]), young(ps[1])]
+    for ws in systems[1:]:
+        assert dominates_classical(ws, 999)[0]
+    reports = check_classes(f, interval, systems, grid)
+    xs = np.linspace(interval.a, interval.b, grid.nx)
+    ys = np.linspace(interval.a, interval.b, grid.ny)
+    f_max = float(max(np.abs(f(xs)).max(), np.abs(f(ys)).max()))
+    slack = 8.0 * 2.0**-52 * max(1.0, f_max)
+    for report in reports[1:]:
+        assert report.max_gap <= reports[0].max_gap + slack
 
 
 def test_determinism():

@@ -1,12 +1,13 @@
 """The benchmark's own correctness checks (perfbench/workloads.py) in Tier-1.
 
-One oracle-sweep cycle at seed 0 runs constants_table and the eight
-theorems on seeded inputs whose values have closed forms; one grid-scan
-cycle at seed 0 scans seeded members and violators of four classes and
-recomputes each certificate. Each result, or the exception it raised, goes
-through the workload's `evaluate`, as the benchmark's worker does, so a
-change that would make the benchmark report incorrect outputs fails here
-first. The known-defect probes are left out.
+One verify-paper cycle renders the suite's JSON report and checks its
+digest and the AllHold verdict. One oracle-sweep cycle at seed 0 runs
+constants_table and the eight theorems on seeded inputs whose values have
+closed forms; one grid-scan cycle at seed 0 scans seeded members and
+violators of four classes and recomputes each certificate. Each result, or
+the exception it raised, goes through the workload's `evaluate`, as the
+benchmark's worker does, so a change that would make the benchmark report
+incorrect outputs fails here first. The known-defect probes are left out.
 """
 
 import importlib
@@ -37,3 +38,7 @@ def test_oracle_sweep_cycle_passes_its_checks(monkeypatch):
 
 def test_grid_scan_cycle_passes_its_checks(monkeypatch):
     assert _cycle_failures(monkeypatch, "grid_scan", 16) == []
+
+
+def test_verify_paper_cycle_passes_its_checks(monkeypatch):
+    assert _cycle_failures(monkeypatch, "verify_paper", 1) == []
