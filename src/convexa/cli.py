@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quadrature.add_argument("--abs-tol", type=float, default=1e-10)
     quadrature.add_argument("--rel-tol", type=float, default=1e-10)
     quadrature.add_argument("--max-subdivisions", type=int, default=2000)
-    theorem = [function, weight_class, interval, output, quadrature]
+    theorem_groups = [function, weight_class, interval, output, quadrature]
 
     sp = sub.add_parser("check", parents=[function, weight_class, interval, output],
                         help="grid-search membership test")
@@ -188,9 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nt", type=int, default=99)
     sp.add_argument("--t-min", type=float, default=1e-4)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sub.add_parser("sandwich", parents=theorem,
+    sub.add_parser("sandwich", parents=theorem_groups,
                    help="evaluate the class's sandwich inequality")
-    sp = sub.add_parser("product", parents=theorem,
+    sp = sub.add_parser("product", parents=theorem_groups,
                         help="evaluate the class's product bound(s)")
     sp.add_argument("--g", dest="g_source", required=True, help="second function of x")
     sub.add_parser("constants", parents=[exponents, output, quadrature],
