@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -423,3 +424,141 @@ def test_builtin_array_eval():
             bits = {float(f(float(x))).hex(), float(parsed(float(x))).hex()}
             assert bits == {float(e).hex()}
     assert builtin_function("abs_shift", 0.5).source == "abs_shift(0.5)"
+
+
+# -- differential: the tree-walking evaluator as an oracle ---------------------------
+#
+# The evaluator below is the tree walk that preceded the compiled one, kept
+# verbatim as the reference. It shares `_guard` and `_int_power` with the
+# module, so a change to either shows in both.
+
+from convexa.expr import _guard, _int_power  # noqa: E402
+
+_ORACLE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": operator.truediv}
+
+
+def _oracle_power(base, exponent_node, xs):
+    expo = _oracle_eval_node(exponent_node, xs)
+    if not isinstance(expo, np.ndarray) and expo.is_integer() and abs(expo) <= 2**31:
+        return _int_power(base, int(expo), xs)
+    _guard(base <= 0.0, "non-integer power of a non-positive base", xs)
+    return np.exp(expo * np.log(base))
+
+
+def _oracle_eval_node(node, xs):
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return xs
+    if isinstance(node, Neg):
+        return -_oracle_eval_node(node.child, xs)
+    if isinstance(node, Call):
+        if node.name == "pow":
+            return _oracle_power(_oracle_eval_node(node.args[0], xs), node.args[1], xs)
+        func, bad, message = FUNCTIONS[node.name]
+        v = _oracle_eval_node(node.args[0], xs)
+        if bad is not None:
+            _guard(bad(v), message, xs)
+        return func(v)
+    if node.op == "^":
+        return _oracle_power(_oracle_eval_node(node.left, xs), node.right, xs)
+    left = _oracle_eval_node(node.left, xs)
+    right = _oracle_eval_node(node.right, xs)
+    if node.op == "/":
+        _guard(right == 0.0, "division by zero", xs)
+    return _ORACLE_ARITH[node.op](left, right)
+
+
+def _oracle_call(tree, x):
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    if scalar:
+        xs = xs.reshape(1)
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(np.asarray(_oracle_eval_node(tree, xs)), xs.shape)
+    _guard(np.isnan(values), "evaluation produced NaN", xs)
+    return float(values[0]) if scalar else values
+
+
+# a scalar, 1 point, 15 points and one scan tile
+_DIFF_15 = np.array([-1e308, -2.5, -1.0, -0.0, 0.0, 5e-324, 0.3, 0.5, 1.0, 2.0,
+                     3.0, 7.25, 710.0, 1e300, 1e308])
+_DIFF_INPUTS = (0.3, np.array([-2.5]), _DIFF_15,
+                np.linspace(1e-3, 4.0, 2 * 41 * 99).reshape(2, 41, 99))
+
+_DIFF_CONSTANTS = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -2.0, 1.5, 1 / 3, 1e-320, 5e-324,
+     2.2250738585072014e-308, 1e308, math.inf, -math.inf]
+)
+_DIFF_LEAF = st.one_of(
+    st.just(Var()),
+    st.builds(Num, _DIFF_CONSTANTS),
+    st.builds(Num, st.floats(allow_nan=False)),
+)
+
+
+def _diff_outcome(call, x):
+    """What a call returns or raises, as bits; the caller's input must not change."""
+    before = np.array(x, copy=True)
+    try:
+        value = call(x)
+    except Exception as exc:  # the type is part of the outcome
+        outcome = (type(exc), str(exc), float(getattr(exc, "x", math.nan)).hex())
+    else:
+        if isinstance(value, float):
+            outcome = ("scalar", float(value).hex())
+        else:
+            outcome = ("array", value.shape, value.dtype, value.flags.writeable,
+                       np.ascontiguousarray(value).view(np.uint64).tobytes())
+    assert np.array(x).tobytes() == before.tobytes()
+    return outcome
+
+
+def _assert_same_as_oracle(tree):
+    f = FunctionDef("f", tree)
+    for x in _DIFF_INPUTS:
+        assert _diff_outcome(f, x) == _diff_outcome(lambda v: _oracle_call(tree, v), x)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_ast_strategy(_DIFF_LEAF))
+@example(BinOp("^", Var(), Num(0.0)))
+@example(BinOp("^", Var(), Num(1.0)))
+@example(Call("pow", (Var(), Num(1.0))))
+@example(BinOp("^", Var(), Neg(Num(2.0))))
+@example(BinOp("^", Var(), Num(0.5)))
+@example(Call("pow", (BinOp("+", Var(), Num(1.0)), Num(1.5))))
+@example(BinOp("^", BinOp("*", Var(), Num(2.0)), Num(1.0)))
+@example(BinOp("+", BinOp("^", Var(), Num(1.0)), Var()))
+@example(BinOp("/", Var(), BinOp("-", Num(1.0), Num(1.0))))
+@example(BinOp("+", Var(), Call("ln", (Neg(Num(1.0)),))))
+@example(BinOp("^", Var(), Call("ln", (Num(0.0),))))
+@example(BinOp("^", BinOp("/", Num(1.0), Num(2.0)), Neg(Num(2000.0))))
+@example(BinOp("^", Num(1e-320), Neg(Num(2.0))))
+@example(BinOp("^", BinOp("/", BinOp("^", Num(2.0), Num(0.0)),
+                          BinOp("+", BinOp("^", Num(2.0), Num(0.0)),
+                                BinOp("^", Num(2.0), Num(0.0)))), Neg(Num(2000.0))))
+@example(BinOp("*", Num(0.0), Call("exp", (Num(1000.0),))))
+@example(Num(-0.0))
+@example(Var())
+def test_compiled_evaluator_matches_tree_walk(tree):
+    """Values bit for bit, errors by type, message and x, inputs untouched."""
+    _assert_same_as_oracle(tree)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.text(alphabet=_FUZZ_ALPHABET, max_size=40))
+@example("0.7*x^2 + 0.3*x^3 + 0.9")
+@example("exp(sqrt(2 + (3*x)^2))")
+@example("-1.5 - 0.25*x^2")
+@example("sqrt(x + 0.5)")
+@example("x^(1/0)")
+@example("x^ln(0)")
+@example("2^3^2 * x")
+def test_compiled_evaluator_matches_tree_walk_on_sources(source):
+    try:
+        tree = parse_source(source)
+    except ExprSyntaxError:
+        return
+    _assert_same_as_oracle(tree)
