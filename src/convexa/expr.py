@@ -9,14 +9,17 @@ tree or parser nesting is deeper than `MAX_DEPTH` is a syntax error.
 that does not depend on x, exp(y*ln x) with x > 0 otherwise. A NaN never
 propagates silently; it is converted to a domain error carrying the
 offending x.
-Evaluation accepts a scalar or an ndarray and uses one code path for both,
-so grid scans and pointwise recomputation agree bit-for-bit.
+A FunctionDef compiles its tree once, when it is built, into a chain of
+closures: each x-free subtree is evaluated then and becomes an np.float64
+constant, and each operation writes in place into a temporary that the chain
+made itself. One chain serves a scalar and an ndarray alike, so grid scans
+and pointwise recomputation agree bit-for-bit.
 """
 
 import enum
 import math
-import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -61,7 +64,7 @@ class Token:
 
 
 # name -> (numpy function, domain-violation test or None, its message);
-# pow takes two arguments and is evaluated by _power
+# pow takes two arguments and is evaluated by _exponentiate
 FUNCTIONS = {
     "exp": (np.exp, None, None),
     "ln": (np.log, lambda v: v <= 0.0, "ln of a non-positive argument"),
@@ -325,19 +328,16 @@ def unparse(node: Ast) -> str:
 # --- evaluation --------------------------------------------------------------
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
 def _guard(bad, message: str, xs: np.ndarray) -> None:
-    """Raise a domain error at the first x where the mask `bad` holds."""
-    if np.any(bad):
+    """Raise a domain error at the first x where the mask `bad` holds, if any x."""
+    if xs.size and np.any(bad):
         idx = int(np.argmax(np.broadcast_to(bad, xs.shape).ravel()))
         raise ExprDomainError(message, float(xs.ravel()[idx]))
 
 
 def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
     if n == 0:
-        return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+        return np.ones_like(base) if isinstance(base, np.ndarray) else np.float64(1.0)
     invert = n < 0
     n = abs(n)
     if invert:
@@ -353,37 +353,92 @@ def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
     return 1.0 / result if invert else result
 
 
-def _power(base, exponent_node: Ast, xs: np.ndarray):
-    expo = _eval_node(exponent_node, xs)
-    # a scalar, not an ndarray, is an exponent that does not depend on x
-    if not isinstance(expo, np.ndarray) and expo.is_integer() and abs(expo) <= 2**31:
-        return _int_power(base, int(expo), xs)
-    _guard(base <= 0.0, "non-integer power of a non-positive base", xs)
-    return np.exp(expo * np.log(base))
+# What a compiled evaluator returns: a folded constant; an x-free value whose
+# folding raised; an array that no evaluator writes (xs, or a ^, pow or abs
+# result, as x^1 is its base); or its own temporary, which its parent reuses.
+_CONST, _RAISES, _SHARED, _OWNED = range(4)
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _eval_node(node: Ast, xs: np.ndarray):
+def _checked(arg, kind, bad, message):
+    """arg with its domain test, if any; a constant that passes needs none."""
+    if bad is None or kind == _CONST and not bad(arg(None)):
+        return arg
+
+    def checked(xs):
+        v = arg(xs)
+        _guard(bad(v), message, xs)
+        return v
+
+    return checked
+
+
+def _unary(func, arg, kind):
+    if kind == _OWNED:
+        return lambda xs: func(v := arg(xs), out=v)
+    return lambda xs: func(arg(xs))
+
+
+def _binary(op, left, lkind, right, rkind):
+    if lkind == _OWNED:
+        return lambda xs: op(v := left(xs), right(xs), out=v)
+    if rkind == _OWNED:
+        return lambda xs: op(left(xs), v := right(xs), out=v)
+    return lambda xs: op(left(xs), right(xs))
+
+
+def _exponentiate(base, expo, expo_kind):
+    """base^expo: exact repeated multiplication for an x-free integer expo."""
+    if expo_kind == _CONST and (n := expo(None)).is_integer() and abs(n) <= 2**31:
+        n = int(n)
+        return lambda xs: _int_power(base(xs), n, xs)
+
+    def power(xs):
+        b, e = base(xs), expo(xs)
+        # a scalar, not an ndarray, is an exponent that does not depend on x
+        if not isinstance(e, np.ndarray) and e.is_integer() and abs(e) <= 2**31:
+            return _int_power(b, int(e), xs)
+        _guard(b <= 0.0, "non-integer power of a non-positive base", xs)
+        return np.exp(e * np.log(b))
+
+    return power
+
+
+def _compile(node: Ast):
+    """Compile a tree into (evaluator of xs, kind of the value it returns).
+
+    Each x-free subtree is evaluated here, once, into an np.float64 constant;
+    one whose evaluation raises is kept, to raise at the call's x.
+    """
     if isinstance(node, Num):
-        return np.float64(node.value)
+        value = np.float64(node.value)
+        return (lambda xs: value), _CONST
     if isinstance(node, Var):
-        return xs
-    if isinstance(node, Neg):
-        return -_eval_node(node.child, xs)
-    if isinstance(node, Call):
-        if node.name == "pow":
-            return _power(_eval_node(node.args[0], xs), node.args[1], xs)
-        func, bad, message = FUNCTIONS[node.name]
-        v = _eval_node(node.args[0], xs)
-        if bad is not None:
-            _guard(bad(v), message, xs)
-        return func(v)
-    if node.op == "^":
-        return _power(_eval_node(node.left, xs), node.right, xs)
-    left = _eval_node(node.left, xs)
-    right = _eval_node(node.right, xs)
-    if node.op == "/":
-        _guard(right == 0.0, "division by zero", xs)
-    return _ARITH[node.op](left, right)
+        return (lambda xs: xs), _SHARED
+    if isinstance(node, BinOp):
+        op, children = node.op, (node.left, node.right)
+    else:
+        op, children = ("neg", (node.child,)) if isinstance(node, Neg) else (node.name, node.args)
+    args = [_compile(child) for child in children]
+    (fn, kind), *rest = args
+    if op in ("^", "pow"):
+        fn = _exponentiate(fn, *rest[0])
+    elif rest:
+        right, rkind = rest[0]
+        if op == "/":
+            right = _checked(right, rkind, lambda v: v == 0.0, "division by zero")
+        fn = _binary(_UFUNCS[op], fn, kind, right, rkind)
+    else:
+        func, bad, message = FUNCTIONS.get(op, (np.negative, None, None))
+        fn = _unary(func, _checked(fn, kind, bad, message), kind)
+    if max(k for _, k in args) >= _SHARED:
+        return fn, _SHARED if op in ("^", "pow", "abs") else _OWNED
+    try:
+        with np.errstate(all="ignore"):
+            value = np.float64(fn(np.zeros(1)))
+    except ExprDomainError:
+        return fn, _RAISES
+    return (lambda xs: value), _CONST
 
 
 BUILTINS = ("square", "exponential", "identity", "constant", "abs_shift")
@@ -391,10 +446,18 @@ BUILTINS = ("square", "exponential", "identity", "constant", "abs_shift")
 
 @dataclass(frozen=True)
 class FunctionDef:
-    """A user function: its source label and expression tree."""
+    """A user function: its source label and expression tree, compiled once."""
 
     source: str
     ast: Ast
+    # ==, hash, repr and pickling see only (source, ast)
+    _evaluate: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_evaluate", _compile(self.ast)[0])
+
+    def __reduce__(self):
+        return FunctionDef, (self.source, self.ast)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -402,9 +465,17 @@ class FunctionDef:
         if scalar:
             xs = xs.reshape(1)
         with np.errstate(all="ignore"):
-            values = np.broadcast_to(np.asarray(_eval_node(self.ast, xs)), xs.shape)
-        _guard(np.isnan(values), "evaluation produced NaN", xs)
-        return float(values[0]) if scalar else values
+            values = self._evaluate(xs)
+        if not (isinstance(values, np.ndarray) and values.shape == xs.shape):
+            values = np.broadcast_to(values, xs.shape)  # f is free of x
+        # NaN propagates through max, which an empty xs does not have
+        if xs.size and math.isnan(values.max()):
+            _guard(np.isnan(values), "evaluation produced NaN", xs)
+        if scalar:
+            return float(values[0])
+        values = values.view()  # read-only, as values may be the caller's own xs
+        values.flags.writeable = False
+        return values
 
 
 def parse_function(source: str) -> FunctionDef:

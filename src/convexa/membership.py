@@ -84,9 +84,10 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
-# samples per tile: 64 KiB per float64 temporary keeps a tile in L2 and under
-# glibc's 128 KiB mmap threshold, so temporaries come from the heap; whether a
-# freed one is reused or trimmed and faulted in again is set by the heap layout
+# samples per tile: 64 KiB per float64 array keeps a tile in L2. A scan
+# allocates its three tile buffers (points, rhs, d) once; only f's own
+# temporaries are allocated per tile, and at 64 KiB, under glibc's 128 KiB
+# mmap threshold, they come from the heap
 _BLOCK_SAMPLES = 8192
 
 
@@ -151,18 +152,22 @@ def check_classes(
         for ws in systems:
             wx, wy = ws.eval_arrays(ts)
             terms.append((wx, wy[None, :] * fy[:, None]))
+        # every tile fills views of the same three buffers
+        buffers = [np.empty(max(_BLOCK_SAMPLES, grid.nt)) for _ in range(3)]
         for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
             x_part = ts * xs[i0:i1, None, None]
             fxi = fx[i0:i1, None, None]
             for j0, j1 in y_slices:
-                points = x_part + y_part[j0:j1]
+                shape = (i1 - i0, j1 - j0, grid.nt)
+                points, rhs, d = (b[: math.prod(shape)].reshape(shape) for b in buffers)
+                np.add(x_part, y_part[j0:j1], out=points)
                 lhs = f(points)
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
                     if errors[c] is not None:
                         continue
                     # w_x f(x) is one t row per x, so it is formed per tile
-                    rhs = wx * fxi + wy_fy[j0:j1]
-                    d = lhs - rhs
+                    np.add(wx * fxi, wy_fy[j0:j1], out=rhs)
+                    np.subtract(lhs, rhs, out=d)
                     top = float(d.max())
                     bottom = float(d.min())
                     if not (math.isfinite(top) and math.isfinite(bottom)):

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import operator
+import pickle
 import warnings
 
 import numpy as np
@@ -521,7 +524,7 @@ def _assert_same_as_oracle(tree):
         assert _diff_outcome(f, x) == _diff_outcome(lambda v: _oracle_call(tree, v), x)
 
 
-@settings(deadline=None, max_examples=400)
+@settings(deadline=None, max_examples=300)
 @given(_ast_strategy(_DIFF_LEAF))
 @example(BinOp("^", Var(), Num(0.0)))
 @example(BinOp("^", Var(), Num(1.0)))
@@ -547,7 +550,7 @@ def test_compiled_evaluator_matches_tree_walk(tree):
     _assert_same_as_oracle(tree)
 
 
-@settings(deadline=None, max_examples=400)
+@settings(deadline=None, max_examples=300)
 @given(st.text(alphabet=_FUZZ_ALPHABET, max_size=40))
 @example("0.7*x^2 + 0.3*x^3 + 0.9")
 @example("exp(sqrt(2 + (3*x)^2))")
@@ -562,3 +565,66 @@ def test_compiled_evaluator_matches_tree_walk_on_sources(source):
     except ExprSyntaxError:
         return
     _assert_same_as_oracle(tree)
+
+
+# -- empty input, value semantics and warnings --------------------------------------
+
+
+@pytest.mark.parametrize("source", [s for s, _, _ in CORPUS] + ["ln(0-1)", "1/0", "x^ln(0)"])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_empty_input_returns_empty_array(source, shape):
+    """An empty input has no point to blame, so every source returns it empty."""
+    values = parse_function(source)(np.empty(shape))
+    assert isinstance(values, np.ndarray)
+    assert values.shape == shape and values.dtype == np.float64
+
+
+def test_function_def_value_semantics():
+    f = parse_function("0.7*x^2 + 0.3*x^3 + 0.9")
+    twin = FunctionDef(f.source, parse_source(f.source))
+    assert f == twin and hash(f) == hash(twin)
+    assert repr(f) == f"FunctionDef(source={f.source!r}, ast={f.ast!r})"
+    assert f != FunctionDef("other label", f.ast)
+    xs = np.linspace(-2.0, 2.0, 15)
+    before = [pickle.loads(pickle.dumps(f)), copy.deepcopy(f)]  # not yet called
+    values = f(xs).tobytes()
+    after = [pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)]
+    for clone in before + after:
+        assert clone == f and clone(xs).tobytes() == values
+    cube = dataclasses.replace(f, ast=parse_source("x^3"))
+    assert cube.source == f.source and cube(2.0) == 8.0 and f(2.0) != 8.0
+
+
+@pytest.mark.parametrize("source", ["x*1e308*10", "exp(1000) + x", "x + (0-1)^0.5"])
+def test_building_and_calling_leak_no_warning(source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = parse_function(source)  # building neither raises nor warns
+        xs = np.array([0.25, 1.0])
+        try:
+            values = f(xs)
+        except ExprDomainError as exc:
+            assert source == "x + (0-1)^0.5"
+            assert str(exc) == "non-integer power of a non-positive base (at x=0.25)"
+            assert exc.x == 0.25
+        else:
+            assert np.isinf(values).all()
+            assert np.isinf(f(3.0))
+
+
+def test_result_is_a_read_only_view_of_its_own():
+    xs = np.array([0.5, 1.0, 2.0])
+    for source in ("x", "x^1", "pow(x, 1)", "abs(x)", "3", "x + 1"):
+        values = parse_function(source)(xs)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 7.0
+    assert xs.flags.writeable and list(xs) == [0.5, 1.0, 2.0]
+
+
+def test_underflowing_constant_power_reads_inf():
+    # the constants are np.float64, so 1 / 0.5^2000 is inf, as it is for
+    # x^-2000 at x = 0.5, not a Python ZeroDivisionError
+    f = parse_function("x + (2^0/(2^0+2^0))^-2000")
+    assert f(1.0) == math.inf
+    assert parse_function("x^-2000")(0.5) == math.inf
