@@ -353,21 +353,24 @@ def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
     return 1.0 / result if invert else result
 
 
-# What a compiled evaluator returns: a folded constant; an x-free value whose
-# folding raised; an array that no evaluator writes (xs, or a ^, pow or abs
-# result, as x^1 is its base); or its own temporary, which its parent reuses.
+# A compiled value is a folded constant, x-free but raising when folded, never
+# written (xs, or a ^, pow or abs result, as x^1 is its base), or a temporary.
 _CONST, _RAISES, _SHARED, _OWNED = range(4)
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _checked(arg, kind, bad, message):
-    """arg with its domain test, if any; a constant that passes needs none."""
+def _checked(arg, kind, bad, message, by_min=True):
+    """arg with its domain test, if any; a constant that passes needs none.
+
+    A test by_min holds somewhere iff it holds at the NaN-free minimum.
+    """
     if bad is None or kind == _CONST and not bad(arg(None)):
         return arg
 
     def checked(xs):
         v = arg(xs)
-        _guard(bad(v), message, xs)
+        if not (by_min and xs.size) or bad(np.fmin.reduce(v, axis=None)):
+            _guard(bad(v), message, xs)
         return v
 
     return checked
@@ -390,8 +393,7 @@ def _binary(op, left, lkind, right, rkind):
 def _exponentiate(base, expo, expo_kind):
     """base^expo: exact repeated multiplication for an x-free integer expo."""
     if expo_kind == _CONST and (n := expo(None)).is_integer() and abs(n) <= 2**31:
-        n = int(n)
-        return lambda xs: _int_power(base(xs), n, xs)
+        return lambda xs: _int_power(base(xs), int(n), xs)
 
     def power(xs):
         b, e = base(xs), expo(xs)
@@ -419,14 +421,13 @@ def _compile(node: Ast):
         op, children = node.op, (node.left, node.right)
     else:
         op, children = ("neg", (node.child,)) if isinstance(node, Neg) else (node.name, node.args)
-    args = [_compile(child) for child in children]
-    (fn, kind), *rest = args
+    (fn, kind), *rest = args = [_compile(child) for child in children]
     if op in ("^", "pow"):
         fn = _exponentiate(fn, *rest[0])
     elif rest:
         right, rkind = rest[0]
         if op == "/":
-            right = _checked(right, rkind, lambda v: v == 0.0, "division by zero")
+            right = _checked(right, rkind, lambda v: v == 0.0, "division by zero", False)
         fn = _binary(_UFUNCS[op], fn, kind, right, rkind)
     else:
         func, bad, message = FUNCTIONS.get(op, (np.negative, None, None))
@@ -450,7 +451,6 @@ class FunctionDef:
 
     source: str
     ast: Ast
-    # ==, hash, repr and pickling see only (source, ast)
     _evaluate: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -543,6 +543,8 @@ def _assert_same_as_oracle(tree):
                           BinOp("+", BinOp("^", Num(2.0), Num(0.0)),
                                 BinOp("^", Num(2.0), Num(0.0)))), Neg(Num(2000.0))))
 @example(BinOp("*", Num(0.0), Call("exp", (Num(1000.0),))))
+@example(Call("sqrt", (BinOp("-", BinOp("*", Var(), Num(math.inf)), Num(math.inf)),)))
+@example(Call("ln", (BinOp("-", BinOp("*", Var(), Num(math.inf)), Var()),)))
 @example(Num(-0.0))
 @example(Var())
 def test_compiled_evaluator_matches_tree_walk(tree):
