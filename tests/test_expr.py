@@ -614,7 +614,7 @@ def test_building_and_calling_leak_no_warning(source):
             assert np.isinf(f(3.0))
 
 
-def test_result_is_a_read_only_view_of_its_own():
+def test_result_is_a_read_only_view():
     xs = np.array([0.5, 1.0, 2.0])
     for source in ("x", "x^1", "pow(x, 1)", "abs(x)", "3", "x + 1"):
         values = parse_function(source)(xs)
