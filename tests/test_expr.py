@@ -23,6 +23,8 @@ from convexa.expr import (
     Num,
     TokenKind,
     Var,
+    _guard,
+    _int_power,
     builtin_function,
     evaluate,
     parse,
@@ -434,8 +436,6 @@ def test_builtin_array_eval():
 # The evaluator below is the tree walk that preceded the compiled one, kept
 # verbatim as the reference. It shares `_guard` and `_int_power` with the
 # module, so a change to either shows in both.
-
-from convexa.expr import _guard, _int_power  # noqa: E402
 
 _ORACLE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                  "/": operator.truediv}
