@@ -354,7 +354,7 @@ def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
 
 
 # A compiled value is a folded constant, x-free but raising when folded, never
-# written (xs, or a ^, pow or abs result, as x^1 is its base), or a temporary.
+# written (xs, or a ^ or pow result, as x^1 is its base), or a temporary.
 _CONST, _RAISES, _SHARED, _OWNED = range(4)
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
@@ -397,9 +397,6 @@ def _exponentiate(base, expo, expo_kind):
 
     def power(xs):
         b, e = base(xs), expo(xs)
-        # a scalar, not an ndarray, is an exponent that does not depend on x
-        if not isinstance(e, np.ndarray) and e.is_integer() and abs(e) <= 2**31:
-            return _int_power(b, int(e), xs)
         _guard(b <= 0.0, "non-integer power of a non-positive base", xs)
         return np.exp(e * np.log(b))
 
@@ -433,7 +430,7 @@ def _compile(node: Ast):
         func, bad, message = FUNCTIONS.get(op, (np.negative, None, None))
         fn = _unary(func, _checked(fn, kind, bad, message), kind)
     if max(k for _, k in args) >= _SHARED:
-        return fn, _SHARED if op in ("^", "pow", "abs") else _OWNED
+        return fn, _SHARED if op in ("^", "pow") else _OWNED
     try:
         with np.errstate(all="ignore"):
             value = np.float64(fn(np.zeros(1)))
@@ -466,7 +463,7 @@ class FunctionDef:
             xs = xs.reshape(1)
         with np.errstate(all="ignore"):
             values = self._evaluate(xs)
-        if not (isinstance(values, np.ndarray) and values.shape == xs.shape):
+        if not isinstance(values, np.ndarray):
             values = np.broadcast_to(values, xs.shape)  # f is free of x
         # NaN propagates through max, which an empty xs does not have
         if xs.size and math.isnan(values.max()):

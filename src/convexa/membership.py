@@ -14,7 +14,6 @@ since f(tx+(1-t)y) does not depend on the weights.
 """
 
 import enum
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -152,14 +151,14 @@ def check_classes(
         for ws in systems:
             wx, wy = ws.eval_arrays(ts)
             terms.append((wx, wy[None, :] * fy[:, None]))
-        # every tile fills views of the same three buffers, one set per shape
+        # every tile fills views of the same three buffers
         buffers = [np.empty(max(_BLOCK_SAMPLES, grid.nt)) for _ in range(3)]
-        views = functools.cache(lambda s: [b[: math.prod(s)].reshape(s) for b in buffers])
         for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
             x_part = ts * xs[i0:i1, None, None]
             fxi = fx[i0:i1, None, None]
             for j0, j1 in y_slices:
-                points, rhs, d = views((i1 - i0, j1 - j0, grid.nt))
+                shape = (i1 - i0, j1 - j0, grid.nt)
+                points, rhs, d = (b[: math.prod(shape)].reshape(shape) for b in buffers)
                 np.add(x_part, y_part[j0:j1], out=points)
                 lhs = f(points)
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
