@@ -397,7 +397,9 @@ def _exponentiate(base, expo, expo_kind):
 
     def power(xs):
         b, e = base(xs), expo(xs)
-        _guard(b <= 0.0, "non-integer power of a non-positive base", xs)
+        # b <= 0 holds somewhere iff it holds at the NaN-free minimum
+        if xs.size and np.fmin.reduce(b, axis=None) <= 0.0:
+            _guard(b <= 0.0, "non-integer power of a non-positive base", xs)
         return np.exp(e * np.log(b))
 
     return power

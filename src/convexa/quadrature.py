@@ -124,8 +124,7 @@ def _gk15(f, lo: float, hi: float):
     """One Gauss-Kronrod panel: (kronrod value, |K15 - G7| error estimate)."""
     c = _midpoint(lo, hi)
     h = 0.5 * (hi - lo)
-    with np.errstate(all="ignore"):
-        out = np.asarray(f(c + h * _OFFSETS), dtype=float)
+    out = np.asarray(f(c + h * _OFFSETS), dtype=float)
     if out.shape != (15,):
         raise TypeError(
             f"an integrand must return one value per node: shape (15,), got {out.shape}"
@@ -156,12 +155,15 @@ def integrate(
     and returns one value per node; a return of any other shape raises
     TypeError. Evaluator exceptions propagate to the caller. Refinement
     always bisects the panel with the largest error estimate; identical
-    inputs give bit-identical results.
+    inputs give bit-identical results. One np.errstate covers the whole
+    run, not each panel: the integrand's floating-point warnings are
+    ignored, and a non-finite panel stops the run as "stalled".
     """
     alpha = spec.left_singularity_exponent
-    if alpha is not None and alpha != 0.0:
-        return _integrate_desingularized(f, interval, spec, alpha)
-    return _adaptive(f, interval.a, interval.b, spec)
+    with np.errstate(all="ignore"):
+        if alpha is not None and alpha != 0.0:
+            return _integrate_desingularized(f, interval, spec, alpha)
+        return _adaptive(f, interval.a, interval.b, spec)
 
 
 def integrate_unit(

@@ -320,9 +320,8 @@ def _row(name, p, closed, oracle, note="") -> ConstantsRow:
     return ConstantsRow(name, p, closed, oracle, abs(closed - oracle), note)
 
 
-def _oracle_row(ws: w.WeightSystem, name, closed, g, degree, spec) -> ConstantsRow:
-    """The row of a constant whose oracle is the integral of g(w_x, w_y)."""
-    res = ws.integral(g, degree, spec)
+def _oracle_row(ws: w.WeightSystem, name, closed, res) -> ConstantsRow:
+    """The row of a constant whose oracle integral gave res."""
     if not res.converged:
         raise NonConvergenceError(f"constants oracle {name} of {ws.label()} did not "
                                   f"converge (error estimate {res.error_estimate:g})")
@@ -338,27 +337,33 @@ def constants_table(
     a time: its defined moments, one extra row and w_x + w_y. Young's extra
     row is the cross coefficient as displayed in the product-bound theorem,
     which disagrees with the oracle away from p = 2 (the proof display is
-    the one used in bounds); it is marked "erratum candidate".
+    the one used in bounds); it is marked "erratum candidate". A system's
+    integrals come from one `WeightSystem.integrals` call, one at a time,
+    so an error still stops the table at its own row.
     """
     rows: list[ConstantsRow] = []
     for ws in itertools.chain(map(w.young, p_values), [w.nesbitt()]):
         kind, p = ws.kind.value, ws.p
         closed = ws.moments_closed_form().entries()
+        keys = [key for key in w.MOMENT_INTEGRANDS if closed[key] is not None]
+        terms = [w.MOMENT_INTEGRANDS[key] for key in keys]
+        if p is None:
+            terms.append((lambda wx, wy: wx * (wx + wy), (1, 1)))
+        terms.append((lambda wx, wy: wx + wy, (0, 1)))
+        oracles = ws.integrals(terms, spec)
         moments = {
-            key: _oracle_row(ws, f"{kind}_{key}", closed[key], g, degree, spec)
-            for key, (g, degree) in w.MOMENT_INTEGRANDS.items()
-            if closed[key] is not None
+            key: _oracle_row(ws, f"{kind}_{key}", closed[key], next(oracles))
+            for key in keys
         }
         rows += moments.values()
         if p is None:
             rows.append(_oracle_row(ws, "nesbitt_ordered_coeff", NESBITT_ORDERED_COEFF,
-                                    lambda wx, wy: wx * (wx + wy), (1, 1), spec))
+                                    next(oracles)))
             w_sum = 3.0 * w.LN3 - 2.0
         else:
             display = w.young_cross_moment_theorem_display(p)
             rows.append(_row("young_m11_theorem_display", p, display,
                              moments["m11"].oracle, "erratum candidate"))
             w_sum = 2.0 * p / (p + 1.0)
-        rows.append(_oracle_row(ws, f"{kind}_w_sum", w_sum, lambda wx, wy: wx + wy,
-                                (0, 1), spec))
+        rows.append(_oracle_row(ws, f"{kind}_w_sum", w_sum, next(oracles)))
     return rows

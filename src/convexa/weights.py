@@ -13,7 +13,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,10 +57,11 @@ class MomentTable:
 
 
 def _unit_t(t, subject: str) -> np.ndarray:
-    """t as a float array, refused unless every value lies in (0, 1]."""
+    """t as a float array, refused unless every value lies in (0, 1]. A NaN
+    is refused too: min and max propagate it, and it fails both tests."""
     t = np.asarray(t, dtype=float)
-    if t.size and (np.min(t) <= 0.0 or np.max(t) > 1.0):
-        bad = t[(t <= 0.0) | (t > 1.0)].flat[0]
+    if t.size and not (t.min() > 0.0 and t.max() <= 1.0):
+        bad = t[~((t > 0.0) & (t <= 1.0))].flat[0]
         raise DomainError(f"{subject} defined for t in (0, 1], got t={bad}")
     return t
 
@@ -93,19 +94,25 @@ class WeightSystem:
         violation certificate recomputes bit-identically.
         """
         t = _unit_t(t, "weights are")
+        # each shared subexpression once, each sum and product in its
+        # written order, so the bits do not depend on the sharing
+        one_minus_t = 1.0 - t
         if self.kind is WeightKind.CLASSICAL:
-            return t, 1.0 - t
+            return t, one_minus_t
         if self.kind is WeightKind.YOUNG:
             p = self.p
-            wx = (1.0 / p) * t ** (1.0 / p) + ((p - 1.0) / p) * t ** (1.0 + 1.0 / p)
-            wy = ((p - 1.0) / p) * (1.0 - t) * t ** (1.0 / p) + (1.0 / p) * t ** (
-                1.0 / p - 1.0
-            ) * (1.0 - t)
+            inv_p = 1.0 / p
+            ratio = (p - 1.0) / p
+            root = t**inv_p
+            wx = inv_p * root + ratio * t ** (1.0 + inv_p)
+            wy = ratio * one_minus_t * root + inv_p * t ** (inv_p - 1.0) * one_minus_t
             return wx, wy
-        wx = 2.0 * t**2 / (3.0 - 2.0 * t) + 2.0 * t * (1.0 - t) / (1.0 + 2.0 * t)
-        wy = 2.0 * t * (1.0 - t) / (3.0 - 2.0 * t) + 2.0 * (1.0 - t) ** 2 / (
-            1.0 + 2.0 * t
-        )
+        two_t = 2.0 * t
+        left = 3.0 - two_t
+        right = 1.0 + two_t
+        cross = two_t * one_minus_t
+        wx = 2.0 * t**2 / left + cross / right
+        wy = cross / left + 2.0 * one_minus_t**2 / right
         return wx, wy
 
     def eval(self, t: float) -> WeightPair:
@@ -168,13 +175,14 @@ class WeightSystem:
             young_cross_moment_proof_display(p),
         )
 
-    def integral(
+    def integrals(
         self,
-        g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        degree: tuple[int, int],
+        terms: Iterable[tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                              tuple[int, int]]],
         spec: QuadSpec = QuadSpec(),
-    ) -> QuadResult:
-        """Quadrature of g(w_x, w_y) over t in [0, 1].
+    ) -> Iterator[QuadResult]:
+        """Quadrature of each g(w_x, w_y) over t in [0, 1], one QuadResult
+        per (g, degree) of terms, in order and only when asked for.
 
         degree = (i, j) names the most singular monomial w_x^i w_y^j of g.
         Young weights behave like w_x ~ t^(1/p) and w_y ~ t^(1/p - 1) at
@@ -182,30 +190,61 @@ class WeightSystem:
         passed to the quadrature as a left-endpoint hint when it lies in
         (-1, 0). Integrands that diverge are reported (converged=False).
         An integrable monomial that double precision cannot resolve raises
-        NonConvergenceError: its exponent rounds to -1 (p past ~1.8e16), or
-        t underflows to 0 in the hint's substitution (m01 at most p past
-        ~121, m02 at most p in [1.984, 2)).
+        NonConvergenceError when its term is reached: its exponent rounds
+        to -1 (p past ~1.8e16), or t underflows to 0 in the hint's
+        substitution (m01 at most p past ~121, m02 at most p in [1.984, 2)).
+
+        Integrals with the same substitution bisect the same panels first,
+        so the weights at each panel's nodes are computed once and shared
+        by this call's integrals, read-only; the values are those of
+        separate integrals, bit for bit. Nothing is kept after the call.
         """
-        hint = None
-        unresolved = f"the {self.label()} integral of degree {degree} cannot be resolved"
-        if self.kind is WeightKind.YOUNG:
-            i, j = degree
-            exponent = (i + j) / self.p - j
-            if (i + j) / self.p > j - 1 and not exponent > -1.0:
-                raise NonConvergenceError(f"{unresolved}: {i + j}/p - {j} rounds to -1")
-            if -1.0 < exponent < 0.0:
-                hint = exponent
-        local = dataclasses.replace(spec, left_singularity_exponent=hint)
-        try:
-            return integrate_unit(lambda t: g(*self.eval_arrays(t)), local)
-        except DomainError as exc:
-            raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
+        panels = {}  # node bytes -> read-only (w_x, w_y) at those nodes
+
+        def weights_at(t):
+            key = t.tobytes()
+            pair = panels.get(key)
+            if pair is None:
+                pair = self.eval_arrays(t)
+                for values in pair:
+                    values.flags.writeable = False
+                panels[key] = pair
+            return pair
+
+        for g, degree in terms:
+            hint = None
+            unresolved = (
+                f"the {self.label()} integral of degree {degree} cannot be resolved"
+            )
+            if self.kind is WeightKind.YOUNG:
+                i, j = degree
+                exponent = (i + j) / self.p - j
+                if (i + j) / self.p > j - 1 and not exponent > -1.0:
+                    raise NonConvergenceError(
+                        f"{unresolved}: {i + j}/p - {j} rounds to -1"
+                    )
+                if -1.0 < exponent < 0.0:
+                    hint = exponent
+            local = dataclasses.replace(spec, left_singularity_exponent=hint)
+            try:
+                result = integrate_unit(lambda t: g(*weights_at(t)), local)
+            except DomainError as exc:
+                raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
+            yield result
+
+    def integral(
+        self,
+        g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        degree: tuple[int, int],
+        spec: QuadSpec = QuadSpec(),
+    ) -> QuadResult:
+        """Quadrature of g(w_x, w_y) over t in [0, 1]; see `integrals`."""
+        return next(self.integrals([(g, degree)], spec))
 
     def moment(self, key: str, spec: QuadSpec = QuadSpec()) -> float | None:
         """One moment-table entry ("m10", ..., "m11") from the quadrature
         oracle; None when the integral does not converge."""
-        res = self.integral(*MOMENT_INTEGRANDS[key], spec)
-        return res.value if res.converged else None
+        return moment_value(self.integral(*MOMENT_INTEGRANDS[key], spec))
 
     def moments(self, spec: QuadSpec = QuadSpec()) -> MomentTable:
         """Moment table from the adaptive-quadrature oracle.
@@ -213,7 +252,13 @@ class WeightSystem:
         The Young m02 entry genuinely diverges for p >= 2 and is None
         (reported, not guessed).
         """
-        return MomentTable(*(self.moment(key, spec) for key in MOMENT_INTEGRANDS))
+        results = self.integrals(MOMENT_INTEGRANDS.values(), spec)
+        return MomentTable(*map(moment_value, results))
+
+
+def moment_value(result: QuadResult) -> float | None:
+    """An oracle moment: the integral's value, None when it did not converge."""
+    return result.value if result.converged else None
 
 
 # moment key -> (integrand of (w_x, w_y), degree (i, j) of its monomial)

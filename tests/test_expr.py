@@ -569,6 +569,34 @@ def test_compiled_evaluator_matches_tree_walk_on_sources(source):
     _assert_same_as_oracle(tree)
 
 
+_NAN_TILE = np.linspace(-1.0, 4.0, 7960)
+_NAN_TILE[[3, 5000]] = math.nan
+
+
+@pytest.mark.parametrize("source", ["x^0.5", "pow(x, 2.5)"])
+@pytest.mark.parametrize("tile", [
+    np.array([math.nan, 0.5, -1.0, 2.0]),
+    np.array([0.5, math.nan, 0.0, -2.0]),
+    np.array([-0.0, math.nan]),
+    np.array([math.nan, 0.25]),
+    _NAN_TILE,
+    np.abs(_NAN_TILE) + 0.5,
+], ids=["nan_first", "zero_after_nan", "negative_zero", "nan_only", "scan_tile",
+        "positive_scan_tile"])
+def test_fractional_power_guard_matches_tree_walk(source, tile):
+    """The base is tested at its NaN-free minimum first: a NaN neither hides a
+    non-positive base nor is blamed for one."""
+    f = parse_function(source)
+    outcome = _diff_outcome(f, tile)
+    assert outcome == _diff_outcome(lambda v: _oracle_call(f.ast, v), tile)
+    if np.nanmin(tile) <= 0.0:
+        first = float(tile[np.flatnonzero(tile <= 0.0)[0]])
+        assert outcome == (ExprDomainError, f"non-integer power of a non-positive base "
+                           f"(at x={first})", first.hex())
+    else:
+        assert outcome[0] is ExprDomainError and "produced NaN" in outcome[1]
+
+
 # -- empty input, value semantics and warnings --------------------------------------
 
 

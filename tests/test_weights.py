@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexa import theorems
 from convexa.errors import DomainError, NonConvergenceError, NonFiniteError
+from convexa.quadrature import QuadSpec, integrate_unit
 from convexa.weights import (
+    MOMENT_INTEGRANDS,
     WeightKind,
     WeightSystem,
     classical,
@@ -73,6 +77,50 @@ def test_eval_domain(t):
         young(2.0).eval(t)
     with pytest.raises(DomainError):
         nesbitt().lemma_rhs(t)
+
+
+def _written_weights(ws, t):
+    """(w_x, w_y) as the formulas are written, each subexpression recomputed."""
+    if ws.kind is WeightKind.CLASSICAL:
+        return t, 1.0 - t
+    if ws.kind is WeightKind.YOUNG:
+        p = ws.p
+        wx = (1.0 / p) * t ** (1.0 / p) + ((p - 1.0) / p) * t ** (1.0 + 1.0 / p)
+        wy = ((p - 1.0) / p) * (1.0 - t) * t ** (1.0 / p) + (1.0 / p) * t ** (
+            1.0 / p - 1.0) * (1.0 - t)
+        return wx, wy
+    wx = 2.0 * t**2 / (3.0 - 2.0 * t) + 2.0 * t * (1.0 - t) / (1.0 + 2.0 * t)
+    wy = 2.0 * t * (1.0 - t) / (3.0 - 2.0 * t) + 2.0 * (1.0 - t) ** 2 / (1.0 + 2.0 * t)
+    return wx, wy
+
+
+@pytest.mark.parametrize("ws", [classical(), nesbitt()] + [
+    young(p) for p in (1.0001, 1.5, 1.983, 2.0, 7.3, 1e6, 1e300)])
+def test_eval_arrays_keeps_the_bits_of_the_written_formulas(ws):
+    t = np.concatenate([np.linspace(1e-300, 1.0, 4001), [5e-324, 1e-17, 0.5 - 2**-54]])
+    with np.errstate(over="ignore"):  # w_y overflows at the smallest t for large p
+        pairs = zip(ws.eval_arrays(t), _written_weights(ws, t), strict=True)
+        for got, written in pairs:
+            assert got.tobytes() == written.tobytes()
+
+
+@pytest.mark.parametrize("ws", [classical(), young(1.5), nesbitt()])
+def test_nan_t_is_refused(ws):
+    """A NaN t lies outside (0, 1]: refused by name, never a NaN weight."""
+    nan = math.nan
+    calls = [
+        (lambda: ws.eval(nan), "weights are"),
+        (lambda: ws.eval_arrays(np.array([0.5, nan])), "weights are"),
+        (lambda: ws.lemma_rhs(nan), "lemma_rhs is"),
+        (lambda: ws.lemma_rhs_arrays(np.array([nan, 0.5])), "lemma_rhs is"),
+    ]
+    for call, subject in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"{subject} defined for t in (0, 1], got t=nan"
+    # the first value outside (0, 1] is the one named
+    with pytest.raises(DomainError, match=r"got t=0\.0$"):
+        ws.eval_arrays(np.array([0.5, 0.0, nan]))
 
 
 def test_weight_system_validation():
@@ -270,6 +318,96 @@ def test_unresolvable_oracle_integral_raises():
     ]:
         with pytest.raises(NonConvergenceError, match=cause):
             young(p).moment(key)
+
+
+# -- shared panel weights --------------------------------------------------------
+
+# every integral of the moment table and of the constants table
+_ORACLE_TERMS = list(MOMENT_INTEGRANDS.values()) + [
+    (lambda wx, wy: wx * (wx + wy), (1, 1)),
+    (lambda wx, wy: wx + wy, (0, 1)),
+]
+_SHARED_SYSTEMS = [young(p) for p in (1.0001, 1.5, 1.9, 1.983, 2.0, 2.5, 7.3, 50.0)]
+_SHARED_SYSTEMS += [nesbitt(), classical()]
+
+
+def _bits(result):
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(result))
+
+
+def _separate_integral(ws, g, degree):
+    """One integrate_unit run on weights computed afresh, hinted by the
+    documented rule: t^((i + j)/p - j) with the exponent in (-1, 0)."""
+    hint = None
+    if ws.kind is WeightKind.YOUNG:
+        exponent = sum(degree) / ws.p - degree[1]
+        hint = exponent if -1.0 < exponent < 0.0 else None
+    spec = QuadSpec(left_singularity_exponent=hint)
+    return integrate_unit(lambda t: g(*ws.eval_arrays(t)), spec), hint
+
+
+@pytest.mark.parametrize("ws", _SHARED_SYSTEMS, ids=WeightSystem.label)
+def test_shared_weights_match_separate_integrals(ws):
+    """All six QuadResult fields, bit for bit, hinted, unhinted and divergent."""
+    shared = list(ws.integrals(_ORACLE_TERMS))
+    kinds = set()
+    for (g, degree), result in zip(_ORACLE_TERMS, shared, strict=True):
+        separate, hint = _separate_integral(ws, g, degree)
+        assert _bits(result) == _bits(separate)
+        kinds.add((hint is not None, result.stop_reason))
+    m02 = shared[list(MOMENT_INTEGRANDS).index("m02")]
+    if ws.kind is WeightKind.YOUNG and ws.p >= 2.0:
+        assert m02.stop_reason == "divergent"  # unhinted: the exponent is <= -1
+        assert (False, "divergent") in kinds and (True, "converged") in kinds
+    else:
+        assert m02.converged
+    if ws.kind is WeightKind.YOUNG and ws.p < 2.0:
+        assert {(False, "converged"), (True, "converged")} <= kinds
+
+
+def test_constants_table_rows_match_separate_integrals():
+    rows = theorems.constants_table([1.5, 2.5])
+    oracles = [row.oracle for row in rows if row.name != "young_m11_theorem_display"]
+    separate = []
+    for ws in (young(1.5), young(2.5), nesbitt()):
+        closed = ws.moments_closed_form().entries()
+        terms = [MOMENT_INTEGRANDS[key] for key in closed if closed[key] is not None]
+        terms += _ORACLE_TERMS[5:] if ws.kind is WeightKind.NESBITT else _ORACLE_TERMS[6:]
+        separate += [_separate_integral(ws, g, degree)[0].value for g, degree in terms]
+    assert [v.hex() for v in oracles] == [v.hex() for v in separate]
+    with pytest.raises(NonConvergenceError) as info:
+        theorems.constants_table([1.99])
+    assert str(info.value) == (
+        "the young(p=1.99) integral of degree (0, 2) cannot be resolved: t underflows to 0"
+    )
+
+
+def test_shared_weights_are_read_only_and_live_for_one_call(monkeypatch):
+    ws = young(1.5)
+
+    def overwrite(wx, wy):
+        wx[0] = 0.0
+        return wx
+
+    with pytest.raises(ValueError, match="read-only"):
+        ws.integral(overwrite, (1, 0))
+
+    calls = []
+    original = WeightSystem.eval_arrays
+
+    def counting(self, t):
+        calls.append(len(t))
+        return original(self, t)
+
+    monkeypatch.setattr(WeightSystem, "eval_arrays", counting)
+    m10 = MOMENT_INTEGRANDS["m10"]
+    first, again = ws.integrals([m10, m10])
+    assert _bits(first) == _bits(again)
+    assert sum(calls) == first.evaluations  # the second reads the first's weights
+    calls.clear()
+    assert _bits(ws.integral(*m10)) == _bits(first)
+    assert sum(calls) == first.evaluations  # a new call computes them anew
 
 
 def test_young_cross_moment_displays():
