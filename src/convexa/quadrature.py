@@ -109,7 +109,7 @@ class QuadResult:
 
 
 # half-width offsets, centre first (Interval keeps h finite, so c + h * 0.0 == c)
-_OFFSETS = np.array([0.0] + [s * x for x in _XGK[:7] for s in (-1.0, 1.0)])
+_OFFSETS = [0.0] + [s * x for x in _XGK[:7] for s in (-1.0, 1.0)]
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -120,28 +120,44 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
-def _gk15(f, lo: float, hi: float):
-    """One Gauss-Kronrod panel: (kronrod value, |K15 - G7| error estimate)."""
-    c = _midpoint(lo, hi)
-    h = 0.5 * (hi - lo)
-    out = np.asarray(f(c + h * _OFFSETS), dtype=float)
-    if out.shape != (15,):
+def _gk15(f, *panels):
+    """Gauss-Kronrod panels (lo, hi) in one integrand call, 15 nodes each
+    in panel order: per panel, (kronrod value, |K15 - G7| error estimate).
+
+    An exception from a call of several panels is raised as the one-panel
+    calls would raise it, the first panel first, so an error names the
+    same point whichever panels share the call.
+    """
+    centred = [(_midpoint(lo, hi), 0.5 * (hi - lo)) for lo, hi in panels]
+    nodes = np.array([c + h * x for c, h in centred for x in _OFFSETS])
+    try:
+        out = np.asarray(f(nodes), dtype=float)
+    except Exception:
+        if len(panels) == 1:
+            raise
+        for panel in panels:
+            _gk15(f, panel)
+        raise
+    if out.shape != nodes.shape:
         raise TypeError(
-            f"an integrand must return one value per node: shape (15,), got {out.shape}"
+            "an integrand must return one value per node: "
+            f"shape {nodes.shape}, got {out.shape}"
         )
     vals = out.tolist()
-    kron = _WGK[7] * vals[0]
-    gauss = _WG[3] * vals[0]
-    for i in range(7):
-        pair = vals[1 + 2 * i] + vals[2 + 2 * i]
-        kron += _WGK[i] * pair
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * pair
-    value = kron * h
-    # floor at one rounding unit of the panel value: the embedded-rule
-    # difference can round to zero while the panel still carries ulp error
-    err = max(abs(kron - gauss), 2.0**-52 * abs(kron)) * abs(h)
-    return value, err
+    results = []
+    for start, (_, h) in zip(range(0, len(vals), 15), centred):
+        kron = _WGK[7] * vals[start]
+        gauss = _WG[3] * vals[start]
+        for i in range(7):
+            pair = vals[start + 1 + 2 * i] + vals[start + 2 + 2 * i]
+            kron += _WGK[i] * pair
+            if i % 2 == 1:
+                gauss += _WG[i // 2] * pair
+        # floor at one rounding unit of the panel value: the embedded-rule
+        # difference can round to zero while the panel still carries ulp error
+        err = max(abs(kron - gauss), 2.0**-52 * abs(kron)) * abs(h)
+        results.append((kron * h, err))
+    return results
 
 
 def integrate(
@@ -151,9 +167,12 @@ def integrate(
 ) -> QuadResult:
     """Integrate f over the interval to the requested tolerance.
 
-    The integrand is called once per panel with an ndarray of its 15 nodes
-    and returns one value per node; a return of any other shape raises
-    TypeError. Evaluator exceptions propagate to the caller. Refinement
+    The integrand receives an ndarray with the 15 nodes of one panel (the
+    first panel, the divergence probe), or the 30 nodes of both halves of
+    a split panel, the left half first. It returns one value per node; a
+    return of any other shape raises TypeError naming the node count of
+    the failing call. Evaluator exceptions propagate to the caller, as the
+    one-panel calls would raise them, the left half first. Refinement
     always bisects the panel with the largest error estimate; identical
     inputs give bit-identical results. One np.errstate covers the whole
     run, not each panel: the integrand's floating-point warnings are
@@ -202,7 +221,7 @@ _PROBE_ULPS = 2.0**8
 
 
 def _adaptive(f, lo, hi, spec):
-    value0, err0 = _gk15(f, lo, hi)
+    [(value0, err0)] = _gk15(f, (lo, hi))
     evaluations = 15
     # heap entries: (-err, insertion seq, lo, hi, value, err)
     heap = [(-err0, 0, lo, hi, value0, err0)]
@@ -225,8 +244,8 @@ def _adaptive(f, lo, hi, spec):
             # bisection cannot make progress at double precision
             reason = "stalled"
             break
-        lval, lerr = _gk15(f, plo, mid)
-        rval, rerr = _gk15(f, mid, phi)
+        # both children in one integrand call, the left first
+        (lval, lerr), (rval, rerr) = _gk15(f, (plo, mid), (mid, phi))
         evaluations += 30
         if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
             # the stalled panel is still heap[0], so it stays in the totals
@@ -242,7 +261,7 @@ def _adaptive(f, lo, hi, spec):
             still = still + 1 if abs(lval) > _STILL_RATIO * abs(pval) else 0
             if still == _STILL_HALVINGS:
                 probe_hi = min(lo + _PROBE_ULPS * math.ulp(lo), mid)
-                probe, _ = _gk15(f, lo, probe_hi)
+                [(probe, _)] = _gk15(f, (lo, probe_hi))
                 evaluations += 15
                 if not abs(probe) <= _STILL_RATIO * abs(lval):
                     reason = "divergent"

@@ -1,12 +1,14 @@
+import heapq
 import math
 import re
 
 import numpy as np
 import pytest
 
+from convexa import quadrature
 from convexa.errors import DomainError
 from convexa.expr import ExprDomainError, parse_function
-from convexa.quadrature import Interval, QuadSpec, integrate, integrate_unit
+from convexa.quadrature import Interval, QuadResult, QuadSpec, integrate, integrate_unit
 from convexa.weights import MOMENT_INTEGRANDS, nesbitt, young
 
 LN3 = math.log(3.0)
@@ -277,3 +279,204 @@ def test_rational_integrand_evaluations():
         res = integrate_unit(f, case_spec)
         assert res.converged is converged
         assert evaluations in (None, res.evaluations)
+
+
+# --- one integrand call per bisection, against a call per panel -------------
+#
+# The reference below is the adaptive loop as it was when every panel was
+# its own integrand call: each child of a bisection is evaluated on its own,
+# the left first. The rule constants, the midpoint and the divergence-test
+# settings come from the module, as they are shared by both.
+
+_REF_OFFSETS = np.array([0.0] + [s * x for x in quadrature._XGK[:7] for s in (-1.0, 1.0)])
+
+
+def _ref_gk15(f, lo, hi):
+    c = quadrature._midpoint(lo, hi)
+    h = 0.5 * (hi - lo)
+    out = np.asarray(f(c + h * _REF_OFFSETS), dtype=float)
+    if out.shape != (15,):
+        raise TypeError(
+            f"an integrand must return one value per node: shape (15,), got {out.shape}"
+        )
+    vals = out.tolist()
+    wgk, wg = quadrature._WGK, quadrature._WG
+    kron = wgk[7] * vals[0]
+    gauss = wg[3] * vals[0]
+    for i in range(7):
+        pair = vals[1 + 2 * i] + vals[2 + 2 * i]
+        kron += wgk[i] * pair
+        if i % 2 == 1:
+            gauss += wg[i // 2] * pair
+    value = kron * h
+    err = max(abs(kron - gauss), 2.0**-52 * abs(kron)) * abs(h)
+    return value, err
+
+
+def _ref_adaptive(f, lo, hi, spec):
+    value0, err0 = _ref_gk15(f, lo, hi)
+    evaluations = 15
+    heap = [(-err0, 0, lo, hi, value0, err0)]
+    seq = 1
+    total_value = value0
+    total_err = err0
+    subdivisions = 0
+    still = 0
+    reason = None if math.isfinite(value0) and math.isfinite(err0) else "stalled"
+    while reason is None:
+        if subdivisions >= spec.max_subdivisions:
+            reason = "budget"
+            break
+        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):
+            break
+        _, _, plo, phi, pval, perr = heap[0]
+        mid = quadrature._midpoint(plo, phi)
+        if mid <= plo or mid >= phi:
+            reason = "stalled"
+            break
+        lval, lerr = _ref_gk15(f, plo, mid)
+        rval, rerr = _ref_gk15(f, mid, phi)
+        evaluations += 30
+        if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
+            reason = "stalled"
+            break
+        heapq.heapreplace(heap, (-lerr, seq, plo, mid, lval, lerr))
+        heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr))
+        seq += 2
+        total_value += lval + rval - pval
+        total_err += lerr + rerr - perr
+        subdivisions += 1
+        if plo == lo and still >= 0:
+            still = still + 1 if abs(lval) > quadrature._STILL_RATIO * abs(pval) else 0
+            if still == quadrature._STILL_HALVINGS:
+                probe_hi = min(lo + quadrature._PROBE_ULPS * math.ulp(lo), mid)
+                probe, _ = _ref_gk15(f, lo, probe_hi)
+                evaluations += 15
+                if not abs(probe) <= quadrature._STILL_RATIO * abs(lval):
+                    reason = "divergent"
+                still = -1
+    panels = sorted(heap, key=lambda e: (e[2], e[3]))
+    value = 0.0
+    err = 0.0
+    for _, _, _, _, pval, perr in panels:
+        value += pval
+        err += perr
+    converged = (
+        reason in (None, "budget")
+        and math.isfinite(value)
+        and math.isfinite(err)
+        and err <= max(spec.abs_tol, spec.rel_tol * abs(value))
+    )
+    if converged:
+        reason = "converged"
+    elif reason is None:
+        reason = "stalled"
+    return QuadResult(value, err, evaluations, converged, reason, subdivisions)
+
+
+def _ref_integrate(f, interval, spec=QuadSpec()):
+    alpha = spec.left_singularity_exponent
+    with np.errstate(all="ignore"):
+        if alpha is None or alpha == 0.0:
+            return _ref_adaptive(f, interval.a, interval.b, spec)
+        m = 1.0 / (1.0 + alpha)
+        a = interval.a
+
+        def g(u):
+            return f(a + u**m) * (m * u ** (m - 1.0))
+
+        return _ref_adaptive(g, 0.0, interval.width ** (1.0 + alpha), spec)
+
+
+def _bits(res):
+    """All six QuadResult fields, the floats by their exact hex text."""
+    return (res.value.hex(), res.error_estimate.hex(), res.evaluations,
+            res.converged, res.stop_reason, res.subdivisions)
+
+
+def _product(f, g):
+    return lambda x: f(x) * g(x)
+
+
+UNIT = Interval(0.0, 1.0)
+
+DIFFERENTIAL_CASES = {
+    **{
+        f"hinted t^{a}": (lambda t, a=a: t**a, UNIT, QuadSpec(left_singularity_exponent=a))
+        for a in (-0.5, -0.9, -0.97)
+    },
+    "unhinted t^-0.97": (lambda t: t**-0.97, UNIT, QuadSpec()),
+    "divergent t^-1": (lambda t: t**-1.0, UNIT, QuadSpec()),
+    "divergent t^-1.2": (lambda t: t**-1.2, UNIT, QuadSpec()),
+    "1/(t + 1e-6)": (lambda t: 1.0 / (t + 1e-6), UNIT, QuadSpec()),
+    "stalled 1/(3 - t)": (lambda t: 1.0 / (3.0 - t), Interval(0.0, 3.0), QuadSpec()),
+    "stalled child 1/(t - 0.25)": (lambda t: 1.0 / (t - 0.25), UNIT, QuadSpec()),
+    "budget t^-0.5": (lambda t: t**-0.5, UNIT, QuadSpec(max_subdivisions=3)),
+    "sin, exp": (parse_function("sin(3*x)*exp(-x)"), Interval(0.0, 4.0), QuadSpec()),
+    "cos, ln": (parse_function("cos(x)^2 + ln(1 + x)"), Interval(0.5, 2.0), QuadSpec()),
+    "ln singular": (parse_function("ln(x)"), UNIT, QuadSpec()),
+    "sqrt, abs": (parse_function("sqrt(abs(x - 0.3))"), UNIT, QuadSpec()),
+    "x^0.5, pow": (parse_function("x^0.5 * pow(x + 1, 2.5)"), UNIT, QuadSpec()),
+    "theorem product": (
+        _product(parse_function("exp(x)"), parse_function("x^4 + 1")),
+        Interval(1.0, 3.0),
+        QuadSpec(abs_tol=1e-13, rel_tol=1e-13),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_bisection_call_matches_call_per_panel(case):
+    f, interval, spec = DIFFERENTIAL_CASES[case]
+    assert _bits(integrate(f, interval, spec)) == _bits(_ref_integrate(f, interval, spec))
+
+
+# the systems' weight integrands: the five moments and Nesbitt's square
+WEIGHT_TERMS = [*MOMENT_INTEGRANDS.values(), (lambda wx, wy: (wx + wy) ** 2, (0, 2))]
+
+
+@pytest.mark.parametrize("ws", [young(p) for p in (1.01, 1.5, 1.9, 2.0, 7.3)] + [nesbitt()],
+                         ids=lambda ws: ws.label())
+def test_weight_integrals_match_call_per_panel(ws):
+    results = list(ws.integrals(WEIGHT_TERMS))
+    for (g, (i, j)), res in zip(WEIGHT_TERMS, results):
+        hint = None
+        if ws.p is not None and -1.0 < (i + j) / ws.p - j < 0.0:
+            hint = (i + j) / ws.p - j
+        ref = _ref_integrate(lambda t, g=g: g(*ws.eval_arrays(t)), UNIT,
+                             QuadSpec(left_singularity_exponent=hint))
+        assert _bits(res) == _bits(ref), (ws.label(), (i, j))
+    assert {res.stop_reason for res in results} >= {"converged"}
+
+
+def _domain_error(run):
+    with pytest.raises(ExprDomainError) as info:
+        run()
+    return str(info.value), info.value.x
+
+
+@pytest.mark.parametrize(
+    "source, x",
+    [
+        # 0.75 is the centre of the first bisection's right child only
+        ("1/(x - 0.75)", 0.75),
+        # both children hold a pole: the left child's is named
+        ("1/((x - 0.25)*(x - 0.75))", 0.25),
+        # the first guard fails on the right half, the second on the left:
+        # the left child, evaluated first by a call per panel, names its x
+        ("1/(x - 0.75) + 2/(x - 0.25)", 0.25),
+    ],
+)
+def test_bisection_error_names_the_point_of_a_call_per_panel(source, x):
+    f = parse_function(source)
+    got = _domain_error(lambda: integrate_unit(f))
+    assert got == _domain_error(lambda: _ref_integrate(f, UNIT))
+    assert got == (f"division by zero (at x={x!r})", x)
+
+
+def test_misshapen_bisection_return_names_thirty_nodes():
+    # 15 values fit the first panel; its K15 and G7 sums differ, so it is
+    # bisected, and the bisection's one call has 30 nodes
+    contract = "one value per node: shape (30,), got (15,)"
+    with pytest.raises(TypeError, match=re.escape(contract) + "$"):
+        integrate_unit(lambda t: np.arange(15.0))

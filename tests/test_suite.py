@@ -1,10 +1,18 @@
 """The verify-paper suite: tolerance plumbing and its quadrature budget."""
 
+import collections
+
 import numpy as np
 
 from convexa import expr, quadrature
+from convexa import weights as w
 from convexa.quadrature import QuadSpec
-from convexa.suite import Overall, verify_paper
+from convexa.suite import (
+    MOMENT_P_FIRST_ONLY,
+    MOMENT_P_FULL,
+    Overall,
+    verify_paper,
+)
 
 # integrand evaluations of the default verify_paper() run; raising it means
 # the suite computes integrals it does not check. 495 + 15 of them stop the
@@ -52,3 +60,35 @@ def test_verify_paper_f_evaluation_budget(monkeypatch):
     monkeypatch.setattr(expr.FunctionDef, "__call__", counting)
     assert verify_paper().overall is Overall.ALL_HOLD
     assert sum(points) <= VERIFY_PAPER_F_POINTS
+
+
+def test_each_oracle_panel_is_weighted_once(monkeypatch):
+    # every weight-system oracle integral of the report (the moments, the
+    # Young p=2 divergence check, Nesbitt's square expansion) runs in its
+    # system's one integrals call, so the weights at each 15-node panel are
+    # evaluated once per report
+    original_integrate = w.integrate_unit
+    original_eval = w.WeightSystem.eval_arrays
+    inside = []
+    panels = collections.defaultdict(list)  # system label -> node bytes
+
+    def integrate_unit(f, spec):
+        inside.append(None)
+        try:
+            return original_integrate(f, spec)
+        finally:
+            inside.pop()
+
+    def eval_arrays(self, t):
+        if inside:  # a quadrature node set, not a scan's t grid
+            for nodes in np.asarray(t).reshape(-1, 15):
+                panels[self.label()].append(nodes.tobytes())
+        return original_eval(self, t)
+
+    monkeypatch.setattr(w, "integrate_unit", integrate_unit)
+    monkeypatch.setattr(w.WeightSystem, "eval_arrays", eval_arrays)
+    assert verify_paper().overall is Overall.ALL_HOLD
+    systems = [w.young(p) for p in MOMENT_P_FULL + MOMENT_P_FIRST_ONLY] + [w.nesbitt()]
+    assert sorted(panels) == sorted(ws.label() for ws in systems)
+    for label, seen in panels.items():
+        assert len(seen) == len(set(seen)), label
