@@ -195,8 +195,9 @@ class WeightSystem:
         substitution (m01 at most p past ~121, m02 at most p in [1.984, 2)).
 
         Integrals with the same substitution bisect the same panels first,
-        so the weights at each panel's nodes are computed once and shared
-        by this call's integrals, read-only; the values are those of
+        so the weights at the nodes of each integrand call (a panel, or
+        both halves of a bisection) are computed once and shared by this
+        call's integrals, read-only; the values are those of
         separate integrals, bit for bit. Nothing is kept after the call.
         """
         panels = {}  # node bytes -> read-only (w_x, w_y) at those nodes

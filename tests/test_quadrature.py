@@ -446,7 +446,6 @@ def test_weight_integrals_match_call_per_panel(ws):
         ref = _ref_integrate(lambda t, g=g: g(*ws.eval_arrays(t)), UNIT,
                              QuadSpec(left_singularity_exponent=hint))
         assert _bits(res) == _bits(ref), (ws.label(), (i, j))
-    assert {res.stop_reason for res in results} >= {"converged"}
 
 
 def _domain_error(run):
