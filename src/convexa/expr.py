@@ -12,8 +12,10 @@ offending x.
 A FunctionDef compiles its tree once, when it is built, into a chain of
 closures: each x-free subtree is evaluated then and becomes an np.float64
 constant, and each operation writes in place into a temporary that the chain
-made itself. One chain serves a scalar and an ndarray alike, so grid scans
-and pointwise recomputation agree bit-for-bit.
+made itself, or into a slot of the caller's Workspace, which then holds every
+temporary of the call. One chain serves a scalar and an ndarray, with or
+without a workspace, so grid scans and pointwise recomputation agree
+bit-for-bit.
 """
 
 import enum
@@ -335,110 +337,178 @@ def _guard(bad, message: str, xs: np.ndarray) -> None:
         raise ExprDomainError(message, float(xs.ravel()[idx]))
 
 
-def _int_power(base: np.ndarray, n: int, xs: np.ndarray):
+def _at_min(bad):
+    """The pretest of a domain test that holds somewhere iff it holds at the
+    NaN-free minimum."""
+    return lambda v: bad(np.fmin.reduce(v, axis=None))
+
+
+def _spans_zero(v) -> bool:
+    """The pretest of v == 0: a zero lies in the NaN-free range of v."""
+    return np.fmin.reduce(v, axis=None) <= 0.0 <= np.fmax.reduce(v, axis=None)
+
+
+def _int_power(base, n: int, xs: np.ndarray, res=None, sq=None):
+    """base^n by repeated squaring, written into the slots res and sq when
+    given (None allocates). acc squares in place in sq; while the result is
+    acc itself, the slots trade roles first."""
     if n == 0:
-        return np.ones_like(base) if isinstance(base, np.ndarray) else np.float64(1.0)
+        return np.power(base, 0.0, out=res)  # 1 for every base, NaN included
     invert = n < 0
     n = abs(n)
-    if invert:
+    if invert and xs.size and _spans_zero(base):
         _guard(base == 0.0, "zero base with negative integer exponent", xs)
     result = None
     acc = base
     while n:
         if n & 1:
-            result = acc if result is None else result * acc
+            result = acc if result is None else np.multiply(result, acc, out=res)
         n >>= 1
         if n:
-            acc = acc * acc
-    return 1.0 / result if invert else result
+            if result is acc:
+                res, sq = sq, res
+            acc = np.multiply(acc, acc, out=sq)
+    return np.divide(1.0, result, out=res) if invert else result
 
 
 # A compiled value is a folded constant, x-free but raising when folded, never
-# written (xs, or a ^ or pow result, as x^1 is its base), or a temporary.
+# written (xs, or x^1, which is its base), or a temporary.
 _CONST, _RAISES, _SHARED, _OWNED = range(4)
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _checked(arg, kind, bad, message, by_min=True):
+def _checked(arg, kind, bad, message, suspect):
     """arg with its domain test, if any; a constant that passes needs none.
 
-    A test by_min holds somewhere iff it holds at the NaN-free minimum.
+    The mask of `bad` is built only where the reduction `suspect`, which
+    holds whenever `bad` holds somewhere, holds.
     """
-    if bad is None or kind == _CONST and not bad(arg(None)):
+    if bad is None or kind == _CONST and not bad(arg(None, ())):
         return arg
 
-    def checked(xs):
-        v = arg(xs)
-        if not (by_min and xs.size) or bad(np.fmin.reduce(v, axis=None)):
+    def checked(xs, out):
+        v = arg(xs, out)
+        if xs.size and suspect(v):
             _guard(bad(v), message, xs)
         return v
 
     return checked
 
 
-def _unary(func, arg, kind):
+def _unary(func, arg, kind, top):
     if kind == _OWNED:
-        return lambda xs: func(v := arg(xs), out=v)
-    return lambda xs: func(arg(xs))
+        return (lambda xs, out: func(v := arg(xs, out), out=v)), top
+    return (lambda xs, out: func(arg(xs, out), out=out[top])), top + 1
 
 
-def _binary(op, left, lkind, right, rkind):
+def _binary(op, left, lkind, ltop, right, rkind, rtop):
     if lkind == _OWNED:
-        return lambda xs: op(v := left(xs), right(xs), out=v)
+        return (lambda xs, out: op(v := left(xs, out), right(xs, out), out=v)), ltop
     if rkind == _OWNED:
-        return lambda xs: op(left(xs), v := right(xs), out=v)
-    return lambda xs: op(left(xs), right(xs))
+        return (lambda xs, out: op(left(xs, out), v := right(xs, out), out=v)), rtop
+    return (lambda xs, out: op(left(xs, out), right(xs, out), out=out[rtop])), rtop + 1
 
 
-def _exponentiate(base, expo, expo_kind):
-    """base^expo: exact repeated multiplication for an x-free integer expo."""
-    if expo_kind == _CONST and (n := expo(None)).is_integer() and abs(n) <= 2**31:
-        return lambda xs: _int_power(base(xs), int(n), xs)
+def _exponentiate(base, bkind, btop, expo, expo_kind, etop):
+    """base^expo: exact repeated multiplication for an x-free integer expo.
 
-    def power(xs):
-        b, e = base(xs), expo(xs)
+    Returns the evaluator, its kind and the slot after its result.
+    """
+    if expo_kind == _CONST and (n := expo(None, ())).is_integer() and abs(n) <= 2**31:
+        n = int(n)
+        # res and sq are one array unless n has two set bits: the base's own
+        # temporary, if it has one, or else a slot
+        two_slots = bin(n).count("1") > 1
+        if bkind == _OWNED and not two_slots:
+            return (lambda xs, out: _int_power(b := base(xs, out), n, xs, b, b)), _OWNED, btop
+        last = btop + two_slots
+        return (
+            lambda xs, out: _int_power(base(xs, out), n, xs, out[btop], out[last])
+        ), _SHARED if n == 1 else _OWNED, last + 1
+
+    def power(xs, out):
+        b, e = base(xs, out), expo(xs, out)
         # b <= 0 holds somewhere iff it holds at the NaN-free minimum
         if xs.size and np.fmin.reduce(b, axis=None) <= 0.0:
             _guard(b <= 0.0, "non-integer power of a non-positive base", xs)
-        return np.exp(e * np.log(b))
+        v = np.multiply(e, np.log(b, out=out[etop]), out=out[etop])
+        return np.exp(v, out=out[etop])
 
-    return power
+    return power, _OWNED, etop + 1
 
 
-def _compile(node: Ast):
-    """Compile a tree into (evaluator of xs, kind of the value it returns).
+def _compile(node: Ast, base: int = 0):
+    """Compile a tree into (evaluator of (xs, out), kind of its value, top, end).
 
-    Each x-free subtree is evaluated here, once, into an np.float64 constant;
-    one whose evaluation raises is kept, to raise at the call's x.
+    out[k] is workspace slot k, an array shaped like xs, or None for every
+    k, when each operation allocates its result. The subtree's temporaries
+    use slots base to end - 1, and its value none from top on, so a later
+    sibling starts at top. Each x-free subtree is evaluated here, once,
+    into an np.float64 constant; one whose evaluation raises is kept, to
+    raise at the call's x.
     """
     if isinstance(node, Num):
         value = np.float64(node.value)
-        return (lambda xs: value), _CONST
+        return (lambda xs, out: value), _CONST, base, base
     if isinstance(node, Var):
-        return (lambda xs: xs), _SHARED
+        return (lambda xs, out: xs), _SHARED, base, base
     if isinstance(node, BinOp):
         op, children = node.op, (node.left, node.right)
     else:
         op, children = ("neg", (node.child,)) if isinstance(node, Neg) else (node.name, node.args)
-    (fn, kind), *rest = args = [_compile(child) for child in children]
+    args, top = [], base
+    for child in children:
+        args.append(compiled := _compile(child, top))
+        top = compiled[2]
+    (fn, kind, ltop, _), *rest = args
     if op in ("^", "pow"):
-        fn = _exponentiate(fn, *rest[0])
+        fn, kind, top = _exponentiate(fn, kind, ltop, rest[0][0], rest[0][1], top)
     elif rest:
-        right, rkind = rest[0]
+        right, rkind, rtop, _ = rest[0]
         if op == "/":
-            right = _checked(right, rkind, lambda v: v == 0.0, "division by zero", False)
-        fn = _binary(_UFUNCS[op], fn, kind, right, rkind)
+            right = _checked(right, rkind, lambda v: v == 0.0, "division by zero", _spans_zero)
+        fn, top = _binary(_UFUNCS[op], fn, kind, ltop, right, rkind, rtop)
+        kind = _OWNED
     else:
         func, bad, message = FUNCTIONS.get(op, (np.negative, None, None))
-        fn = _unary(func, _checked(fn, kind, bad, message), kind)
-    if max(k for _, k in args) >= _SHARED:
-        return fn, _SHARED if op in ("^", "pow") else _OWNED
+        fn, top = _unary(func, _checked(fn, kind, bad, message, bad and _at_min(bad)), kind, top)
+        kind = _OWNED
+    end = max(top, *(a[3] for a in args))
+    if max(a[1] for a in args) >= _SHARED:
+        return fn, kind, top, end
     try:
         with np.errstate(all="ignore"):
-            value = np.float64(fn(np.zeros(1)))
+            value = np.float64(fn(np.zeros(1), (None,) * end))
     except ExprDomainError:
-        return fn, _RAISES
-    return (lambda xs: value), _CONST
+        return fn, _RAISES, top, end
+    return (lambda xs, out: value), _CONST, base, base
+
+
+class Workspace:
+    """Scratch arrays that FunctionDef calls write their temporaries into.
+
+    It serves one function's calls, one at a time, on inputs of up to `size`
+    points: its memory is one array, allocated at the first call and again
+    only when a call needs more points or more temporaries. A caller that
+    loops over a few input shapes, such as scan tiles or quadrature panels,
+    then evaluates without allocating.
+    """
+
+    def __init__(self, size: int = 0):
+        self._store = np.empty((0, size))
+        self._views = {}  # (count, input shape) -> that many views of the store
+
+    def slots(self, count: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        views = self._views.get((count, shape))
+        if views is None:
+            points = math.prod(shape)
+            rows, size = self._store.shape
+            if count > rows or points > size:
+                self._store = np.empty((max(count, rows), max(points, size)))
+                self._views.clear()
+            views = tuple(self._store[:count, :points].reshape(count, *shape))
+            self._views[(count, shape)] = views
+        return views
 
 
 BUILTINS = ("square", "exponential", "identity", "constant", "abs_shift")
@@ -451,20 +521,33 @@ class FunctionDef:
     source: str
     ast: Ast
     _evaluate: Callable = field(init=False, compare=False, repr=False)
+    _slot_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_evaluate", _compile(self.ast)[0])
+        fn, _, _, slot_count = _compile(self.ast)
+        object.__setattr__(self, "_evaluate", fn)
+        object.__setattr__(self, "_slot_count", slot_count)
 
     def __reduce__(self):
         return FunctionDef, (self.source, self.ast)
 
-    def __call__(self, x):
+    def __call__(self, x, workspace: Workspace | None = None):
+        """f at x: a float for a scalar x, else a read-only array of x's shape.
+
+        Without a workspace the array is new (or x itself, for f = x) and
+        floating-point warnings are ignored. With one, the caller holds an
+        np.errstate that ignores them, every temporary is written into the
+        workspace, and the values live until its next use.
+        """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         if scalar:
             xs = xs.reshape(1)
-        with np.errstate(all="ignore"):
-            values = self._evaluate(xs)
+        if workspace is None:
+            with np.errstate(all="ignore"):
+                values = self._evaluate(xs, (None,) * self._slot_count)
+        else:
+            values = self._evaluate(xs, workspace.slots(self._slot_count, xs.shape))
         if not isinstance(values, np.ndarray):
             values = np.broadcast_to(values, xs.shape)  # f is free of x
         # NaN propagates through max, which an empty xs does not have

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFiniteError
-from .expr import FunctionDef
+from .expr import FunctionDef, Workspace
 from .quadrature import Interval
 from .weights import WeightSystem
 
@@ -83,11 +83,13 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
-# samples per tile: 64 KiB per float64 array keeps a tile in L2. A scan
-# allocates its three tile buffers (points, rhs, d) once; only f's own
-# temporaries are allocated per tile, and at 64 KiB, under glibc's 128 KiB
-# mmap threshold, they come from the heap
-_BLOCK_SAMPLES = 8192
+# samples per tile: 128 KiB per float64 array. A scan allocates its tile
+# buffers and f's workspace once, before the first tile, so a larger tile
+# only cuts the fixed cost per tile; 16,384 keeps a 2^16 x 2 x 2 scan at
+# 0.82 of the memory bound in tests/test_scan_blocks.py (32,768: 1.07)
+_BLOCK_SAMPLES = 16384
+# cells a certificate search tests at once
+_CANDIDATES = 1024
 
 
 def _certificate_at(f, ws, x, y, t, sign) -> ViolationCertificate:
@@ -101,6 +103,27 @@ def _certificate_at(f, ws, x, y, t, sign) -> ViolationCertificate:
 def _exceeds(gap, lhs, rhs, tol):
     """The violation test: the gap exceeds tol relative to the compared values."""
     return gap > tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
+def _first_certificate(f, ws, sign, tol, d, lhs, rhs_terms, cell_point):
+    """The tile's first cell, in scan order, whose gap exceeds tol by the
+    scaled test and whose scalar recomputation does too, or None.
+
+    rhs_terms are the tile's w_x f(x) and w_y f(y) parts, and cell_point
+    maps a cell's index to its (x, y, t). Cells are taken _CANDIDATES at
+    a time, so the search forms no tile-sized array.
+    """
+    wx_fx, wy_fy = (np.broadcast_to(term, d.shape) for term in rhs_terms)
+    flat = d.reshape(-1)
+    for start in range(0, flat.size, _CANDIDATES):
+        cells = start + np.flatnonzero(sign * flat[start : start + _CANDIDATES] > tol)
+        rhs = wx_fx.flat[cells] + wy_fy.flat[cells]
+        for cell in cells[_exceeds(sign * flat[cells], lhs.flat[cells], rhs, tol)]:
+            x, y, t = cell_point(*np.unravel_index(int(cell), d.shape))
+            cert = _certificate_at(f, ws, x, y, t, sign)
+            if _exceeds(cert.gap, cert.lhs, cert.rhs, tol):
+                return cert
+    return None
 
 
 def _tiles(nx: int, ny: int, nt: int):
@@ -151,22 +174,35 @@ def check_classes(
         for ws in systems:
             wx, wy = ws.eval_arrays(ts)
             terms.append((wx, wy[None, :] * fy[:, None]))
-        # every tile fills views of the same three buffers
-        buffers = [np.empty(max(_BLOCK_SAMPLES, grid.nt)) for _ in range(3)]
+        # every tile fills views of the same buffers, and f writes its
+        # temporaries into one workspace, so no tile allocates an array of
+        # its size
+        size = max(_BLOCK_SAMPLES, grid.nt)
+        workspace = Workspace(size)
+        buffers = np.empty((2, size))
+        rows = max(1, _BLOCK_SAMPLES // (grid.ny * grid.nt))
+        row_buffers = np.empty((2, rows, 1, grid.nt))
         for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
-            x_part = ts * xs[i0:i1, None, None]
+            x_part, wx_fx = row_buffers[:, : i1 - i0]
+            np.multiply(ts, xs[i0:i1, None, None], out=x_part)
             fxi = fx[i0:i1, None, None]
             for j0, j1 in y_slices:
                 shape = (i1 - i0, j1 - j0, grid.nt)
-                points, rhs, d = (b[: math.prod(shape)].reshape(shape) for b in buffers)
+                points, spare = (b[: math.prod(shape)].reshape(shape) for b in buffers)
                 np.add(x_part, y_part[j0:j1], out=points)
-                lhs = f(points)
+                lhs = f(points, workspace)
+                # f has read the points, so d takes their place, unless they
+                # are lhs (f = x)
+                d = spare if np.may_share_memory(lhs, points) else points
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
                     if errors[c] is not None:
                         continue
-                    # w_x f(x) is one t row per x, so it is formed per tile
-                    np.add(wx * fxi, wy_fy[j0:j1], out=rhs)
-                    np.subtract(lhs, rhs, out=d)
+                    # w_x f(x) is one t row per x, so it is formed per tile;
+                    # d holds the right-hand side, then lhs - rhs, and a
+                    # cell's rhs is added again where it is reported
+                    np.multiply(wx, fxi, out=wx_fx)
+                    np.add(wx_fx, wy_fy[j0:j1], out=d)
+                    np.subtract(lhs, d, out=d)
                     top = float(d.max())
                     bottom = float(d.min())
                     if not (math.isfinite(top) and math.isfinite(bottom)):
@@ -177,7 +213,7 @@ def check_classes(
                             f"membership scan produced a non-finite value at "
                             f"x={float(xs[i0 + a])!r}, y={float(ys[j0 + b])!r}, "
                             f"t={float(ts[k])!r} (lhs={float(lhs[a, b, k])!r}, "
-                            f"rhs={float(rhs[a, b, k])!r})"
+                            f"rhs={float(wx_fx[a, 0, k] + wy_fy[j0 + b, k])!r})"
                         )
                         if c == 0:
                             # no earlier system's scan can raise first
@@ -188,22 +224,10 @@ def check_classes(
                     slacks[c].append(slack)
                     if certificates[c] is not None or not gap > grid.tol:
                         continue
-                    signed = sign * d
-                    cells = np.flatnonzero(signed > grid.tol)
-                    cells = cells[
-                        _exceeds(
-                            signed.flat[cells], lhs.flat[cells], rhs.flat[cells], grid.tol
-                        )
-                    ]
-                    for flat in cells:
-                        a, b, k = np.unravel_index(int(flat), d.shape)
-                        cert = _certificate_at(
-                            f, ws, float(xs[i0 + a]), float(ys[j0 + b]),
-                            float(ts[k]), sign,
-                        )
-                        if _exceeds(cert.gap, cert.lhs, cert.rhs, grid.tol):
-                            certificates[c] = cert
-                            break
+                    certificates[c] = _first_certificate(
+                        f, ws, sign, grid.tol, d, lhs, (wx_fx, wy_fy[j0:j1]),
+                        lambda a, b, k: (float(xs[i0 + a]), float(ys[j0 + b]), float(ts[k])),
+                    )
     for error in errors:
         if error is not None:
             raise error

@@ -143,16 +143,18 @@ def _gk15(f, *panels):
             "an integrand must return one value per node: "
             f"shape {nodes.shape}, got {out.shape}"
         )
-    vals = out.tolist()
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
     results = []
-    for start, (_, h) in zip(range(0, len(vals), 15), centred):
-        kron = _WGK[7] * vals[start]
-        gauss = _WG[3] * vals[start]
-        for i in range(7):
-            pair = vals[start + 1 + 2 * i] + vals[start + 2 + 2 * i]
-            kron += _WGK[i] * pair
-            if i % 2 == 1:
-                gauss += _WG[i // 2] * pair
+    # per panel: the centre, then each Kronrod node pair (-x, +x)
+    panel_values = zip(*[iter(out.tolist())] * 15)
+    for (_, h), (c, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6) in zip(
+        centred, panel_values
+    ):
+        p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+        kron = (k7 * c + k0 * (l0 + r0) + k1 * p1 + k2 * (l2 + r2) + k3 * p3
+                + k4 * (l4 + r4) + k5 * p5 + k6 * (l6 + r6))
+        gauss = g3 * c + g0 * p1 + g1 * p3 + g2 * p5
         # floor at one rounding unit of the panel value: the embedded-rule
         # difference can round to zero while the panel still carries ulp error
         err = max(abs(kron - gauss), 2.0**-52 * abs(kron)) * abs(h)

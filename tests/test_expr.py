@@ -3,6 +3,7 @@ import dataclasses
 import math
 import operator
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from convexa.expr import (
     Num,
     TokenKind,
     Var,
+    Workspace,
     _guard,
     _int_power,
     builtin_function,
@@ -595,6 +597,80 @@ def test_fractional_power_guard_matches_tree_walk(source, tile):
                            f"(at x={first})", first.hex())
     else:
         assert outcome[0] is ExprDomainError and "produced NaN" in outcome[1]
+
+
+# -- workspace evaluation -----------------------------------------------------------
+#
+# With a workspace, every temporary is written into it: the values, errors
+# and blamed x must be those of the allocating call, bit for bit.
+
+_WORKSPACE_SOURCES = (
+    [s for s, _, _ in CORPUS]
+    + [f"x^{n}" for n in range(-8, 9)]
+    + [f"(x+1)^{n}" for n in range(-8, 9)]  # the base's own temporary squares
+    + ["x^0.5", "pow(x, 2.5)", "pow(x+1, x)", "2^x", "x/(x-0.5)", "1/(x-x)", "x^0",
+       "pow(x, 0)", "(x*x)^6/x^6", "x^-3 + x^6*2", "ln(x-1) + x", "x + (0-1)^0.5"]
+)
+
+
+def _workspace_call(f, workspace):
+    def call(x):
+        with np.errstate(all="ignore"):  # the caller's, as the workspace contract says
+            return f(x, workspace)
+
+    return call
+
+
+def _assert_workspace_matches(f, inputs):
+    # one workspace for every input, so it grows, and stale slots would show
+    workspace = Workspace()
+    for x in inputs:
+        assert _diff_outcome(_workspace_call(f, workspace), x) == _diff_outcome(f, x)
+
+
+@pytest.mark.parametrize("source", _WORKSPACE_SOURCES)
+def test_workspace_evaluation_matches_allocating(source):
+    _assert_workspace_matches(parse_function(source), _DIFF_INPUTS + (_FUZZ_XS,))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_ast_strategy(_DIFF_LEAF))
+@example(BinOp("^", Var(), Num(6.0)))  # the result is acc when acc squares again
+@example(BinOp("^", BinOp("+", Var(), Num(1.0)), Num(6.0)))
+@example(BinOp("^", BinOp("+", Var(), Num(1.0)), Neg(Num(4.0))))
+def test_workspace_evaluation_matches_allocating_on_trees(tree):
+    _assert_workspace_matches(FunctionDef("f", tree), _DIFF_INPUTS)
+
+
+def test_workspace_result_lives_until_its_next_use():
+    f = parse_function("3*x^2 + 1")
+    workspace = Workspace(4)
+    with np.errstate(all="ignore"):
+        first = f(np.array([1.0, 2.0]), workspace)
+        assert list(first) == [4.0, 13.0] and not first.flags.writeable
+        f(np.array([0.0, 0.0]), workspace)
+    assert list(first) == [1.0, 1.0]  # the slot was written again
+
+
+@pytest.mark.parametrize("source", [
+    "0.7*x^2 + 0.3*x^3 + 0.9", "exp(sqrt(2 + (3*x)^2))", "x/(x+1)", "1/x^2", "x^-3",
+    "ln(x) + sqrt(x)", "x^0.5", "pow(x, 2.5)", "x^0", "abs(x - 3)",
+])
+def test_workspace_evaluation_allocates_no_array(source):
+    """Into a workspace, a call forms no array of the input's size: no
+    temporary, and no domain-test mask while the test's reduction passes."""
+    f = parse_function(source)
+    xs = np.linspace(0.5, 4.0, 8192)
+    workspace = Workspace(xs.size)
+    with np.errstate(all="ignore"):
+        f(xs, workspace)  # the first call allocates the workspace
+        tracemalloc.start()
+        try:
+            f(xs, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < xs.size  # a boolean mask of xs is xs.size bytes
 
 
 # -- empty input, value semantics and warnings --------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from convexa import membership as mb
 from convexa.errors import NonFiniteError
-from convexa.expr import parse_function
+from convexa.expr import FunctionDef, parse_function
 from convexa.quadrature import Interval
 from convexa.weights import classical, nesbitt, young
 
@@ -219,15 +219,18 @@ def test_one_class_violator_just_after_block_boundary(
     assert (cert.x, cert.y, cert.t) == (0.0, float(ys[first]), grid.t_min)
 
 
-# (ny, nt) around the tile rule: whole x rows per tile up to ny*nt = 8,192
-# (8,191 is prime, so 8,190 stands for one short), balanced y slices past it,
-# and one (x, y) pair per tile once nt alone exceeds 8,192
+# (ny, nt) around the tile rule of 8,192-sample tiles: whole x rows per tile
+# up to ny*nt = 8,192 (8,191 is prime, so 8,190 stands for one short),
+# balanced y slices past it; the same slices just past the current tile;
+# and one (x, y) pair per tile once nt alone exceeds it
 TILE_REGIMES = [
     pytest.param(45, 91, id="two_rows-4095"),
     pytest.param(90, 91, id="one_row-8190"),
     pytest.param(64, 128, id="one_row-8192"),
     pytest.param(2731, 3, id="two_slices-8193"),
     pytest.param(3, 2731, id="slices_of_1_and_2_rows-8193"),
+    pytest.param(mb._BLOCK_SAMPLES // 3 + 1, 3, id="two_slices-past_block"),
+    pytest.param(3, mb._BLOCK_SAMPLES // 3 + 1, id="slices_of_1_and_2_rows-past_block"),
     pytest.param(3, mb._BLOCK_SAMPLES + 8, id="one_pair-nt_past_block"),
 ]
 
@@ -297,10 +300,11 @@ def test_first_violator_just_after_tile_boundary(ny, nt):
 
 
 def test_non_finite_cell_inside_a_tile():
-    # two x rows per tile; f is finite except within ~3e-14 of c = x_3, the
-    # second row of the second tile, which no earlier point or y reaches,
-    # so the first non-finite cell is (x_3, y_0, t_0), where w_x * f(x) = inf
-    grid = mb.GridSpec(nx=8, ny=45, nt=91)
+    # two x rows per tile (45 * nt is just under half a tile); f is finite
+    # except within ~3e-14 of c = x_3, the second row of the second tile,
+    # which no earlier point or y reaches, so the first non-finite cell is
+    # (x_3, y_0, t_0), where w_x * f(x) = inf
+    grid = mb.GridSpec(nx=8, ny=45, nt=mb._BLOCK_SAMPLES // 90)
     assert mb._BLOCK_SAMPLES // (grid.ny * grid.nt) == 2
     interval = Interval(0.0, 1.0)
     c = float(np.linspace(interval.a, interval.b, grid.nx)[3])
@@ -362,8 +366,8 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
 
 
 def test_scan_memory_is_bounded():
-    # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds a
-    # few 64 KiB tile temporaries and the ny x nt (y, t) terms
+    # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds two
+    # 128 KiB tile buffers, f's workspace and the ny x nt (y, t) terms
     f = parse_function("exp(sqrt(1 + x^2))")
     grid = mb.GridSpec(nx=101, ny=101, nt=199)
     tracemalloc.start()
@@ -390,6 +394,50 @@ def test_scan_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < per_point * max(nx, ny * nt)
+
+
+@pytest.mark.parametrize("ny, nt", [
+    pytest.param(80, mb._BLOCK_SAMPLES // 80, id="one_row"),
+    pytest.param(200, 83, id="y_slices"),
+    pytest.param(2, mb._BLOCK_SAMPLES + 8, id="one_pair"),
+])
+def test_tile_loop_allocates_no_tile(monkeypatch, ny, nt):
+    # every tile-sized array is allocated before the first tile: between
+    # two tiles' f calls nothing near a tile's size is allocated, and a
+    # scan of 64 x rows peaks less than half a tile above one of 2
+    call = FunctionDef.__call__
+    between = []  # traced bytes allocated since the previous tile's f call
+
+    def tracing(self, x, workspace=None):
+        if workspace is not None:
+            current, peak = tracemalloc.get_traced_memory()
+            between.append(peak - current)
+            tracemalloc.reset_peak()
+        return call(self, x, workspace)
+
+    monkeypatch.setattr(FunctionDef, "__call__", tracing)
+    f = parse_function("exp(sqrt(1 + x^2)) + x/(x + 3) + 0.5*x^4")
+    tile_bytes = 8 * min(mb._BLOCK_SAMPLES, ny * nt)
+    peaks = []
+    # numpy's own iterator buffer (64 KiB by default) is no tile of the scan
+    bufsize = np.setbufsize(16)
+    try:
+        for nx in (2, 64):
+            between.clear()
+            tracemalloc.start()
+            try:
+                report = mb.check_classes(
+                    f, Interval(-1.0, 2.0), SYSTEMS[:2], mb.GridSpec(nx, ny, nt)
+                )[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+    finally:
+        np.setbufsize(bufsize)
+    # before the first tile the scan's set-up frees temporaries of its own
+    assert len(between) > 8 and max(between[1:]) < tile_bytes / 10
+    assert peaks[1] - peaks[0] < tile_bytes / 2
 
 
 def test_rounding_in_large_values_is_not_a_violation():

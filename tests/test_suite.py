@@ -53,9 +53,9 @@ def test_verify_paper_f_evaluation_budget(monkeypatch):
     original = expr.FunctionDef.__call__
     points = []
 
-    def counting(self, x):
+    def counting(self, x, workspace=None):
         points.append(np.size(x))
-        return original(self, x)
+        return original(self, x, workspace)
 
     monkeypatch.setattr(expr.FunctionDef, "__call__", counting)
     assert verify_paper().overall is Overall.ALL_HOLD
