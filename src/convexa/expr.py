@@ -488,25 +488,28 @@ class Workspace:
     """Scratch arrays that FunctionDef calls write their temporaries into.
 
     It serves one function's calls, one at a time, on inputs of up to `size`
-    points: its memory is one array, allocated at the first call and again
-    only when a call needs more points or more temporaries. A caller that
-    loops over a few input shapes, such as scan tiles or quadrature panels,
-    then evaluates without allocating.
+    points: each slot is an array of its own, allocated at the first call
+    that uses the slot and again only when a call needs more points. A
+    caller that loops over a few input shapes, such as scan tiles, then
+    evaluates without allocating.
     """
 
     def __init__(self, size: int = 0):
-        self._store = np.empty((0, size))
-        self._views = {}  # (count, input shape) -> that many views of the store
+        self._size = size
+        self._arrays = []  # one array of self._size points per slot
+        self._views = {}  # (count, input shape) -> views of the first count arrays
 
     def slots(self, count: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         views = self._views.get((count, shape))
         if views is None:
             points = math.prod(shape)
-            rows, size = self._store.shape
-            if count > rows or points > size:
-                self._store = np.empty((max(count, rows), max(points, size)))
+            if points > self._size:
+                self._size = points
+                self._arrays.clear()
                 self._views.clear()
-            views = tuple(self._store[:count, :points].reshape(count, *shape))
+            while len(self._arrays) < count:
+                self._arrays.append(np.empty(self._size))
+            views = tuple(a[:points].reshape(shape) for a in self._arrays[:count])
             self._views[(count, shape)] = views
         return views
 

@@ -83,11 +83,13 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
-# samples per tile: 128 KiB per float64 array. A scan allocates its tile
-# buffers and f's workspace once, before the first tile, so a larger tile
-# only cuts the fixed cost per tile; 16,384 keeps a 2^16 x 2 x 2 scan at
-# 0.82 of the memory bound in tests/test_scan_blocks.py (32,768: 1.07)
-_BLOCK_SAMPLES = 16384
+# samples per tile. A scan allocates its tile buffers and f's workspace
+# once, before the first tile, so a larger tile only cuts the fixed cost per
+# tile. At 16 samples under 2^14 each of those arrays (130,944 B) lies under
+# glibc's default 128 KiB mmap threshold, so it comes from the heap, where
+# the next scan can reuse it; a 2^16 x 2 x 2 scan reads 0.75 of the memory
+# bound in tests/test_scan_blocks.py
+_BLOCK_SAMPLES = 16384 - 16
 # cells a certificate search tests at once
 _CANDIDATES = 1024
 
@@ -179,21 +181,24 @@ def check_classes(
         # its size
         size = max(_BLOCK_SAMPLES, grid.nt)
         workspace = Workspace(size)
-        buffers = np.empty((2, size))
+        buffer, spare = np.empty(size), None
         rows = max(1, _BLOCK_SAMPLES // (grid.ny * grid.nt))
-        row_buffers = np.empty((2, rows, 1, grid.nt))
+        row_buffers = [np.empty((rows, 1, grid.nt)) for _ in range(2)]
         for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
-            x_part, wx_fx = row_buffers[:, : i1 - i0]
+            x_part, wx_fx = (b[: i1 - i0] for b in row_buffers)
             np.multiply(ts, xs[i0:i1, None, None], out=x_part)
             fxi = fx[i0:i1, None, None]
             for j0, j1 in y_slices:
                 shape = (i1 - i0, j1 - j0, grid.nt)
-                points, spare = (b[: math.prod(shape)].reshape(shape) for b in buffers)
+                points = buffer[: math.prod(shape)].reshape(shape)
                 np.add(x_part, y_part[j0:j1], out=points)
                 lhs = f(points, workspace)
-                # f has read the points, so d takes their place, unless they
-                # are lhs (f = x)
-                d = spare if np.may_share_memory(lhs, points) else points
+                # f has read the points, so d takes their place; only when
+                # they are lhs (f = x) does the scan make a second buffer
+                d = points
+                if np.may_share_memory(lhs, points):
+                    spare = np.empty(size) if spare is None else spare
+                    d = spare[: points.size].reshape(shape)
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
                     if errors[c] is not None:
                         continue

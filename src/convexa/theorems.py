@@ -12,6 +12,7 @@ integration noise, and an inf or NaN member raises NonFiniteError.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import weights as w
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NonFiniteError,
     OrderingError,
 )
-from .expr import FunctionDef, Workspace
+from .expr import FunctionDef
 from .quadrature import Interval, QuadSpec, integrate
 from .specfun import beta
 
@@ -84,15 +85,10 @@ def _check_tol(quad_error: float) -> float:
 
 
 def _average(
-    f: FunctionDef, interval: Interval, spec: QuadSpec, g: FunctionDef | None = None
+    f: Callable, interval: Interval, spec: QuadSpec, g: Callable | None = None
 ) -> tuple[float, float]:
-    """Average of f, or of the product f*g, over the interval, with its error.
-
-    f and g evaluate into workspaces of their own, under the np.errstate
-    that `integrate` holds for the whole run.
-    """
-    fw, gw = Workspace(), Workspace()
-    integrand = (lambda x: f(x, fw)) if g is None else lambda x: f(x, fw) * g(x, gw)
+    """Average of f, or of the product f*g, over the interval, with its error."""
+    integrand = f if g is None else lambda x: f(x) * g(x)
     width = interval.width
     res = integrate(integrand, interval, spec)
     if math.isinf(res.value):

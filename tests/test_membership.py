@@ -190,6 +190,21 @@ def test_dominating_scans_gap_no_more_than_classical(terms, a, width, ps, shape,
         assert report.max_gap <= reports[0].max_gap + slack
 
 
+@pytest.mark.xfail(
+    raises=ExprDomainError,
+    strict=True,
+    reason="a scan point t*x + (1-t)*y can round past an end of [a, b] (ROADMAP)",
+)
+def test_scan_points_stay_inside_the_interval():
+    # x = y = -3 and the grid's t = 0.33088235294117646 give
+    # -3.0000000000000004, where sqrt(x + 3) is undefined. Hypothesis drew
+    # this case for test_dominating_scans_gap_no_more_than_classical; once
+    # the scan keeps its points in [a, b], drop the mark here and pin the
+    # case there with @example
+    f = parse_function("0.0*sqrt(x+3)")
+    check_convex(f, Interval(-3.0, -2.0), classical(), GridSpec(2, 2, 18, t_min=0.125))
+
+
 def test_determinism():
     f = parse_function("x^2")
     r1 = check_convex(f, Interval(0.0, 2.0), nesbitt())

@@ -366,8 +366,8 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
 
 
 def test_scan_memory_is_bounded():
-    # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds two
-    # 128 KiB tile buffers, f's workspace and the ny x nt (y, t) terms
+    # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds one
+    # tile buffer, f's workspace and the ny x nt (y, t) terms
     f = parse_function("exp(sqrt(1 + x^2))")
     grid = mb.GridSpec(nx=101, ny=101, nt=199)
     tracemalloc.start()
