@@ -228,21 +228,25 @@ def _cmd_check(args) -> Report:
     return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
 
 
+# record names of each class's sandwich and product bound, a Young one
+# followed by _p and the exponent
+_THEOREM_NAMES = {
+    w.WeightKind.CLASSICAL: ("hadamard_classical", "pachpatte_upper"),
+    w.WeightKind.YOUNG: ("young_sandwich", "young_product"),
+    w.WeightKind.NESBITT: ("nesbitt_sandwich", "nesbitt_product"),
+}
+
+
+def _theorem_names(ws: w.WeightSystem) -> list[str]:
+    suffix = "" if ws.p is None else f"_p{w.exponent_text(ws.p)}"
+    return [stem + suffix for stem in _THEOREM_NAMES[ws.kind]]
+
+
 def _cmd_sandwich(args) -> Report:
     f = parse_function(args.f_source)
     ws = _weight_system(args)
-    interval = Interval(args.a, args.b)
-    quad = _quad_spec(args)
-    if ws.kind is w.WeightKind.CLASSICAL:
-        rep = th.hadamard_classical(f, interval, quad)
-        name = "hadamard_classical"
-    elif ws.kind is w.WeightKind.YOUNG:
-        rep = th.young_sandwich(f, interval, args.p, quad)
-        name = f"young_sandwich_p{w.exponent_text(args.p)}"
-    else:
-        rep = th.nesbitt_sandwich(f, interval, quad)
-        name = "nesbitt_sandwich"
-    rec = _record("sandwich", name, dataclasses.asdict(rep))
+    rep = th.sandwich(ws, f, Interval(args.a, args.b), _quad_spec(args))
+    rec = _record("sandwich", _theorem_names(ws)[0], dataclasses.asdict(rep))
     overall = _holds(rep.left_holds and rep.right_holds)
     return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
 
@@ -253,14 +257,14 @@ def _cmd_product(args) -> Report:
     ws = _weight_system(args)
     interval = Interval(args.a, args.b)
     quad = _quad_spec(args)
+    name = _theorem_names(ws)[1]
     if ws.kind is w.WeightKind.CLASSICAL:
+        # the upper display is the generic bound; the lower one shares its integral
         upper, lower = th.pachpatte_bounds(f, g, interval, quad)
-        reports = {"pachpatte_upper": upper, "pachpatte_lower": lower}
-    elif ws.kind is w.WeightKind.YOUNG:
-        rep = th.young_product_bound(f, g, interval, args.p, quad)
-        reports = {f"young_product_p{w.exponent_text(args.p)}": rep}
+        reports = {name: upper, "pachpatte_lower": lower}
     else:
-        reports = {"nesbitt_product": th.nesbitt_product_bound(f, g, interval, quad)}
+        reports = {name: th.product_bound(ws, f, g, interval, quad)}
+    if ws.kind is w.WeightKind.NESBITT:
         try:
             rep = th.nesbitt_similarly_ordered_bound(f, g, interval, quad)
             reports["nesbitt_similarly_ordered"] = rep

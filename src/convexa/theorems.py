@@ -3,8 +3,10 @@
 Each operation computes the left/middle/right members of one inequality
 and reports whether it holds. Its coefficients are the closed-form weight
 moments of `WeightSystem.moments_closed_form()`, since every bound is the
-defining inequality integrated over t; the moments are cross-checked
-against the quadrature oracle in `constants_table`. Verdicts use
+defining inequality integrated over t; `sandwich` and `product_bound` read
+them for any weight system, and the class-named theorems wrap the two.
+The moments are cross-checked against the quadrature oracle in
+`constants_table`. Verdicts use
 check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
 integration noise, and an inf or NaN member raises NonFiniteError.
 """
@@ -23,7 +25,6 @@ from .errors import (
 )
 from .expr import FunctionDef
 from .quadrature import Interval, QuadSpec, integrate
-from .specfun import beta
 
 # ln(3*sqrt(3)/e), per f(a)+f(b)
 NESBITT_RIGHT_COEFF = w.nesbitt().moments_closed_form().m10
@@ -113,9 +114,8 @@ def _require_finite(**members: float | None) -> None:
             raise NonFiniteError(f"bound member {name} is not finite: {value!r}")
 
 
-def _sandwich(f, interval, spec, left_coeff, m10, m01) -> SandwichReport:
-    """left <= avg integral <= m10 f(a) + m01 f(b): the defining inequality
-    integrated over t.
+def _sandwich_report(f, interval, spec, left_coeff, m10, m01) -> SandwichReport:
+    """left <= avg integral <= m10 f(a) + m01 f(b).
 
     The left member is left_coeff * f(mid), or the average itself when
     left_coeff is None.
@@ -132,12 +132,23 @@ def _sandwich(f, interval, spec, left_coeff, m10, m01) -> SandwichReport:
     )
 
 
+def sandwich(
+    ws: w.WeightSystem, f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
+) -> SandwichReport:
+    """f(mid) / L(1/2) <= avg integral <= (m10 + m01)/2 (f(a) + f(b)), L the
+    lemma's right-hand side (1 / L(1/2) = 1 unless ws is Young's) and
+    m10 + m01 the weight mass `WeightSystem.weight_mass()`.
+    """
+    left_coeff = 1.0 if ws.p is None else young_sandwich_coefficients(ws.p)[0]
+    half = 0.5 * ws.weight_mass()
+    return _sandwich_report(f, interval, spec, left_coeff, half, half)
+
+
 def hadamard_classical(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f((a+b)/2) <= avg integral <= (f(a)+f(b))/2 for classically convex f."""
-    table = w.classical().moments_closed_form()
-    return _sandwich(f, interval, spec, 1.0, table.m10, table.m01)
+    return sandwich(w.classical(), f, interval, spec)
 
 
 def young_right_bound(
@@ -145,72 +156,38 @@ def young_right_bound(
 ) -> SandwichReport:
     """avg integral <= m10(p) f(a) + m01(p) f(b); left member unused (= middle)."""
     table = w.young(p).moments_closed_form()
-    return _sandwich(f, interval, spec, None, table.m10, table.m01)
+    return _sandwich_report(f, interval, spec, None, table.m10, table.m01)
 
 
 def young_sandwich_coefficients(p: float) -> tuple[float, float]:
-    """(left coefficient, right bracket) of the Young sandwich.
-
-    The right bracket is evaluated both through its Beta expression and its
-    rational simplification 2p/(p+1); disagreement beyond 1e-12 means the
-    special-function layer is broken. Its rational term (about 1/2) reads 0
-    once (p+1)(2p+1) overflows a double, from p ~ 9.5e153, and NaN once
-    p(p+2) overflows too, from p ~ 1.34e154: NonFiniteError.
-    """
-    left = 2.0 ** (1.0 / p) * p / (p + 1.0)
-    rational = p * (p + 2.0) / ((p + 1.0) * (1.0 + 2.0 * p))
-    bracket_beta = (
-        rational
-        + (p - 1.0) / p * beta((1.0 + p) / p, 2.0)
-        + 1.0 / p * beta(1.0 / p, 2.0)
-    )
-    if not rational > 0.0:
-        raise NonFiniteError(
-            f"the sandwich bracket of young(p={w.exponent_text(p)}) overflows a double"
-        )
-    bracket_simple = 2.0 * p / (p + 1.0)
-    if not abs(bracket_beta - bracket_simple) <= 1e-12:
-        raise ArithmeticError(
-            f"Young sandwich bracket mismatch at p={p}: "
-            f"{bracket_beta!r} vs {bracket_simple!r}"
-        )
-    return left, bracket_beta
+    """(left coefficient 1/L(1/2) = 2^(1/p) p/(p+1), right bracket
+    2p/(p+1)) of the Young sandwich; the bracket is the weight mass."""
+    return 2.0 ** (1.0 / p) * p / (p + 1.0), w.young(p).weight_mass()
 
 
 def young_sandwich(
     f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
-    """2^(1/p) p/(p+1) f(mid) <= avg integral <= bracket * (f(a)+f(b))/2."""
-    w.young(p)  # the Young exponent rule
-    left_coeff, bracket = young_sandwich_coefficients(p)
-    return _sandwich(f, interval, spec, left_coeff, bracket * 0.5, bracket * 0.5)
-
-
-def young_product_bound(
-    f: FunctionDef,
-    g: FunctionDef,
-    interval: Interval,
-    p: float,
-    spec: QuadSpec = QuadSpec(),
-) -> ProductBoundReport:
-    """Product bound with the oracle-confirmed Beta coefficients, 1 < p < 2.
-
-    The f(b)g(b) coefficient contains beta(2/p - 1, 3), which diverges for
-    p >= 2; that case raises DivergentCoefficient rather than bounding.
-    """
-    return _moment_product_bound(w.young(p), f, g, interval, spec)
+    """2^(1/p) p/(p+1) f(mid) <= avg integral <= (p/(p+1)) (f(a)+f(b))."""
+    return sandwich(w.young(p), f, interval, spec)
 
 
 def nesbitt_sandwich(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f(mid) <= avg integral <= ((3/2)ln3 - 1)(f(a) + f(b))."""
-    table = w.nesbitt().moments_closed_form()
-    return _sandwich(f, interval, spec, 1.0, table.m10, table.m01)
+    return sandwich(w.nesbitt(), f, interval, spec)
 
 
-def _moment_product_bound(ws: w.WeightSystem, f, g, interval, spec) -> ProductBoundReport:
-    """avg of fg <= m20 f(a)g(a) + m02 f(b)g(b) + m11 N, from the moment table."""
+def product_bound(
+    ws: w.WeightSystem, f: FunctionDef, g: FunctionDef, interval: Interval,
+    spec: QuadSpec = QuadSpec(),
+) -> ProductBoundReport:
+    """avg of fg <= m20 f(a)g(a) + m02 f(b)g(b) + m11 N, from the moment table.
+
+    The Young m02 contains beta(2/p - 1, 3), which diverges for p >= 2;
+    that case raises DivergentCoefficient rather than bounding.
+    """
     table = ws.moments_closed_form()
     if table.m02 is None:
         raise DivergentCoefficient(
@@ -221,6 +198,21 @@ def _moment_product_bound(ws: w.WeightSystem, f, g, interval, spec) -> ProductBo
         f, g, interval, _average(f, interval, spec, g),
         table.m20, table.m02, table.m11,
     )
+
+
+def young_product_bound(
+    f: FunctionDef, g: FunctionDef, interval: Interval, p: float,
+    spec: QuadSpec = QuadSpec(),
+) -> ProductBoundReport:
+    """The product bound with the oracle-confirmed Beta coefficients, 1 < p < 2."""
+    return product_bound(w.young(p), f, g, interval, spec)
+
+
+def nesbitt_product_bound(
+    f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
+) -> ProductBoundReport:
+    """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
+    return product_bound(w.nesbitt(), f, g, interval, spec)
 
 
 def _product_report(
@@ -265,13 +257,6 @@ def _product_report(
     )
 
 
-def nesbitt_product_bound(
-    f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
-) -> ProductBoundReport:
-    """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
-    return _moment_product_bound(w.nesbitt(), f, g, interval, spec)
-
-
 def nesbitt_similarly_ordered_bound(
     f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> ProductBoundReport:
@@ -303,7 +288,7 @@ def pachpatte_bounds(
     Lower: 2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint.
     """
     ws = w.classical()
-    upper = _moment_product_bound(ws, f, g, interval, spec)
+    upper = product_bound(ws, f, g, interval, spec)
     table = ws.moments_closed_form()
     mid = interval.midpoint
     lower = _product_report(
@@ -359,11 +344,9 @@ def constants_table(
         if p is None:
             rows.append(_oracle_row(ws, "nesbitt_ordered_coeff", NESBITT_ORDERED_COEFF,
                                     next(oracles)))
-            w_sum = 3.0 * w.LN3 - 2.0
         else:
             display = w.young_cross_moment_theorem_display(p)
             rows.append(_row("young_m11_theorem_display", p, display,
                              moments["m11"].oracle, "erratum candidate"))
-            w_sum = 2.0 * p / (p + 1.0)
-        rows.append(_oracle_row(ws, f"{kind}_w_sum", w_sum, next(oracles)))
+        rows.append(_oracle_row(ws, f"{kind}_w_sum", ws.weight_mass(), next(oracles)))
     return rows

@@ -175,6 +175,15 @@ class WeightSystem:
             young_cross_moment_proof_display(p),
         )
 
+    def weight_mass(self) -> float:
+        """m10 + m01 = int (w_x + w_y) over t in [0, 1], in closed form: 1,
+        2p/(p+1) (finite until 2p overflows) or 3 ln 3 - 2."""
+        if self.kind is WeightKind.CLASSICAL:
+            return 1.0
+        if self.kind is WeightKind.YOUNG:
+            return 2.0 * self.p / (self.p + 1.0)
+        return 3.0 * LN3 - 2.0
+
     def integrals(
         self,
         terms: Iterable[tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexa import suite
 from convexa.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -126,6 +128,22 @@ def test_young_record_names_read_back_as_p(p, suffix, capsys):
         assert record["name"] == f"young_{sub}_p{suffix}"
 
 
+@pytest.mark.parametrize("p", ["8e153", "1.3e154", "1e300", "1.7e308"])
+def test_young_sandwich_finite_until_2p_overflows(p):
+    """The closed-form moments stop where 3p^2 overflows (~7.7e153); the
+    sandwich's bracket 2p/(p+1) only where 2p does (~9e307)."""
+    argv = ["sandwich", "--f", "x", "--class", "young", "--p", p, "--a", "0", "--b", "1",
+            "--format", "json"]
+    code, out, err = _run_strict(argv)
+    if float(p) * 2.0 == float("inf"):
+        _assert_strict(code, out, err, EXIT_NUMERIC,
+                       "error: bound member right is not finite: inf")
+        return
+    assert (code, err) == (EXIT_OK, "")
+    (rec,) = json.loads(out)["results"]
+    assert all(math.isfinite(rec[k]) for k in ("left_value", "middle_value", "right_value"))
+
+
 def test_product_requires_g(capsys):
     code = run(
         ["product", "--f", "x", "--class", "nesbitt", "--a", "0", "--b", "1"]
@@ -229,6 +247,18 @@ def test_verify_paper_loose_tolerance_fails_numerically():
     assert report.overall is Overall.NUMERIC_FAILURE
 
 
+def test_verify_paper_violation_text(monkeypatch, capsys):
+    # a Proposition gap the witness cannot meet: one failed check, exit 1
+    monkeypatch.setattr(suite, "NEGATIVE_CONST_GAP", 0.0)
+    code = run(["verify-paper", "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_VIOLATION
+    assert lines[0] == "overall: ViolationFound"
+    failed = [line for line in lines[1:] if not line.startswith("[PASS] ")]
+    assert len(lines) == 286 and len(failed) == 1
+    assert failed[0].startswith("[FAIL] proposition/negative_constant_gap_at_half: metric=")
+
+
 def test_exit_matches_overall(capsys):
     code = run(["verify-paper", "--format", "csv"])
     out = capsys.readouterr().out
@@ -275,10 +305,9 @@ STRICT_CASES = [
       "--b", "1"], EXIT_OK, None),
     (["check", "--f", "x^2", "--class", "classical", "--a", "0",
       "--b", "inf"], EXIT_USAGE, "error: interval requires finite a < b"),
-    # the bracket's rational term is inf/inf = nan at this p
+    # the sandwich's bracket 2p/(p+1) stays finite until 2p overflows
     (["sandwich", "--f", "x", "--class", "young", "--p", "1e300", "--a", "0",
-      "--b", "1"], EXIT_NUMERIC,
-     "error: the sandwich bracket of young(p=1e+300) overflows a double"),
+      "--b", "1"], EXIT_OK, None),
     # (p - 1)**2 overflows in the closed-form moment table
     (["moments", "--class", "young", "--p", "1e300"], EXIT_NUMERIC,
      "error: the closed-form moments of young(p=1e+300) overflow"),
@@ -311,10 +340,9 @@ STRICT_CASES = [
      "error: the closed-form moments of young(p=8e+153) overflow a double"),
     (["constants", "--p", "1e154"], EXIT_NUMERIC,
      "error: the closed-form moments of young(p=1e+154) overflow a double"),
-    # (p + 1)(2p + 1) overflows, so the bracket's rational term reads 0
+    # past the closed-form moments' 3p^2 overflow, the sandwich still holds
     (["sandwich", "--f", "x", "--class", "young", "--p", "1.3e154", "--a", "0",
-      "--b", "1"], EXIT_NUMERIC,
-     "error: the sandwich bracket of young(p=1.3e+154) overflows a double"),
+      "--b", "1"], EXIT_OK, None),
     # argparse's usage errors, one line each
     (["check", "--class", "classical", "--a", "0", "--b", "1"], EXIT_USAGE,
      "error: the following arguments are required: --f"),

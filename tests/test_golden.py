@@ -31,6 +31,11 @@ GOLDEN = [
         ["verify-paper", "--format", "csv"],
         "ca7a04897276722b9e18792fb2ae6a8a9ec6e8c9e258f812a030b2cb17546b68",
     ),
+    # one "[PASS] name: metric=… relation threshold=…" line per check record
+    (
+        ["verify-paper", "--format", "text"],
+        "5c1aa2bfcf90a6998980c830ca52e20fa5b5c9ac288826d18fe38969ea82845e",
+    ),
     (
         ["constants", "--p", "1.01", "--p", "1.5", "--p", "1.9", "--p", "2",
          "--p", "3", "--p", "10", "--format", "csv"],
@@ -67,7 +72,7 @@ _THEOREM_DIGESTS = {
     ("sandwich", "classical"):
         "ceea78d29a3c448d20066e15bd19cd0a83d9462054bd416fea585683e566aabe",
     ("sandwich", "young"):
-        "cd23f14fc948f37c3b681998eaea37e976e31f6e4211ed3e7dae696aff414d8b",
+        "efe4483c671b796e33668a3f7030df90a285000ca7f78a2c7e1a1241d3247ff4",
     ("sandwich", "nesbitt"):
         "63cc454cb5c0019c634ceadebf2d45207483394979dacf8883bc15f670d7bedc",
     ("product", "classical"):

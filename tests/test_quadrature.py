@@ -479,3 +479,20 @@ def test_misshapen_bisection_return_names_thirty_nodes():
     contract = "one value per node: shape (30,), got (15,)"
     with pytest.raises(TypeError, match=re.escape(contract) + "$"):
         integrate_unit(lambda t: np.arange(15.0))
+
+
+def test_bisection_error_raised_when_no_single_panel_raises():
+    # an integrand that fails only on a call of 30 nodes: each half of the
+    # bisection, evaluated alone to name the failing point, raises nothing,
+    # so the two-panel call's own exception propagates
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        if t.size == 30:
+            raise ArithmeticError("two panels at once")
+        return 1.0 / (1e-2 + (t - 0.3) ** 2)  # peaked: the first panel is bisected
+
+    with pytest.raises(ArithmeticError, match="^two panels at once$"):
+        integrate_unit(f)
+    assert calls == [15, 30, 15, 15]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from convexa.theorems import (
     nesbitt_sandwich,
     nesbitt_similarly_ordered_bound,
     pachpatte_bounds,
+    product_bound,
+    sandwich,
     young_product_bound,
     young_right_bound,
     young_sandwich,
@@ -113,9 +116,53 @@ def test_young_sandwich_constant_p2():
 
 
 def test_young_sandwich_bracket_simplifies():
-    for p in (1.01, 1.1, 1.5, 2.0, 3.0, 10.0):
+    # the bracket is the weight mass 2p/(p+1): 2p is exact, so it is two
+    # roundings away from the exact quotient of the double p
+    ps = [1.0 + 10.0 ** (k / 25.0) for k in range(-200, 150)]
+    ps += [1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 1e6]
+    for p in ps:
         _, bracket = young_sandwich_coefficients(p)
-        assert abs(bracket - 2.0 * p / (p + 1.0)) <= 1e-12
+        exact = 2 * Fraction(p) / (Fraction(p) + 1)
+        assert abs(Fraction(bracket) - exact) <= 3 * Fraction(math.ulp(float(exact))), p
+
+
+def test_young_sandwich_overflows_with_2p():
+    with pytest.raises(NonFiniteError, match="bound member right is not finite: inf"):
+        young_sandwich(FX, UNIT, 1.7e308)
+
+
+SANDWICH_WRAPPERS = [
+    (weights.classical(), hadamard_classical),
+    (young(1.5), lambda f, interval: young_sandwich(f, interval, 1.5)),
+    (weights.nesbitt(), nesbitt_sandwich),
+]
+
+
+@pytest.mark.parametrize("ws,named", SANDWICH_WRAPPERS, ids=["classical", "young1.5", "nesbitt"])
+@pytest.mark.parametrize("source,bounds", [("x^2", (0.0, 1.0)), ("exp(x)", (1.0, 3.0))])
+def test_named_sandwich_is_the_generic_body(ws, named, source, bounds):
+    f, interval = parse_function(source), Interval(*bounds)
+    generic, wrapped = sandwich(ws, f, interval), named(f, interval)
+    for member in ("left_value", "middle_value", "right_value", "quad_error"):
+        assert getattr(generic, member).hex() == getattr(wrapped, member).hex()
+    assert generic == wrapped
+
+
+@pytest.mark.parametrize(
+    "ws,named",
+    [
+        (weights.classical(), lambda *a: pachpatte_bounds(*a)[0]),
+        (young(1.5), lambda f, g, interval: young_product_bound(f, g, interval, 1.5)),
+        (weights.nesbitt(), nesbitt_product_bound),
+    ],
+    ids=["classical", "young1.5", "nesbitt"],
+)
+def test_named_product_bound_is_the_generic_body(ws, named):
+    f, g, interval = FX2, parse_function("exp(x)"), Interval(1.0, 3.0)
+    generic, wrapped = product_bound(ws, f, g, interval), named(f, g, interval)
+    for member in ("integral_avg", "bound", "quad_error"):
+        assert getattr(generic, member).hex() == getattr(wrapped, member).hex()
+    assert generic == wrapped
 
 
 def test_young_sandwich_degenerates_to_hadamard():
@@ -353,7 +400,7 @@ def test_coefficient_positivity():
 
 
 @pytest.mark.parametrize(
-    "ws,right_bound,product_bound",
+    "ws,right_bound,named_product",
     [
         (weights.classical(), hadamard_classical, lambda *a: pachpatte_bounds(*a)[0]),
         (weights.nesbitt(), nesbitt_sandwich, nesbitt_product_bound),
@@ -362,13 +409,14 @@ def test_coefficient_positivity():
     ],
     ids=["classical", "nesbitt", "young1.5"],
 )
-def test_coefficients_are_the_moment_table(ws, right_bound, product_bound):
+def test_coefficients_are_the_moment_table(ws, right_bound, named_product):
     table = ws.moments_closed_form()
-    product = product_bound(FX, FX, UNIT)
+    product = named_product(FX, FX, UNIT)
     assert (product.coeff_aa, product.coeff_bb, product.coeff_N) == (
         table.m20, table.m02, table.m11
     )
     assert right_bound(ONE, UNIT).right_value == table.m10 + table.m01
+    assert ws.weight_mass() == pytest.approx(table.m10 + table.m01, rel=4e-16, abs=0.0)
 
 
 @pytest.mark.parametrize(

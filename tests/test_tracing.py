@@ -34,14 +34,14 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     tracer.install()
     try:
         assert specfun.beta is not beta
-        assert theorems.beta is specfun.beta
+        assert convexa.beta is specfun.beta
         assert weights.WeightSystem.moments_closed_form is not moments_closed_form
         assert weights.young(1.5).moments_closed_form().m10 is not None
         assert tracer.counts["specfun.calls"] > 0
     finally:
         tracer.uninstall()
     assert _bindings() == before
-    assert specfun.beta is beta and theorems.beta is beta and convexa.beta is beta
+    assert specfun.beta is beta and convexa.beta is beta
 
 
 def test_traced_verify_paper_counts(monkeypatch):
