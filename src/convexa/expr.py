@@ -12,10 +12,10 @@ offending x.
 A FunctionDef compiles its tree once, when it is built, into a chain of
 closures: each x-free subtree is evaluated then and becomes an np.float64
 constant, and each operation writes in place into a temporary that the chain
-made itself, or into a slot of the caller's Workspace, which then holds every
-temporary of the call. One chain serves a scalar and an ndarray, with or
-without a workspace, so grid scans and pointwise recomputation agree
-bit-for-bit.
+made itself, or into a slot of the scratch arrays that `FunctionDef.scratch`
+hands out, which then hold every temporary of the call. One chain serves a
+scalar and an ndarray, with or without scratch, so grid scans and pointwise
+recomputation agree bit-for-bit.
 """
 
 import enum
@@ -440,7 +440,7 @@ def _exponentiate(base, bkind, btop, expo, expo_kind, etop):
 def _compile(node: Ast, base: int = 0):
     """Compile a tree into (evaluator of (xs, out), kind of its value, top, end).
 
-    out[k] is workspace slot k, an array shaped like xs, or None for every
+    out[k] is scratch slot k, an array shaped like xs, or None for every
     k, when each operation allocates its result. The subtree's temporaries
     use slots base to end - 1, and its value none from top on, so a later
     sibling starts at top. Each x-free subtree is evaluated here, once,
@@ -484,36 +484,6 @@ def _compile(node: Ast, base: int = 0):
     return (lambda xs, out: value), _CONST, base, base
 
 
-class Workspace:
-    """Scratch arrays that FunctionDef calls write their temporaries into.
-
-    It serves one function's calls, one at a time, on inputs of up to `size`
-    points: each slot is an array of its own, allocated at the first call
-    that uses the slot and again only when a call needs more points. A
-    caller that loops over a few input shapes, such as scan tiles, then
-    evaluates without allocating.
-    """
-
-    def __init__(self, size: int = 0):
-        self._size = size
-        self._arrays = []  # one array of self._size points per slot
-        self._views = {}  # (count, input shape) -> views of the first count arrays
-
-    def slots(self, count: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        views = self._views.get((count, shape))
-        if views is None:
-            points = math.prod(shape)
-            if points > self._size:
-                self._size = points
-                self._arrays.clear()
-                self._views.clear()
-            while len(self._arrays) < count:
-                self._arrays.append(np.empty(self._size))
-            views = tuple(a[:points].reshape(shape) for a in self._arrays[:count])
-            self._views[(count, shape)] = views
-        return views
-
-
 BUILTINS = ("square", "exponential", "identity", "constant", "abs_shift")
 
 
@@ -534,23 +504,28 @@ class FunctionDef:
     def __reduce__(self):
         return FunctionDef, (self.source, self.ast)
 
-    def __call__(self, x, workspace: Workspace | None = None):
+    def scratch(self, size: int) -> tuple[np.ndarray, ...]:
+        """One array of `size` points per slot, for calls on up to `size` points."""
+        return tuple(np.empty(size) for _ in range(self._slot_count))
+
+    def __call__(self, x, scratch: tuple[np.ndarray, ...] | None = None):
         """f at x: a float for a scalar x, else a read-only array of x's shape.
 
-        Without a workspace the array is new (or x itself, for f = x) and
-        floating-point warnings are ignored. With one, the caller holds an
-        np.errstate that ignores them, every temporary is written into the
-        workspace, and the values live until its next use.
+        Without scratch the array is new (or x itself, for f = x) and
+        floating-point warnings are ignored. With this function's
+        `scratch(size)`, the caller holds an np.errstate that ignores them,
+        every temporary is written into the scratch arrays, and the values
+        live until their next use.
         """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         if scalar:
             xs = xs.reshape(1)
-        if workspace is None:
+        if scratch is None:
             with np.errstate(all="ignore"):
                 values = self._evaluate(xs, (None,) * self._slot_count)
         else:
-            values = self._evaluate(xs, workspace.slots(self._slot_count, xs.shape))
+            values = self._evaluate(xs, tuple(a[: xs.size].reshape(xs.shape) for a in scratch))
         if not isinstance(values, np.ndarray):
             values = np.broadcast_to(values, xs.shape)  # f is free of x
         # NaN propagates through max, which an empty xs does not have

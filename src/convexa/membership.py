@@ -8,7 +8,8 @@ when its gap exceeds tol * max(1, |lhs|, |rhs|), so rounding in large
 values is not reported as a violation. The scan runs over tiles of whole
 x rows, or of y slices of one x row, each with whole t rows, so its memory
 does not grow with nx * ny * nt, and GridSpec caps the nx and ny * nt it
-holds whole; an inf or NaN anywhere on the grid raises NonFiniteError
+holds whole. f writes its temporaries into scratch arrays that f hands out
+once per scan. An inf or NaN anywhere on the grid raises NonFiniteError
 instead of becoming a verdict. One scan serves several weight systems,
 since f(tx+(1-t)y) does not depend on the weights.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFiniteError
-from .expr import FunctionDef, Workspace
+from .expr import FunctionDef
 from .quadrature import Interval
 from .weights import WeightSystem
 
@@ -83,7 +84,7 @@ class MembershipReport:
     max_gap: float  # max over the grid of the violated-side margin
 
 
-# samples per tile. A scan allocates its tile buffers and f's workspace
+# samples per tile. A scan allocates its tile buffers and f's scratch arrays
 # once, before the first tile, so a larger tile only cuts the fixed cost per
 # tile. At 16 samples under 2^14 each of those arrays (130,944 B) lies under
 # glibc's default 128 KiB mmap threshold, so it comes from the heap, where
@@ -177,13 +178,13 @@ def check_classes(
             wx, wy = ws.eval_arrays(ts)
             terms.append((wx, wy[None, :] * fy[:, None]))
         # every tile fills views of the same buffers, and f writes its
-        # temporaries into one workspace, so no tile allocates an array of
-        # its size
+        # temporaries into the same scratch arrays, so no tile allocates an
+        # array of its size
         size = max(_BLOCK_SAMPLES, grid.nt)
-        workspace = Workspace(size)
         buffer, spare = np.empty(size), None
         rows = max(1, _BLOCK_SAMPLES // (grid.ny * grid.nt))
         row_buffers = [np.empty((rows, 1, grid.nt)) for _ in range(2)]
+        scratch = f.scratch(size)
         for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
             x_part, wx_fx = (b[: i1 - i0] for b in row_buffers)
             np.multiply(ts, xs[i0:i1, None, None], out=x_part)
@@ -192,7 +193,7 @@ def check_classes(
                 shape = (i1 - i0, j1 - j0, grid.nt)
                 points = buffer[: math.prod(shape)].reshape(shape)
                 np.add(x_part, y_part[j0:j1], out=points)
-                lhs = f(points, workspace)
+                lhs = f(points, scratch)
                 # f has read the points, so d takes their place; only when
                 # they are lhs (f = x) does the scan make a second buffer
                 d = points

@@ -48,7 +48,7 @@ class ProductBoundReport:
     """Upper bound coeff_aa*f(a)g(a) + coeff_bb*f(b)g(b) + coeff_N*N(a,b).
 
     For every theorem except the Young product bound the endpoint
-    coefficients coincide and bound = coeff_M*M + coeff_N*N holds in exact
+    coefficients coincide and bound = coeff_aa*M + coeff_N*N holds in exact
     arithmetic of the stored fields.
     """
 
@@ -65,10 +65,6 @@ class ProductBoundReport:
     quad_error: float
     check_tol: float
     midpoint_product: float | None = None  # 2 f(m)g(m), lower Pachpatte display only
-
-    @property
-    def coeff_M(self) -> float:
-        return self.coeff_aa
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def _product_report(
     """Report for coeff_aa*f(a)g(a) + coeff_bb*f(b)g(b) + coeff_n*N.
 
     With equal endpoint coefficients the bound is evaluated as
-    coeff_M*M + coeff_N*N, the form the report's docstring promises.
+    coeff_aa*M + coeff_N*N, the form the report's docstring promises.
     """
     avg, err = average
     fa, fb = f(interval.a), f(interval.b)

@@ -242,20 +242,6 @@ class WeightSystem:
                 raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
             yield result
 
-    def integral(
-        self,
-        g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        degree: tuple[int, int],
-        spec: QuadSpec = QuadSpec(),
-    ) -> QuadResult:
-        """Quadrature of g(w_x, w_y) over t in [0, 1]; see `integrals`."""
-        return next(self.integrals([(g, degree)], spec))
-
-    def moment(self, key: str, spec: QuadSpec = QuadSpec()) -> float | None:
-        """One moment-table entry ("m10", ..., "m11") from the quadrature
-        oracle; None when the integral does not converge."""
-        return moment_value(self.integral(*MOMENT_INTEGRANDS[key], spec))
-
     def moments(self, spec: QuadSpec = QuadSpec()) -> MomentTable:
         """Moment table from the adaptive-quadrature oracle.
 

@@ -24,7 +24,6 @@ from convexa.expr import (
     Num,
     TokenKind,
     Var,
-    Workspace,
     _guard,
     _int_power,
     builtin_function,
@@ -601,8 +600,9 @@ def test_fractional_power_guard_matches_tree_walk(source, tile):
 
 # -- workspace evaluation -----------------------------------------------------------
 #
-# With a workspace, every temporary is written into it: the values, errors
-# and blamed x must be those of the allocating call, bit for bit.
+# With the scratch arrays that f.scratch(size) hands out as a call's workspace,
+# every temporary is written into them: the values, errors and blamed x must
+# be those of the allocating call, bit for bit.
 
 _WORKSPACE_SOURCES = (
     [s for s, _, _ in CORPUS]
@@ -613,19 +613,19 @@ _WORKSPACE_SOURCES = (
 )
 
 
-def _workspace_call(f, workspace):
+def _workspace_call(f, scratch):
     def call(x):
-        with np.errstate(all="ignore"):  # the caller's, as the workspace contract says
-            return f(x, workspace)
+        with np.errstate(all="ignore"):  # the caller's, as the scratch contract says
+            return f(x, scratch)
 
     return call
 
 
 def _assert_workspace_matches(f, inputs):
-    # one workspace for every input, so it grows, and stale slots would show
-    workspace = Workspace()
+    # one scratch for every input, so stale slots would show
+    scratch = f.scratch(max(np.size(x) for x in inputs))
     for x in inputs:
-        assert _diff_outcome(_workspace_call(f, workspace), x) == _diff_outcome(f, x)
+        assert _diff_outcome(_workspace_call(f, scratch), x) == _diff_outcome(f, x)
 
 
 @pytest.mark.parametrize("source", _WORKSPACE_SOURCES)
@@ -644,12 +644,22 @@ def test_workspace_evaluation_matches_allocating_on_trees(tree):
 
 def test_workspace_result_lives_until_its_next_use():
     f = parse_function("3*x^2 + 1")
-    workspace = Workspace(4)
+    scratch = f.scratch(4)
     with np.errstate(all="ignore"):
-        first = f(np.array([1.0, 2.0]), workspace)
+        first = f(np.array([1.0, 2.0]), scratch)
         assert list(first) == [4.0, 13.0] and not first.flags.writeable
-        f(np.array([0.0, 0.0]), workspace)
+        f(np.array([0.0, 0.0]), scratch)
     assert list(first) == [1.0, 1.0]  # the slot was written again
+
+
+@pytest.mark.parametrize("source, slots", [
+    ("x", 0), ("2.5", 0), ("x^1", 1), ("-x", 1), ("x^3", 2), ("(x+1)^3", 3),
+    ("1.3*x^2 + 0.4*x + 0.5", 2),
+])
+def test_scratch_holds_one_array_per_slot(source, slots):
+    # temporaries share slots as their lifetimes allow; f = x and constants need none
+    scratch = parse_function(source).scratch(5)
+    assert [(a.shape, a.dtype) for a in scratch] == [((5,), np.float64)] * slots
 
 
 @pytest.mark.parametrize("source", [
@@ -657,16 +667,16 @@ def test_workspace_result_lives_until_its_next_use():
     "ln(x) + sqrt(x)", "x^0.5", "pow(x, 2.5)", "x^0", "abs(x - 3)",
 ])
 def test_workspace_evaluation_allocates_no_array(source):
-    """Into a workspace, a call forms no array of the input's size: no
+    """Into scratch, a call forms no array of the input's size: no
     temporary, and no domain-test mask while the test's reduction passes."""
     f = parse_function(source)
     xs = np.linspace(0.5, 4.0, 8192)
-    workspace = Workspace(xs.size)
+    scratch = f.scratch(xs.size)
     with np.errstate(all="ignore"):
-        f(xs, workspace)  # the first call allocates the workspace
+        f(xs, scratch)  # the first call warms numpy's own caches
         tracemalloc.start()
         try:
-            f(xs, workspace)
+            f(xs, scratch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -117,9 +117,9 @@ def test_unhinted_near_singular_power_converges(alpha, evaluations):
     [
         lambda: integrate_unit(lambda t: t**-1.0),
         lambda: integrate_unit(lambda t: t**-1.5),
-        lambda: young(2.0).integral(*MOMENT_INTEGRANDS["m02"]),
-        lambda: young(2.5).integral(*MOMENT_INTEGRANDS["m02"]),
-        lambda: young(3.0).integral(*MOMENT_INTEGRANDS["m02"]),
+        lambda: next(young(2.0).integrals([MOMENT_INTEGRANDS["m02"]])),
+        lambda: next(young(2.5).integrals([MOMENT_INTEGRANDS["m02"]])),
+        lambda: next(young(3.0).integrals([MOMENT_INTEGRANDS["m02"]])),
     ],
     ids=["t^-1", "t^-1.5", "young2_m02", "young2.5_m02", "young3_m02"],
 )

@@ -367,7 +367,7 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
 
 def test_scan_memory_is_bounded():
     # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds one
-    # tile buffer, f's workspace and the ny x nt (y, t) terms
+    # tile buffer, f's scratch arrays and the ny x nt (y, t) terms
     f = parse_function("exp(sqrt(1 + x^2))")
     grid = mb.GridSpec(nx=101, ny=101, nt=199)
     tracemalloc.start()
@@ -408,12 +408,12 @@ def test_tile_loop_allocates_no_tile(monkeypatch, ny, nt):
     call = FunctionDef.__call__
     between = []  # traced bytes allocated since the previous tile's f call
 
-    def tracing(self, x, workspace=None):
-        if workspace is not None:
+    def tracing(self, x, scratch=None):
+        if scratch is not None:
             current, peak = tracemalloc.get_traced_memory()
             between.append(peak - current)
             tracemalloc.reset_peak()
-        return call(self, x, workspace)
+        return call(self, x, scratch)
 
     monkeypatch.setattr(FunctionDef, "__call__", tracing)
     f = parse_function("exp(sqrt(1 + x^2)) + x/(x + 3) + 0.5*x^4")

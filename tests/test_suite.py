@@ -3,10 +3,12 @@
 import collections
 
 import numpy as np
+import pytest
 
-from convexa import expr, quadrature
+from convexa import expr, quadrature, suite
+from convexa import membership as mb
 from convexa import weights as w
-from convexa.quadrature import QuadSpec
+from convexa.quadrature import Interval, QuadSpec
 from convexa.suite import (
     MOMENT_P_FIRST_ONLY,
     MOMENT_P_FULL,
@@ -53,9 +55,9 @@ def test_verify_paper_f_evaluation_budget(monkeypatch):
     original = expr.FunctionDef.__call__
     points = []
 
-    def counting(self, x, workspace=None):
+    def counting(self, x, scratch=None):
         points.append(np.size(x))
-        return original(self, x, workspace)
+        return original(self, x, scratch)
 
     monkeypatch.setattr(expr.FunctionDef, "__call__", counting)
     assert verify_paper().overall is Overall.ALL_HOLD
@@ -92,3 +94,27 @@ def test_each_oracle_panel_is_weighted_once(monkeypatch):
     assert sorted(panels) == sorted(ws.label() for ws in systems)
     for label, seen in panels.items():
         assert len(seen) == len(set(seen)), label
+
+
+# the suite's membership record compares max_gap with the absolute grid.tol,
+# while the scan's verdict scales tol by the compared values: for 1e6*x^2
+# the classical scan reads NoViolationAtResolution with max_gap 3.7e-9
+_RECORD_USES_ABSOLUTE_TOL = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="the membership record ignores the verdict's relative tolerance (ROADMAP)",
+)
+
+
+@pytest.mark.parametrize("ws, k", [
+    pytest.param(ws, k, id=f"{ws.label()}-1e{k}",
+                 marks=_RECORD_USES_ABSOLUTE_TOL if ws.label() == "classical" and k >= 6 else ())
+    for ws in (w.classical(), w.nesbitt(), w.young(1.5)) for k in (0, 3, 6, 9, 12)
+])
+def test_membership_record_agrees_with_verdict(ws, k):
+    grid = mb.GridSpec()
+    f = expr.parse_function(f"1e{k}*x^2")
+    report = mb.check_convex(f, Interval(1.0, 3.0), ws, grid)
+    record = suite._check("membership", report.max_gap, grid.tol, "le")
+    no_violation = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+    assert (record["status"] == "hold") == no_violation

@@ -246,7 +246,7 @@ def test_nesbitt_product_identity():
     assert rep.bound == pytest.approx(125.0 / 6.0 - (147.0 / 8.0) * LN3, abs=1e-14)
     assert rep.holds
     # exact-arithmetic invariant of the stored fields
-    assert rep.bound == rep.coeff_M * rep.M + rep.coeff_N * rep.N
+    assert rep.bound == rep.coeff_aa * rep.M + rep.coeff_N * rep.N
 
 
 def test_nesbitt_product_constant():
@@ -279,7 +279,7 @@ def test_nesbitt_square_expansion_consistency():
 
 def test_similarly_ordered_identity():
     rep = nesbitt_similarly_ordered_bound(FX, FX, UNIT)
-    assert rep.coeff_M == pytest.approx(0.8802039174945886, abs=1e-12)
+    assert rep.coeff_aa == pytest.approx(0.8802039174945886, abs=1e-12)
     assert rep.coeff_N == 0.0
     assert rep.bound == pytest.approx(NESBITT_ORDERED_COEFF, abs=1e-14)
     assert rep.holds
@@ -332,7 +332,7 @@ def test_pachpatte_constant_upper_equality():
 
 def test_pachpatte_bound_invariant():
     upper, _ = pachpatte_bounds(FX2, FX, Interval(1.0, 3.0))
-    assert upper.bound == upper.coeff_M * upper.M + upper.coeff_N * upper.N
+    assert upper.bound == upper.coeff_aa * upper.M + upper.coeff_N * upper.N
     assert upper.holds
 
 

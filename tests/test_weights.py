@@ -16,6 +16,7 @@ from convexa.weights import (
     classical,
     dominates_classical,
     exponent_text,
+    moment_value,
     nesbitt,
     nesbitt_inequality,
     young,
@@ -295,29 +296,34 @@ def test_integral_singularity_hint(monkeypatch, ws, degree, hint):
         return original(f, spec)
 
     monkeypatch.setattr(weights_module, "integrate_unit", spy)
-    ws.integral(lambda wx, wy: wx**degree[0] * wy**degree[1], degree)
+    next(ws.integrals([(lambda wx, wy: wx**degree[0] * wy**degree[1], degree)]))
     assert seen == [hint]
+
+
+def _moment(ws, key):
+    """One moment-table entry from its own integrals call."""
+    return moment_value(next(ws.integrals([MOMENT_INTEGRANDS[key]])))
 
 
 def test_moment_matches_table_entry():
     for ws in (young(1.5), young(3.0), nesbitt(), classical()):
         table = ws.moments().entries()
         for key, entry in table.items():
-            assert ws.moment(key) == entry
+            assert _moment(ws, key) == entry
 
 
 def test_unresolvable_oracle_integral_raises():
     """An integrable monomial double precision cannot resolve raises; a divergent one does not."""
     closed = young(100.0).moments_closed_form()
-    assert abs(young(100.0).moment("m01") - closed.m01) <= 1e-9
-    assert young(2.0).moment("m02") is None
+    assert abs(_moment(young(100.0), "m01") - closed.m01) <= 1e-9
+    assert _moment(young(2.0), "m02") is None
     for p, key, cause in [
         (200.0, "m01", r"young\(p=200\) integral of degree \(0, 1\) .*: t underflows to 0"),
         (1.99, "m02", r"young\(p=1.99\) integral of degree \(0, 2\) .*: t underflows to 0"),
         (1e17, "m01", r"young\(p=1e\+17\) integral of degree \(0, 1\) .*: 1/p - 1 rounds to -1"),
     ]:
         with pytest.raises(NonConvergenceError, match=cause):
-            young(p).moment(key)
+            _moment(young(p), key)
 
 
 # -- shared panel weights --------------------------------------------------------
@@ -391,7 +397,7 @@ def test_shared_weights_are_read_only_and_live_for_one_call(monkeypatch):
         return wx
 
     with pytest.raises(ValueError, match="read-only"):
-        ws.integral(overwrite, (1, 0))
+        next(ws.integrals([(overwrite, (1, 0))]))
 
     calls = []
     original = WeightSystem.eval_arrays
@@ -406,7 +412,7 @@ def test_shared_weights_are_read_only_and_live_for_one_call(monkeypatch):
     assert _bits(first) == _bits(again)
     assert sum(calls) == first.evaluations  # the second reads the first's weights
     calls.clear()
-    assert _bits(ws.integral(*m10)) == _bits(first)
+    assert _bits(next(ws.integrals([m10]))) == _bits(first)
     assert sum(calls) == first.evaluations  # a new call computes them anew
 
 

@@ -4,41 +4,98 @@ One verify-paper cycle renders the suite's JSON report and checks its
 digest and the AllHold verdict. One oracle-sweep cycle at seed 0 runs
 constants_table and the eight theorems on seeded inputs whose values have
 closed forms; one grid-scan cycle at seed 0 scans seeded members and
-violators of four classes and recomputes each certificate. Each result, or
-the exception it raised, goes through the workload's `evaluate`, as the
-benchmark's worker does, so a change that would make the benchmark report
-incorrect outputs fails here first. The known-defect probes are left out.
+violators of four classes and recomputes each certificate. Each cycle runs
+once, under the benchmark's tracer (perfbench/tracing.py), as the
+benchmark's worker runs a traced cycle. Each result, or the exception it
+raised, then goes through the workload's `evaluate`, so a change that would
+make the benchmark report incorrect outputs fails here first, and the
+cycle's deterministic counters must equal `COUNTS`, so a change that does
+more or less work in any layer fails here too. The known-defect probes are
+left out.
 """
 
 import importlib
 import pathlib
 
+import pytest
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
+# the counters of one traced seed-0 cycle, each met exactly. A change that
+# lowers a count lowers it here, and one that raises a count says why.
+# verify-paper's membership.* and weights.moment_calls are left out: the
+# tracer wraps neither check_classes nor the moment oracle's integrals.
+COUNTS = {
+    "verify_paper": {
+        "quadrature.calls": 197,
+        "quadrature.evals": 10_200,
+        "expr.eval_calls": 1_053,
+        "expr.eval_points": 2_172_042,
+        "weights.eval_calls": 236,
+        "specfun.calls": 393,
+        "theorems.integrals": 164,
+        "cli.report_bytes": 47_523,
+    },
+    "grid_scan": {
+        "expr.eval_calls": 5_205,
+        "expr.eval_points": 82_537_637,
+        "membership.samples": 82_532_464,
+    },
+    "oracle_sweep": {
+        "quadrature.evals": 133_995,
+        "weights.eval_calls": 2_625,
+        "specfun.calls": 948,
+    },
+}
 
-def _cycle_failures(monkeypatch, builder: str, operations: int) -> list[str]:
-    """Run one cycle of the named workload builder and collect its failures."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    ops = [op for batch in getattr(workloads, builder)(0).batches for op in batch]
-    assert len(ops) == operations
-    failures = []
-    for op in ops:
-        try:
-            result = op.run()
-        except Exception as exc:  # a failed operation, checked below
-            result = exc
-        failures += [f"{op.name}: {s}" for s in workloads.evaluate(op, result)[0]]
-    return failures
+
+@pytest.fixture(scope="module")
+def cycle():
+    """(operations, failures, counts) of the named workload builder's traced
+    seed-0 cycle, run once per module."""
+    cycles = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        tracing = importlib.import_module("tracing")
+
+        def run(builder):
+            if builder not in cycles:
+                ops = [op for batch in getattr(workloads, builder)(0).batches for op in batch]
+                tracer = tracing.Tracer()
+                tracer.install()
+                try:
+                    results = []
+                    for op in ops:
+                        try:
+                            results.append(op.run())
+                        except Exception as exc:  # a failed operation, checked below
+                            results.append(exc)
+                    counts, *_ = tracer.finish_cycle()
+                finally:
+                    tracer.uninstall()
+                # checked untraced, as the worker checks, so no recompute is counted
+                failures = [f"{op.name}: {s}" for op, result in zip(ops, results)
+                            for s in workloads.evaluate(op, result)[0]]
+                cycles[builder] = len(ops), failures, counts
+            return cycles[builder]
+
+        yield run
 
 
-def test_oracle_sweep_cycle_passes_its_checks(monkeypatch):
-    assert _cycle_failures(monkeypatch, "oracle_sweep", 193) == []
+def test_oracle_sweep_cycle_passes_its_checks(cycle):
+    assert cycle("oracle_sweep")[:2] == (193, [])
 
 
-def test_grid_scan_cycle_passes_its_checks(monkeypatch):
-    assert _cycle_failures(monkeypatch, "grid_scan", 16) == []
+def test_grid_scan_cycle_passes_its_checks(cycle):
+    assert cycle("grid_scan")[:2] == (16, [])
 
 
-def test_verify_paper_cycle_passes_its_checks(monkeypatch):
-    assert _cycle_failures(monkeypatch, "verify_paper", 1) == []
+def test_verify_paper_cycle_passes_its_checks(cycle):
+    assert cycle("verify_paper")[:2] == (1, [])
+
+
+@pytest.mark.parametrize("builder", list(COUNTS))
+def test_cycle_counts(cycle, builder):
+    counts = cycle(builder)[2]
+    assert {name: counts[name] for name in COUNTS[builder]} == COUNTS[builder]
