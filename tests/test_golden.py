@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from convexa.cli import EXIT_OK, run
+from convexa.cli import EXIT_OK, EXIT_VIOLATION, run
 
 _WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -97,6 +97,44 @@ def test_report_bytes_pinned(argv, digest, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# membership scans: the report bytes and the exit code of `check`, at the
+# default 41x41x99 grid and at 161x161x199, where a tile is one x row of y
+# slices; for f = x the points are f's values, so the scan's differences go
+# to a second buffer
+_GRID = ["--nx", "161", "--ny", "161", "--nt", "199"]
+CHECK_GOLDEN = [
+    (
+        ["--f", "x^2", "--class", "young", "--p", "1.5", "--a", "0", "--b", "1"] + _GRID,
+        EXIT_OK,
+        "8a87c4079e1992fe67ffdceaaadfc4226a197bb580460292e9f1e6a747f09dab",
+    ),
+    (
+        ["--f=-1-x^2", "--class", "nesbitt", "--a", "-1", "--b", "1.5"] + _GRID,
+        EXIT_VIOLATION,
+        "0075b71c32cc987e49536f9aa41b3ce120cfa56f149d4a232fe5f0a2dd177c80",
+    ),
+    (
+        ["--f=-1-x^2", "--class", "young", "--p", "2", "--a", "0", "--b", "1"],
+        EXIT_VIOLATION,
+        "f1943dab775ffa8b2aa4e97fc9146784f8a3f31d0057c50729113f3e11787459",
+    ),
+    (
+        ["--f", "x", "--class", "nesbitt", "--a", "0", "--b", "1"] + _GRID,
+        EXIT_OK,
+        "d9f2a827dee8625a0c6233c10751cd01ad08bf998e54032163ee526c0ec11ae7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", CHECK_GOLDEN, ids=[" ".join(a) for a, _, _ in CHECK_GOLDEN]
+)
+def test_check_report_bytes_pinned(argv, code, digest, capsys):
+    assert run(["check"] + argv + ["--format", "json"]) == code
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
