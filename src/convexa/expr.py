@@ -372,7 +372,7 @@ def _int_power(base, n: int, xs: np.ndarray, res=None, sq=None):
 
 
 # A compiled value is a folded constant, x-free but raising when folded, never
-# written (xs, or x^1, which is its base), or a temporary.
+# written (xs), or a temporary.
 _CONST, _RAISES, _SHARED, _OWNED = range(4)
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
@@ -416,6 +416,8 @@ def _exponentiate(base, bkind, btop, expo, expo_kind, etop):
     """
     if expo_kind == _CONST and (n := expo(None, ())).is_integer() and abs(n) <= 2**31:
         n = int(n)
+        if n == 1:
+            return base, bkind, btop
         # res and sq are one array unless n has two set bits: the base's own
         # temporary, if it has one, or else a slot
         two_slots = bin(n).count("1") > 1
@@ -424,7 +426,7 @@ def _exponentiate(base, bkind, btop, expo, expo_kind, etop):
         last = btop + two_slots
         return (
             lambda xs, out: _int_power(base(xs, out), n, xs, out[btop], out[last])
-        ), _SHARED if n == 1 else _OWNED, last + 1
+        ), _OWNED, last + 1
 
     def power(xs, out):
         b, e = base(xs, out), expo(xs, out)

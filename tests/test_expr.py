@@ -653,7 +653,8 @@ def test_workspace_result_lives_until_its_next_use():
 
 
 @pytest.mark.parametrize("source, slots", [
-    ("x", 0), ("2.5", 0), ("x^1", 1), ("-x", 1), ("x^3", 2), ("(x+1)^3", 3),
+    ("x", 0), ("2.5", 0), ("x^1", 0), ("pow(x, 1)", 0), ("(x+1)^1", 1), ("-x", 1),
+    ("x^3", 2), ("(x+1)^3", 3),
     ("1.3*x^2 + 0.4*x + 0.5", 2),
 ])
 def test_scratch_holds_one_array_per_slot(source, slots):
