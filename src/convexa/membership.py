@@ -179,7 +179,10 @@ def check_classes(
             terms.append((wx, wy[None, :] * fy[:, None]))
         # every tile fills views of the same buffers, and f writes its
         # temporaries into the same scratch arrays, so no tile allocates an
-        # array of its size
+        # array of its size. A tile's x row terms are copied into its
+        # buffer, and then the held (y, t) rows are added with equal shapes:
+        # numpy would run a broadcasting add one t row at a time through
+        # its buffered iterator, which mallocs a 64 KiB buffer per call
         size = max(_BLOCK_SAMPLES, grid.nt)
         buffer, spare = np.empty(size), None
         rows = max(1, _BLOCK_SAMPLES // (grid.ny * grid.nt))
@@ -192,7 +195,8 @@ def check_classes(
             for j0, j1 in y_slices:
                 shape = (i1 - i0, j1 - j0, grid.nt)
                 points = buffer[: math.prod(shape)].reshape(shape)
-                np.add(x_part, y_part[j0:j1], out=points)
+                np.copyto(points, x_part)
+                np.add(points, y_part[j0:j1], out=points)
                 lhs = f(points, scratch)
                 # f has read the points, so d takes their place; only when
                 # they are lhs (f = x) does the scan make a second buffer
@@ -203,11 +207,13 @@ def check_classes(
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
                     if errors[c] is not None:
                         continue
-                    # w_x f(x) is one t row per x, so it is formed per tile;
-                    # d holds the right-hand side, then lhs - rhs, and a
-                    # cell's rhs is added again where it is reported
+                    # w_x f(x) is one t row per x, so it is formed per tile
+                    # and copied, like the x row; d holds the right-hand
+                    # side, then lhs - rhs, and a cell's rhs is added again
+                    # where it is reported
                     np.multiply(wx, fxi, out=wx_fx)
-                    np.add(wx_fx, wy_fy[j0:j1], out=d)
+                    np.copyto(d, wx_fx)
+                    np.add(d, wy_fy[j0:j1], out=d)
                     np.subtract(lhs, d, out=d)
                     top = float(d.max())
                     bottom = float(d.min())
