@@ -499,7 +499,9 @@ class FunctionDef:
     _slot_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        fn, _, _, slot_count = _compile(self.ast)
+        fn, kind, _, slot_count = _compile(self.ast)
+        if kind == _SHARED:  # f = x copies x, so f never hands back its input
+            fn, slot_count = (lambda xs, out: np.positive(xs, out=out[0])), 1
         object.__setattr__(self, "_evaluate", fn)
         object.__setattr__(self, "_slot_count", slot_count)
 
@@ -513,11 +515,10 @@ class FunctionDef:
     def __call__(self, x, scratch: tuple[np.ndarray, ...] | None = None):
         """f at x: a float for a scalar x, else a read-only array of x's shape.
 
-        Without scratch the array is new (or x itself, for f = x) and
-        floating-point warnings are ignored. With this function's
-        `scratch(size)`, the caller holds an np.errstate that ignores them,
-        every temporary is written into the scratch arrays, and the values
-        live until their next use.
+        Without scratch the array is new and floating-point warnings are
+        ignored. With this function's `scratch(size)`, the caller holds an
+        np.errstate that ignores them, every temporary is written into the
+        scratch arrays, and the values live until their next use.
         """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
@@ -527,7 +528,8 @@ class FunctionDef:
             with np.errstate(all="ignore"):
                 values = self._evaluate(xs, (None,) * self._slot_count)
         else:
-            values = self._evaluate(xs, tuple(a[: xs.size].reshape(xs.shape) for a in scratch))
+            # a list: tuple() of a generator would grow CPython's tuple free list per call
+            values = self._evaluate(xs, tuple([a[: xs.size].reshape(xs.shape) for a in scratch]))
         if not isinstance(values, np.ndarray):
             values = np.broadcast_to(values, xs.shape)  # f is free of x
         # NaN propagates through max, which an empty xs does not have
@@ -535,7 +537,7 @@ class FunctionDef:
             _guard(np.isnan(values), "evaluation produced NaN", xs)
         if scalar:
             return float(values[0])
-        values = values.view()  # read-only, as values may be the caller's own xs
+        values = values.view()  # read-only, as values may live in f's scratch
         values.flags.writeable = False
         return values
 

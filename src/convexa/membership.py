@@ -6,12 +6,13 @@ t inner, all ascending) and the first violating cell is certified, which
 makes the result deterministic and exactly reproducible. A cell violates
 when its gap exceeds tol * max(1, |lhs|, |rhs|), so rounding in large
 values is not reported as a violation. The scan runs over tiles of whole
-x rows, or of y slices of one x row, each with whole t rows, so its memory
-does not grow with nx * ny * nt, and GridSpec caps the nx and ny * nt it
-holds whole. f writes its temporaries into scratch arrays that f hands out
-once per scan. An inf or NaN anywhere on the grid raises NonFiniteError
-instead of becoming a verdict. One scan serves several weight systems,
-since f(tx+(1-t)y) does not depend on the weights.
+x rows, or of y slices of one x row, each with whole t rows, and keeps
+running extrema, so its memory grows only with the nx and ny * nt it holds
+whole, which GridSpec caps, not with the tile count. f writes its
+temporaries into scratch arrays that f hands out once per scan. An inf or
+NaN anywhere on the grid raises NonFiniteError instead of becoming a
+verdict. One scan serves several weight systems, since f(tx+(1-t)y) does
+not depend on the weights.
 """
 
 import enum
@@ -163,8 +164,8 @@ def check_classes(
     xs = np.linspace(interval.a, interval.b, grid.nx)
     ys = np.linspace(interval.a, interval.b, grid.ny)
     ts = np.linspace(grid.t_min, 1.0, grid.nt)
-    gaps = [[] for _ in systems]
-    slacks = [[] for _ in systems]
+    max_gaps = [-math.inf] * len(systems)
+    max_slacks = [-math.inf] * len(systems)
     certificates = [None] * len(systems)
     errors = [None] * len(systems)
     with np.errstate(all="ignore"):
@@ -184,7 +185,7 @@ def check_classes(
         # numpy would run a broadcasting add one t row at a time through
         # its buffered iterator, which mallocs a 64 KiB buffer per call
         size = max(_BLOCK_SAMPLES, grid.nt)
-        buffer, spare = np.empty(size), None
+        buffer = np.empty(size)
         rows = max(1, _BLOCK_SAMPLES // (grid.ny * grid.nt))
         row_buffers = [np.empty((rows, 1, grid.nt)) for _ in range(2)]
         scratch = f.scratch(size)
@@ -198,12 +199,7 @@ def check_classes(
                 np.copyto(points, x_part)
                 np.add(points, y_part[j0:j1], out=points)
                 lhs = f(points, scratch)
-                # f has read the points, so d takes their place; only when
-                # they are lhs (f = x) does the scan make a second buffer
-                d = points
-                if np.may_share_memory(lhs, points):
-                    spare = np.empty(size) if spare is None else spare
-                    d = spare[: points.size].reshape(shape)
+                d = points  # f has read the points, and never returns them
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
                     if errors[c] is not None:
                         continue
@@ -232,8 +228,8 @@ def check_classes(
                             raise errors[c]
                         continue
                     gap, slack = (-bottom, top) if concave else (top, -bottom)
-                    gaps[c].append(gap)
-                    slacks[c].append(slack)
+                    max_gaps[c] = max(max_gaps[c], gap)
+                    max_slacks[c] = max(max_slacks[c], slack)
                     if certificates[c] is not None or not gap > grid.tol:
                         continue
                     certificates[c] = _first_certificate(
@@ -250,8 +246,8 @@ def check_classes(
             Verdict.NO_VIOLATION_AT_RESOLUTION if cert is None else Verdict.VIOLATED,
             cert,
             samples,
-            max(slacks[c]) + 0.0,
-            max(gaps[c]) + 0.0,
+            max_slacks[c] + 0.0,
+            max_gaps[c] + 0.0,
         )
         for c, cert in enumerate(certificates)
     ]

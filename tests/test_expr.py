@@ -653,12 +653,13 @@ def test_workspace_result_lives_until_its_next_use():
 
 
 @pytest.mark.parametrize("source, slots", [
-    ("x", 0), ("2.5", 0), ("x^1", 0), ("pow(x, 1)", 0), ("(x+1)^1", 1), ("-x", 1),
+    ("x", 1), ("2.5", 0), ("x^1", 1), ("pow(x, 1)", 1), ("(x+1)^1", 1), ("-x", 1),
     ("x^3", 2), ("(x+1)^3", 3),
     ("1.3*x^2 + 0.4*x + 0.5", 2),
 ])
 def test_scratch_holds_one_array_per_slot(source, slots):
-    # temporaries share slots as their lifetimes allow; f = x and constants need none
+    # temporaries share slots as their lifetimes allow; constants need none,
+    # and f = x one, for the copy it returns
     scratch = parse_function(source).scratch(5)
     assert [(a.shape, a.dtype) for a in scratch] == [((5,), np.float64)] * slots
 
@@ -737,6 +738,12 @@ def test_result_is_a_read_only_view():
         with pytest.raises(ValueError):
             values[0] = 7.0
     assert xs.flags.writeable and list(xs) == [0.5, 1.0, 2.0]
+    # f = x returns a copy of x, never x itself, with scratch or without
+    for source in ("x", "x^1", "pow(x, 1)"):
+        f = parse_function(source)
+        for values in (f(xs), f(xs, f.scratch(xs.size))):
+            assert not np.may_share_memory(values, xs)
+            assert list(values) == [0.5, 1.0, 2.0]
 
 
 def test_underflowing_constant_power_reads_inf():

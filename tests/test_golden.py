@@ -102,8 +102,7 @@ def test_report_bytes_pinned(argv, digest, capsys):
 
 # membership scans: the report bytes and the exit code of `check`, at the
 # default 41x41x99 grid and at 161x161x199, where a tile is one x row of y
-# slices; for f = x the points are f's values, so the scan's differences go
-# to a second buffer
+# slices; for f = x, f's values are a copy of the points
 _GRID = ["--nx", "161", "--ny", "161", "--nt", "199"]
 CHECK_GOLDEN = [
     (

@@ -255,7 +255,7 @@ def test_tiles_follow_the_rule():
 @pytest.mark.parametrize("source", ["sin(3*x)", "x^3 - x", "exp(x)", "x"])
 def test_tile_regimes_match_dense(ny, nt, source):
     # nx = 5 leaves a short last tile when two x rows make one; f = x
-    # returns its points, so the differences go to the scan's second buffer
+    # returns a copy of its points, whose place the differences take
     grid = mb.GridSpec(nx=5, ny=ny, nt=nt)
     f = parse_function(source)
     for systems in (SYSTEMS[:1], SYSTEMS):
@@ -366,7 +366,7 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
     _assert_matches_dense(f, interval, chosen, grid, concave=False)
 
 
-def test_scan_memory_is_bounded():
+def test_scan_memory_is_bounded(monkeypatch):
     # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds one
     # tile buffer, f's scratch arrays and the ny x nt (y, t) terms
     f = parse_function("exp(sqrt(1 + x^2))")
@@ -395,6 +395,20 @@ def test_scan_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < per_point * max(nx, ny * nt)
+    # nor does it grow with the tile count: at 64 samples a tile, a row of
+    # this grid is two tiles, and 750 more rows add only xs and f(xs);
+    # measured 16 B per row, and 170 B when each tile's gap and slack were kept
+    monkeypatch.setattr(mb, "_BLOCK_SAMPLES", 64)
+    peaks = []
+    for nx in (250, 1000):
+        tracemalloc.start()
+        try:
+            mb.check_convex(f, Interval(-1.0, 2.0), nesbitt(), mb.GridSpec(nx, 2, 40))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 64 * (1000 - 250)
 
 
 @pytest.mark.parametrize("ny, nt", [

@@ -24,27 +24,50 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # the counters of one traced seed-0 cycle, each met exactly. A change that
 # lowers a count lowers it here, and one that raises a count says why.
 # verify-paper's membership.* and weights.moment_calls are left out: the
-# tracer wraps neither check_classes nor the moment oracle's integrals.
+# tracer wraps neither check_classes nor the moment oracle's integrals. So
+# are membership.computed_bytes and membership.max_scan_bytes, which model
+# the dense scan rather than the tiled one, and trace.spans, which counts
+# the tracer's own work.
 COUNTS = {
     "verify_paper": {
         "quadrature.calls": 197,
         "quadrature.evals": 10_200,
+        "quadrature.useful_evals": 9_690,
+        "quadrature.nonconverged": 1,
+        "expr.parse_calls": 19,
         "expr.eval_calls": 1_053,
         "expr.eval_points": 2_172_042,
         "weights.eval_calls": 236,
+        "weights.eval_points": 10_903,
         "specfun.calls": 393,
+        "theorems.calls": 164,
         "theorems.integrals": 164,
+        "theorems.redundant_integrals": 140,
+        "cli.render_calls": 1,
         "cli.report_bytes": 47_523,
     },
     "grid_scan": {
         "expr.eval_calls": 5_205,
         "expr.eval_points": 82_537_637,
+        "weights.eval_calls": 23,
+        "weights.eval_points": 3_191,
+        "membership.scans": 16,
         "membership.samples": 82_532_464,
+        "membership.certificates": 7,
     },
     "oracle_sweep": {
+        "quadrature.calls": 727,
         "quadrature.evals": 133_995,
+        "quadrature.useful_evals": 133_995,
+        "quadrature.nonconverged": 0,
+        "expr.eval_calls": 1_184,
+        "expr.eval_points": 5_448,
         "weights.eval_calls": 2_625,
+        "weights.eval_points": 74_415,
         "specfun.calls": 948,
+        "theorems.calls": 193,
+        "theorems.integrals": 192,
+        "theorems.redundant_integrals": 144,
     },
 }
 
