@@ -245,7 +245,7 @@ def _theorem_names(ws: w.WeightSystem) -> list[str]:
 def _cmd_sandwich(args) -> Report:
     f = parse_function(args.f_source)
     ws = _weight_system(args)
-    rep = th.sandwich(ws, f, Interval(args.a, args.b), _quad_spec(args))
+    rep = th.sandwich(ws, th.Average(f, Interval(args.a, args.b), _quad_spec(args)))
     rec = _record("sandwich", _theorem_names(ws)[0], dataclasses.asdict(rep))
     overall = _holds(rep.left_holds and rep.right_holds)
     return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
@@ -255,19 +255,13 @@ def _cmd_product(args) -> Report:
     f = parse_function(args.f_source)
     g = parse_function(args.g_source)
     ws = _weight_system(args)
-    interval = Interval(args.a, args.b)
-    quad = _quad_spec(args)
-    name = _theorem_names(ws)[1]
+    mean = th.Average(f, Interval(args.a, args.b), _quad_spec(args), g)
+    reports = {_theorem_names(ws)[1]: th.product_bound(ws, mean)}
     if ws.kind is w.WeightKind.CLASSICAL:
-        # the upper display is the generic bound; the lower one shares its integral
-        upper, lower = th.pachpatte_bounds(f, g, interval, quad)
-        reports = {name: upper, "pachpatte_lower": lower}
-    else:
-        reports = {name: th.product_bound(ws, f, g, interval, quad)}
+        reports["pachpatte_lower"] = th.pachpatte_lower(mean)
     if ws.kind is w.WeightKind.NESBITT:
         try:
-            rep = th.nesbitt_similarly_ordered_bound(f, g, interval, quad)
-            reports["nesbitt_similarly_ordered"] = rep
+            reports["nesbitt_similarly_ordered"] = th.similarly_ordered_bound(mean)
         except OrderingError:
             pass  # the ordered bound only applies to similarly ordered f, g
     records = [

@@ -1,16 +1,19 @@
 """Hadamard-type inequality evaluation for concrete functions and intervals.
 
-Each operation computes the left/middle/right members of one inequality
-and reports whether it holds. Its coefficients are the closed-form weight
-moments of `WeightSystem.moments_closed_form()`, since every bound is the
-defining inequality integrated over t; `sandwich` and `product_bound` read
-them for any weight system, and the class-named theorems wrap the two.
-The moments are cross-checked against the quadrature oracle in
-`constants_table`. Verdicts use
-check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
+Each bound body (`sandwich`, `right_bound`, `product_bound`,
+`similarly_ordered_bound`, `pachpatte_lower`) computes the members of one
+inequality from one `Average` of f or of f*g, which it reads only after
+its own checks pass, and reports whether the inequality holds; bodies
+given the same Average share its integral. Coefficients are the
+closed-form weight moments of `WeightSystem.moments_closed_form()`, since
+every bound is the defining inequality integrated over t, and each
+class-named theorem wraps a body around a fresh Average. The moments are
+cross-checked against the quadrature oracle in `constants_table`. Verdicts
+use check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
 integration noise, and an inf or NaN member raises NonFiniteError.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,27 +84,37 @@ def _check_tol(quad_error: float) -> float:
     return max(1e-8, 10.0 * quad_error)
 
 
-def _average(
-    f: Callable, interval: Interval, spec: QuadSpec, g: Callable | None = None
-) -> tuple[float, float]:
-    """Average of f, or of the product f*g, over the interval, with its error."""
-    integrand = f if g is None else lambda x: f(x) * g(x)
-    width = interval.width
-    res = integrate(integrand, interval, spec)
-    if math.isinf(res.value):
-        # the integral overflows a double where the average need not
-        res = integrate(lambda x: integrand(x) / width, interval, spec)
-        width = 1.0
-    if not math.isfinite(res.value):
-        raise NonFiniteError(
-            f"integral over [{interval.a}, {interval.b}] is not finite: {res.value!r}"
-        )
-    if not res.converged:
-        raise NonConvergenceError(
-            f"integral over [{interval.a}, {interval.b}] did not converge "
-            f"({res.stop_reason}, error estimate {res.error_estimate:g})"
-        )
-    return res.value / width, res.error_estimate / width
+@dataclass(frozen=True)
+class Average:
+    """The average of f, or of the product f*g, over the interval. Its `value`,
+    (average, error), is integrated on first read and kept, so the bounds
+    given one Average share one integral."""
+
+    f: Callable
+    interval: Interval
+    spec: QuadSpec = QuadSpec()
+    g: Callable | None = None
+
+    @functools.cached_property
+    def value(self) -> tuple[float, float]:
+        f, g, interval, spec = self.f, self.g, self.interval, self.spec
+        integrand = f if g is None else lambda x: f(x) * g(x)
+        width = interval.width
+        res = integrate(integrand, interval, spec)
+        if math.isinf(res.value) or (abs(res.value) < 2.0**-1022 and width < 1.0):
+            # the integral overflows or underflows a double where the average need not
+            res = integrate(lambda x: integrand(x) / width, interval, spec)
+            width = 1.0
+        if not math.isfinite(res.value):
+            raise NonFiniteError(
+                f"integral over [{interval.a}, {interval.b}] is not finite: {res.value!r}"
+            )
+        if not res.converged:
+            raise NonConvergenceError(
+                f"integral over [{interval.a}, {interval.b}] did not converge "
+                f"({res.stop_reason}, error estimate {res.error_estimate:g})"
+            )
+        return res.value / width, res.error_estimate / width
 
 
 def _require_finite(**members: float | None) -> None:
@@ -110,13 +123,14 @@ def _require_finite(**members: float | None) -> None:
             raise NonFiniteError(f"bound member {name} is not finite: {value!r}")
 
 
-def _sandwich_report(f, interval, spec, left_coeff, m10, m01) -> SandwichReport:
+def _sandwich_report(mean: Average, left_coeff, m10, m01) -> SandwichReport:
     """left <= avg integral <= m10 f(a) + m01 f(b).
 
     The left member is left_coeff * f(mid), or the average itself when
     left_coeff is None.
     """
-    avg, err = _average(f, interval, spec)
+    f, interval = mean.f, mean.interval
+    avg, err = mean.value
     fa, fb = f(interval.a), f(interval.b)
     right = m10 * (fa + fb) if m10 == m01 else m10 * fa + m01 * fb
     left = avg if left_coeff is None else left_coeff * f(interval.midpoint)
@@ -128,31 +142,34 @@ def _sandwich_report(f, interval, spec, left_coeff, m10, m01) -> SandwichReport:
     )
 
 
-def sandwich(
-    ws: w.WeightSystem, f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
-) -> SandwichReport:
+def sandwich(ws: w.WeightSystem, mean: Average) -> SandwichReport:
     """f(mid) / L(1/2) <= avg integral <= (m10 + m01)/2 (f(a) + f(b)), L the
     lemma's right-hand side (1 / L(1/2) = 1 unless ws is Young's) and
     m10 + m01 the weight mass `WeightSystem.weight_mass()`.
     """
     left_coeff = 1.0 if ws.p is None else young_sandwich_coefficients(ws.p)[0]
     half = 0.5 * ws.weight_mass()
-    return _sandwich_report(f, interval, spec, left_coeff, half, half)
+    return _sandwich_report(mean, left_coeff, half, half)
+
+
+def right_bound(ws: w.WeightSystem, mean: Average) -> SandwichReport:
+    """avg integral <= m10 f(a) + m01 f(b); left member unused (= middle)."""
+    table = ws.moments_closed_form()
+    return _sandwich_report(mean, None, table.m10, table.m01)
 
 
 def hadamard_classical(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f((a+b)/2) <= avg integral <= (f(a)+f(b))/2 for classically convex f."""
-    return sandwich(w.classical(), f, interval, spec)
+    return sandwich(w.classical(), Average(f, interval, spec))
 
 
 def young_right_bound(
     f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
-    """avg integral <= m10(p) f(a) + m01(p) f(b); left member unused (= middle)."""
-    table = w.young(p).moments_closed_form()
-    return _sandwich_report(f, interval, spec, None, table.m10, table.m01)
+    """The right bound with the Young moments m10(p), m01(p)."""
+    return right_bound(w.young(p), Average(f, interval, spec))
 
 
 def young_sandwich_coefficients(p: float) -> tuple[float, float]:
@@ -165,20 +182,17 @@ def young_sandwich(
     f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """2^(1/p) p/(p+1) f(mid) <= avg integral <= (p/(p+1)) (f(a)+f(b))."""
-    return sandwich(w.young(p), f, interval, spec)
+    return sandwich(w.young(p), Average(f, interval, spec))
 
 
 def nesbitt_sandwich(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:
     """f(mid) <= avg integral <= ((3/2)ln3 - 1)(f(a) + f(b))."""
-    return sandwich(w.nesbitt(), f, interval, spec)
+    return sandwich(w.nesbitt(), Average(f, interval, spec))
 
 
-def product_bound(
-    ws: w.WeightSystem, f: FunctionDef, g: FunctionDef, interval: Interval,
-    spec: QuadSpec = QuadSpec(),
-) -> ProductBoundReport:
+def product_bound(ws: w.WeightSystem, mean: Average) -> ProductBoundReport:
     """avg of fg <= m20 f(a)g(a) + m02 f(b)g(b) + m11 N, from the moment table.
 
     The Young m02 contains beta(2/p - 1, 3), which diverges for p >= 2;
@@ -190,10 +204,7 @@ def product_bound(
             f"the f(b)g(b) coefficient m02 of {ws.label()} diverges "
             "(for Young weights beta(2/p - 1, 3), which requires 2/p - 1 > 0)"
         )
-    return _product_report(
-        f, g, interval, _average(f, interval, spec, g),
-        table.m20, table.m02, table.m11,
-    )
+    return _product_report(mean, table.m20, table.m02, table.m11)
 
 
 def young_product_bound(
@@ -201,25 +212,26 @@ def young_product_bound(
     spec: QuadSpec = QuadSpec(),
 ) -> ProductBoundReport:
     """The product bound with the oracle-confirmed Beta coefficients, 1 < p < 2."""
-    return product_bound(w.young(p), f, g, interval, spec)
+    return product_bound(w.young(p), Average(f, interval, spec, g))
 
 
 def nesbitt_product_bound(
     f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> ProductBoundReport:
     """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
-    return product_bound(w.nesbitt(), f, g, interval, spec)
+    return product_bound(w.nesbitt(), Average(f, interval, spec, g))
 
 
 def _product_report(
-    f, g, interval, average, coeff_aa, coeff_bb, coeff_n, midpoint_product=None
+    mean: Average, coeff_aa, coeff_bb, coeff_n, midpoint_product=None
 ) -> ProductBoundReport:
-    """Report for coeff_aa*f(a)g(a) + coeff_bb*f(b)g(b) + coeff_n*N.
+    """Report for coeff_aa*f(a)g(a) + coeff_bb*f(b)g(b) + coeff_n*N, mean of f*g.
 
     With equal endpoint coefficients the bound is evaluated as
     coeff_aa*M + coeff_N*N, the form the report's docstring promises.
     """
-    avg, err = average
+    f, g, interval = mean.f, mean.g, mean.interval
+    avg, err = mean.value
     fa, fb = f(interval.a), f(interval.b)
     ga, gb = g(interval.a), g(interval.b)
     paa = fa * ga
@@ -253,45 +265,43 @@ def _product_report(
     )
 
 
-def nesbitt_similarly_ordered_bound(
-    f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
-) -> ProductBoundReport:
+def similarly_ordered_bound(mean: Average) -> ProductBoundReport:
     """avg of fg <= (5 - (30/8)ln3) M for similarly ordered f, g.
 
     Similarly ordered is the endpoint condition (f(a)-f(b))(g(a)-g(b)) >= 0,
     exactly what collapses N <= M in the proof.
     """
-    fa, fb = f(interval.a), f(interval.b)
-    ga, gb = g(interval.a), g(interval.b)
-    ordering = (fa - fb) * (ga - gb)
+    f, g, interval = mean.f, mean.g, mean.interval
+    ordering = (f(interval.a) - f(interval.b)) * (g(interval.a) - g(interval.b))
     if not ordering >= 0.0:
         raise OrderingError(
             f"f and g are not similarly ordered on [{interval.a}, {interval.b}]: "
             f"(f(a)-f(b))(g(a)-g(b)) = {ordering:g}, not >= 0"
         )
-    return _product_report(
-        f, g, interval, _average(f, interval, spec, g),
-        NESBITT_ORDERED_COEFF, NESBITT_ORDERED_COEFF, 0.0,
-    )
+    return _product_report(mean, NESBITT_ORDERED_COEFF, NESBITT_ORDERED_COEFF, 0.0)
+
+
+def nesbitt_similarly_ordered_bound(
+    f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
+) -> ProductBoundReport:
+    """The similarly ordered bound of f, g."""
+    return similarly_ordered_bound(Average(f, interval, spec, g))
+
+
+def pachpatte_lower(mean: Average) -> ProductBoundReport:
+    """2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint."""
+    table = w.classical().moments_closed_form()
+    f, g, mid = mean.f, mean.g, mean.interval.midpoint
+    return _product_report(mean, table.m11, table.m11, table.m20, 2.0 * f(mid) * g(mid))
 
 
 def pachpatte_bounds(
     f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> tuple[ProductBoundReport, ProductBoundReport]:
-    """The two classical product displays.
-
-    Upper: avg of fg <= (1/3)M + (1/6)N.
-    Lower: 2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint.
-    """
-    ws = w.classical()
-    upper = product_bound(ws, f, g, interval, spec)
-    table = ws.moments_closed_form()
-    mid = interval.midpoint
-    lower = _product_report(
-        f, g, interval, (upper.integral_avg, upper.quad_error),
-        table.m11, table.m11, table.m20, 2.0 * f(mid) * g(mid),
-    )
-    return upper, lower
+    """The two classical product displays, upper avg of fg <= (1/3)M + (1/6)N
+    and `pachpatte_lower`, over one integral."""
+    mean = Average(f, interval, spec, g)
+    return product_bound(w.classical(), mean), pachpatte_lower(mean)
 
 
 # --- constants validation table ----------------------------------------------

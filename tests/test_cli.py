@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexa import suite
+from convexa import suite, theorems
 from convexa.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -24,7 +24,7 @@ from convexa.cli import (
     run,
     verify_paper,
 )
-from convexa.quadrature import QuadSpec
+from convexa.quadrature import QuadSpec, integrate
 
 
 def test_check_passes(capsys):
@@ -204,6 +204,30 @@ def test_product_nesbitt_includes_ordered_bound(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert [r["name"] for r in payload["results"]] == ["nesbitt_product"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sandwich", "--class", "young", "--p", "1.5"],
+        ["product", "--g", "x", "--class", "classical"],
+        ["product", "--g", "x", "--class", "young", "--p", "1.5"],
+        ["product", "--g", "x", "--class", "nesbitt"],
+    ],
+    ids=["sandwich", "product-classical", "product-young", "product-nesbitt"],
+)
+def test_theorem_command_integrates_once(argv, monkeypatch, capsys):
+    # every bound of one report reads one average of f (or of f*g)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(theorems, "integrate", counting)
+    assert run(argv + ["--f", "x^2", "--a", "0", "--b", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_moments_text(capsys):

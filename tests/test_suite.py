@@ -18,13 +18,16 @@ from convexa.suite import (
 
 # integrand evaluations of the default verify_paper() run; raising it means
 # the suite computes integrals it does not check. 495 + 15 of them stop the
-# divergent Young p=2 m02 integral (16 bisections and the endpoint probe)
-VERIFY_PAPER_EVALUATIONS = 10_200
+# divergent Young p=2 m02 integral (16 bisections and the endpoint probe).
+# Each battery item's average of f and of f*f is integrated once, and every
+# bound of the item reads it
+VERIFY_PAPER_EVALUATIONS = 8_160
 # points the default verify_paper() run evaluates through FunctionDef:
 # 12 battery scans of 41*41*99 samples (one per (f, interval), shared by
 # its five classes), the Proposition's 41*41*99 default-grid and 41*41*2
 # witness scans, their x and y axes, certificates and the quadrature panels
-VERIFY_PAPER_F_POINTS = 2_172_042
+# (one run per theorem average)
+VERIFY_PAPER_F_POINTS = 2_169_282
 
 
 def test_square_expansion_uses_suite_quad_spec():

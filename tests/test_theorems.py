@@ -9,20 +9,24 @@ from convexa.quadrature import Interval, QuadSpec
 from convexa.theorems import (
     NESBITT_ORDERED_COEFF,
     NESBITT_RIGHT_COEFF,
+    Average,
     constants_table,
     hadamard_classical,
     nesbitt_product_bound,
     nesbitt_sandwich,
     nesbitt_similarly_ordered_bound,
     pachpatte_bounds,
+    pachpatte_lower,
     product_bound,
+    right_bound,
     sandwich,
+    similarly_ordered_bound,
     young_product_bound,
     young_right_bound,
     young_sandwich,
     young_sandwich_coefficients,
 )
-from convexa import weights
+from convexa import theorems, weights
 from convexa.weights import young
 
 LN3 = math.log(3.0)
@@ -56,6 +60,14 @@ def test_hadamard_affine_equality():
     assert rep.left_value == 0.5
     assert rep.middle_value == pytest.approx(0.5, abs=1e-12)
     assert rep.right_value == 0.5
+
+
+@pytest.mark.parametrize("b", [1e-160, 1e-200, 1e-320])
+def test_hadamard_average_survives_an_underflowing_integral(b):
+    # the integral b^2/2 underflows a double where the average b/2 need not
+    rep = hadamard_classical(FX, Interval(0.0, b))
+    assert rep.middle_value == pytest.approx(b / 2.0, rel=1e-12, abs=0.0)
+    assert rep.left_holds and rep.right_holds
 
 
 def test_sandwich_report_invariant():
@@ -132,34 +144,41 @@ def test_young_sandwich_overflows_with_2p():
 
 
 SANDWICH_WRAPPERS = [
-    (weights.classical(), hadamard_classical),
-    (young(1.5), lambda f, interval: young_sandwich(f, interval, 1.5)),
-    (weights.nesbitt(), nesbitt_sandwich),
+    (weights.classical(), sandwich, hadamard_classical),
+    (young(1.5), sandwich, lambda f, interval: young_sandwich(f, interval, 1.5)),
+    (weights.nesbitt(), sandwich, nesbitt_sandwich),
+    (young(1.5), right_bound, lambda f, interval: young_right_bound(f, interval, 1.5)),
 ]
 
 
-@pytest.mark.parametrize("ws,named", SANDWICH_WRAPPERS, ids=["classical", "young1.5", "nesbitt"])
+@pytest.mark.parametrize(
+    "ws,body,named", SANDWICH_WRAPPERS, ids=["classical", "young1.5", "nesbitt", "right1.5"]
+)
 @pytest.mark.parametrize("source,bounds", [("x^2", (0.0, 1.0)), ("exp(x)", (1.0, 3.0))])
-def test_named_sandwich_is_the_generic_body(ws, named, source, bounds):
+def test_named_sandwich_is_the_generic_body(ws, body, named, source, bounds):
     f, interval = parse_function(source), Interval(*bounds)
-    generic, wrapped = sandwich(ws, f, interval), named(f, interval)
+    generic, wrapped = body(ws, Average(f, interval)), named(f, interval)
     for member in ("left_value", "middle_value", "right_value", "quad_error"):
         assert getattr(generic, member).hex() == getattr(wrapped, member).hex()
     assert generic == wrapped
 
 
 @pytest.mark.parametrize(
-    "ws,named",
+    "body,named",
     [
-        (weights.classical(), lambda *a: pachpatte_bounds(*a)[0]),
-        (young(1.5), lambda f, g, interval: young_product_bound(f, g, interval, 1.5)),
-        (weights.nesbitt(), nesbitt_product_bound),
+        (lambda mean: product_bound(weights.classical(), mean),
+         lambda *a: pachpatte_bounds(*a)[0]),
+        (lambda mean: product_bound(young(1.5), mean),
+         lambda f, g, interval: young_product_bound(f, g, interval, 1.5)),
+        (lambda mean: product_bound(weights.nesbitt(), mean), nesbitt_product_bound),
+        (pachpatte_lower, lambda *a: pachpatte_bounds(*a)[1]),
+        (similarly_ordered_bound, nesbitt_similarly_ordered_bound),
     ],
-    ids=["classical", "young1.5", "nesbitt"],
+    ids=["classical", "young1.5", "nesbitt", "pachpatte_lower", "similarly_ordered"],
 )
-def test_named_product_bound_is_the_generic_body(ws, named):
+def test_named_product_bound_is_the_generic_body(body, named):
     f, g, interval = FX2, parse_function("exp(x)"), Interval(1.0, 3.0)
-    generic, wrapped = product_bound(ws, f, g, interval), named(f, g, interval)
+    generic, wrapped = body(Average(f, interval, g=g)), named(f, g, interval)
     for member in ("integral_avg", "bound", "quad_error"):
         assert getattr(generic, member).hex() == getattr(wrapped, member).hex()
     assert generic == wrapped
@@ -198,8 +217,13 @@ def test_young_product_identity_p15():
     )
 
 
+def _no_integral(*args):
+    pytest.fail("a bound whose precondition fails computed an integral")
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_young_product_divergent(p):
+def test_young_product_divergent(p, monkeypatch):
+    monkeypatch.setattr(theorems, "integrate", _no_integral)
     with pytest.raises(DivergentCoefficient) as exc:
         young_product_bound(FX, FX, UNIT, p)
     assert "beta" in str(exc.value)
@@ -297,7 +321,8 @@ def test_similarly_ordered_is_sum_of_product_coeffs():
     assert abs(NESBITT_ORDERED_COEFF - coeff_sum) <= 1e-12
 
 
-def test_similarly_ordered_rejects_opposite_ordering():
+def test_similarly_ordered_rejects_opposite_ordering(monkeypatch):
+    monkeypatch.setattr(theorems, "integrate", _no_integral)
     g = parse_function("-x+1")
     with pytest.raises(OrderingError):
         nesbitt_similarly_ordered_bound(FX, g, UNIT)
