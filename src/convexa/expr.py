@@ -8,7 +8,8 @@ tree or parser nesting is deeper than `MAX_DEPTH` is a syntax error.
 "^" is real power: exact repeated multiplication for an integer exponent
 that does not depend on x, exp(y*ln x) with x > 0 otherwise. A NaN never
 propagates silently; it is converted to a domain error carrying the
-offending x.
+offending x, by the call itself or, for a call into scratch, by its caller
+through `check_nan`.
 A FunctionDef compiles its tree once, when it is built, into a chain of
 closures: each x-free subtree is evaluated then and becomes an np.float64
 constant, and each operation writes in place into a temporary that the chain
@@ -337,6 +338,16 @@ def _guard(bad, message: str, xs: np.ndarray) -> None:
         raise ExprDomainError(message, float(xs.ravel()[idx]))
 
 
+def check_nan(values: np.ndarray, xs: np.ndarray) -> None:
+    """Raise "evaluation produced NaN" at the first x whose value is NaN.
+
+    NaN propagates through the maximum, which an empty xs does not have, so
+    the mask that names the x is built only when a value is NaN.
+    """
+    if xs.size and math.isnan(np.maximum.reduce(values, axis=None)):
+        _guard(np.isnan(values), "evaluation produced NaN", xs)
+
+
 def _at_min(bad):
     """The pretest of a domain test that holds somewhere iff it holds at the
     NaN-free minimum."""
@@ -509,16 +520,20 @@ class FunctionDef:
         return FunctionDef, (self.source, self.ast)
 
     def scratch(self, size: int) -> tuple[np.ndarray, ...]:
-        """One array of `size` points per slot, for calls on up to `size` points."""
+        """One array of `size` points per slot; views of them shaped like x
+        serve any call on up to `size` points."""
         return tuple(np.empty(size) for _ in range(self._slot_count))
 
     def __call__(self, x, scratch: tuple[np.ndarray, ...] | None = None):
         """f at x: a float for a scalar x, else a read-only array of x's shape.
 
-        Without scratch the array is new and floating-point warnings are
-        ignored. With this function's `scratch(size)`, the caller holds an
-        np.errstate that ignores them, every temporary is written into the
-        scratch arrays, and the values live until their next use.
+        Without scratch the array is new, floating-point warnings are
+        ignored, and a NaN value raises `check_nan`'s error. With scratch,
+        one view per array of this function's `scratch(size)`, each shaped
+        like x (one point for a scalar x), the caller holds an np.errstate
+        that ignores warnings and tests the values with `check_nan`, every
+        temporary is written into the scratch arrays, and the values live
+        until their next use.
         """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
@@ -528,13 +543,11 @@ class FunctionDef:
             with np.errstate(all="ignore"):
                 values = self._evaluate(xs, (None,) * self._slot_count)
         else:
-            # a list: tuple() of a generator would grow CPython's tuple free list per call
-            values = self._evaluate(xs, tuple([a[: xs.size].reshape(xs.shape) for a in scratch]))
+            values = self._evaluate(xs, scratch)
         if not isinstance(values, np.ndarray):
             values = np.broadcast_to(values, xs.shape)  # f is free of x
-        # NaN propagates through max, which an empty xs does not have
-        if xs.size and math.isnan(values.max()):
-            _guard(np.isnan(values), "evaluation produced NaN", xs)
+        if scratch is None:
+            check_nan(values, xs)
         if scalar:
             return float(values[0])
         values = values.view()  # read-only, as values may live in f's scratch

@@ -9,10 +9,13 @@ values is not reported as a violation. The scan runs over tiles of whole
 x rows, or of y slices of one x row, each with whole t rows, and keeps
 running extrema, so its memory grows only with the nx and ny * nt it holds
 whole, which GridSpec caps, not with the tile count. f writes its
-temporaries into scratch arrays that f hands out once per scan. An inf or
-NaN anywhere on the grid raises NonFiniteError instead of becoming a
-verdict. One scan serves several weight systems, since f(tx+(1-t)y) does
-not depend on the weights.
+temporaries into scratch arrays that f hands out once per scan, viewed in
+each tile's shape, and leaves its NaN test to the scan, which makes it only
+when the first system's differences are not finite, so a NaN of f still
+raises f's ExprDomainError at the first such point. Any other inf or NaN
+on the grid raises NonFiniteError instead of becoming a verdict. One scan
+serves several weight systems, since f(tx+(1-t)y) does not depend on the
+weights.
 """
 
 import enum
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFiniteError
-from .expr import FunctionDef
+from .expr import FunctionDef, check_nan
 from .quadrature import Interval
 from .weights import WeightSystem
 
@@ -160,6 +163,8 @@ def check_classes(
     NonFiniteError raised is the one the one-class scans, run in the given
     order, would raise first.
     """
+    if not systems:
+        raise DomainError("a membership scan needs at least one weight system")
     sign = -1.0 if concave else 1.0
     xs = np.linspace(interval.a, interval.b, grid.nx)
     ys = np.linspace(interval.a, interval.b, grid.ny)
@@ -180,25 +185,37 @@ def check_classes(
             terms.append((wx, wy[None, :] * fy[:, None]))
         # every tile fills views of the same buffers, and f writes its
         # temporaries into the same scratch arrays, so no tile allocates an
-        # array of its size. A tile's x row terms are copied into its
-        # buffer, and then the held (y, t) rows are added with equal shapes:
-        # numpy would run a broadcasting add one t row at a time through
-        # its buffered iterator, which mallocs a 64 KiB buffer per call
+        # array of its size. The views are made once per tile shape, of
+        # which a scan has at most two. A tile's x row terms are copied into
+        # its buffer, and then the held (y, t) rows are added with equal
+        # shapes: numpy would run a broadcasting add one t row at a time
+        # through its buffered iterator, which mallocs a 64 KiB buffer per call
         size = max(_BLOCK_SAMPLES, grid.nt)
         buffer = np.empty(size)
         rows = max(1, _BLOCK_SAMPLES // (grid.ny * grid.nt))
-        row_buffers = [np.empty((rows, 1, grid.nt)) for _ in range(2)]
+        x_part, wx_fx = row_buffers = [np.empty((rows, 1, grid.nt)) for _ in range(2)]
         scratch = f.scratch(size)
+        tile_views = {}  # tile shape -> the points' and f's scratch views
         for i0, i1, y_slices in _tiles(grid.nx, grid.ny, grid.nt):
-            x_part, wx_fx = (b[: i1 - i0] for b in row_buffers)
+            if len(x_part) != i1 - i0:  # the last tile's x rows may be fewer
+                x_part, wx_fx = (b[: i1 - i0] for b in row_buffers)
             np.multiply(ts, xs[i0:i1, None, None], out=x_part)
             fxi = fx[i0:i1, None, None]
             for j0, j1 in y_slices:
                 shape = (i1 - i0, j1 - j0, grid.nt)
-                points = buffer[: math.prod(shape)].reshape(shape)
+                if shape not in tile_views:
+                    n = math.prod(shape)
+                    tile_views[shape] = (
+                        buffer[:n].reshape(shape),
+                        tuple(a[:n].reshape(shape) for a in scratch),
+                    )
+                points, tile_scratch = tile_views[shape]
                 np.copyto(points, x_part)
                 np.add(points, y_part[j0:j1], out=points)
-                lhs = f(points, scratch)
+                # f leaves its NaN test to the scan: a NaN in lhs makes the
+                # first system's differences non-finite, and only then is
+                # lhs tested
+                lhs = f(points, tile_scratch)
                 d = points  # f has read the points, and never returns them
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
                     if errors[c] is not None:
@@ -211,8 +228,8 @@ def check_classes(
                     np.copyto(d, wx_fx)
                     np.add(d, wy_fy[j0:j1], out=d)
                     np.subtract(lhs, d, out=d)
-                    top = float(d.max())
-                    bottom = float(d.min())
+                    top = float(np.maximum.reduce(d, axis=None))
+                    bottom = float(np.minimum.reduce(d, axis=None))
                     if not (math.isfinite(top) and math.isfinite(bottom)):
                         a, b, k = np.unravel_index(
                             int(np.argmax(~np.isfinite(d))), d.shape
@@ -224,7 +241,13 @@ def check_classes(
                             f"rhs={float(wx_fx[a, 0, k] + wy_fy[j0 + b, k])!r})"
                         )
                         if c == 0:
-                            # no earlier system's scan can raise first
+                            # f's NaN error comes first, blamed at its first
+                            # NaN point of the tile, so the points that d
+                            # overwrote are rebuilt; no earlier system's
+                            # scan can raise first
+                            np.copyto(points, x_part)
+                            np.add(points, y_part[j0:j1], out=points)
+                            check_nan(lhs, points)
                             raise errors[c]
                         continue
                     gap, slack = (-bottom, top) if concave else (top, -bottom)

@@ -25,6 +25,7 @@ from convexa.expr import (
     TokenKind,
     Var,
     _guard,
+    check_nan,
     _int_power,
     builtin_function,
     evaluate,
@@ -598,25 +599,36 @@ def test_fractional_power_guard_matches_tree_walk(source, tile):
         assert outcome[0] is ExprDomainError and "produced NaN" in outcome[1]
 
 
-# -- workspace evaluation -----------------------------------------------------------
+# -- evaluation into scratch --------------------------------------------------------
 #
-# With the scratch arrays that f.scratch(size) hands out as a call's workspace,
-# every temporary is written into them: the values, errors and blamed x must
-# be those of the allocating call, bit for bit.
+# A call into scratch writes every temporary into views, shaped like x, of the
+# arrays that f.scratch(size) hands out, and leaves the NaN test to its
+# caller. Once the caller's check_nan is applied, the values, errors and
+# blamed x must be those of the allocating call, bit for bit.
 
 _WORKSPACE_SOURCES = (
     [s for s, _, _ in CORPUS]
     + [f"x^{n}" for n in range(-8, 9)]
     + [f"(x+1)^{n}" for n in range(-8, 9)]  # the base's own temporary squares
     + ["x^0.5", "pow(x, 2.5)", "pow(x+1, x)", "2^x", "x/(x-0.5)", "1/(x-x)", "x^0",
-       "pow(x, 0)", "(x*x)^6/x^6", "x^-3 + x^6*2", "ln(x-1) + x", "x + (0-1)^0.5"]
+       "pow(x, 0)", "(x*x)^6/x^6", "x^-3 + x^6*2", "ln(x-1) + x", "x + (0-1)^0.5",
+       "0*exp(1000*x)", "exp(710*x) - exp(710*x)"]
 )
+
+
+def _scratch_views(scratch, x):
+    """Views of f.scratch(size) shaped like x, one point for a scalar x."""
+    shape = np.shape(x) or (1,)
+    return tuple(a[: math.prod(shape)].reshape(shape) for a in scratch)
 
 
 def _workspace_call(f, scratch):
     def call(x):
         with np.errstate(all="ignore"):  # the caller's, as the scratch contract says
-            return f(x, scratch)
+            values = f(x, _scratch_views(scratch, x))
+        # and so is the NaN test
+        check_nan(np.atleast_1d(values), np.atleast_1d(np.asarray(x, dtype=float)))
+        return values
 
     return call
 
@@ -644,12 +656,31 @@ def test_workspace_evaluation_matches_allocating_on_trees(tree):
 
 def test_workspace_result_lives_until_its_next_use():
     f = parse_function("3*x^2 + 1")
-    scratch = f.scratch(4)
+    scratch = _scratch_views(f.scratch(4), np.empty(2))
     with np.errstate(all="ignore"):
         first = f(np.array([1.0, 2.0]), scratch)
         assert list(first) == [4.0, 13.0] and not first.flags.writeable
         f(np.array([0.0, 0.0]), scratch)
     assert list(first) == [1.0, 1.0]  # the slot was written again
+
+
+@pytest.mark.parametrize("source, x", [
+    ("0*exp(1000*x)", 1.0),  # 0 * inf
+    ("exp(710*x) - exp(710*x)", 1.0),  # inf - inf
+    ("0*exp(710 - 1000000*(x - 0.5)^2)", 0.5),  # only near 0.5
+])
+def test_scratch_call_leaves_the_nan_test_to_its_caller(source, x):
+    f = parse_function(source)
+    xs = np.array([0.25, 0.5, 1.0, 0.5])
+    message = rf"^evaluation produced NaN \(at x={x!r}\)$"
+    with pytest.raises(ExprDomainError, match=message):
+        f(xs)
+    with np.errstate(all="ignore"):
+        values = f(xs, f.scratch(xs.size))
+    assert not np.isnan(values[0]) and np.isnan(values[xs == x]).all()
+    with pytest.raises(ExprDomainError, match=message) as exc:
+        check_nan(values, xs)
+    assert exc.value.x == x
 
 
 @pytest.mark.parametrize("source, slots", [

@@ -1,8 +1,9 @@
 """The tiled membership scan against a dense reference, bit for bit.
 
 `_dense_scan` below is the whole-grid broadcast the scan used to be, with
-the current contract applied: the scaled violation test, NonFiniteError
-for an inf or NaN, and a zero maximum read as +0.0. It exists only here,
+the current contract applied: the scaled violation test, f's own
+ExprDomainError for a NaN of f, NonFiniteError for any other inf or NaN,
+and a zero maximum read as +0.0. It exists only here,
 as the reference that tiling must reproduce exactly.
 """
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexa import membership as mb
-from convexa.errors import NonFiniteError
-from convexa.expr import FunctionDef, parse_function
+from convexa.errors import DomainError, NonFiniteError
+from convexa.expr import ExprDomainError, FunctionDef, parse_function
 from convexa.quadrature import Interval
 from convexa.weights import classical, nesbitt, young
 
@@ -89,13 +90,14 @@ def _assert_matches_dense(f, interval, systems, grid, concave):
     for ws in systems:
         try:
             wants.append(_dense_scan(f, interval, ws, grid, sign))
-        except NonFiniteError as exc:
-            # the first system in order whose own scan raises decides
-            with pytest.raises(NonFiniteError) as got:
+        except (NonFiniteError, ExprDomainError) as exc:
+            # the first system in order whose own scan raises decides; a NaN
+            # of f is the first system's, at f's first NaN point
+            with pytest.raises(type(exc)) as got:
                 mb.check_classes(f, interval, systems, grid, concave)
             assert str(got.value) == str(exc)
             if not wants:
-                with pytest.raises(NonFiniteError) as got:
+                with pytest.raises(type(exc)) as got:
                     scan(f, interval, ws, grid)
                 assert str(got.value) == str(exc)
             return
@@ -126,6 +128,8 @@ SOURCES = [
     "abs(x + 0.2)",
     "exp(exp(3*x))",  # overflows to inf on the right of the interval
     "1.7e308",  # finite, but w_y * f overflows where w_y > 1
+    "exp(710*x) - exp(710*x)",  # NaN from x = 1, and 0 below it
+    "0*exp(710 - 1000000*(x - 0.3123)^2)",  # NaN only within ~5e-4 of 0.3123
 ]
 SYSTEMS = [classical(), nesbitt(), young(1.5), young(2.0), young(7.0)]
 # a few samples short of, at, and past one tile, and one pair per tile
@@ -252,10 +256,12 @@ def test_tiles_follow_the_rule():
 
 
 @pytest.mark.parametrize("ny, nt", TILE_REGIMES)
-@pytest.mark.parametrize("source", ["sin(3*x)", "x^3 - x", "exp(x)", "x"])
+@pytest.mark.parametrize("source", ["sin(3*x)", "x^3 - x", "exp(x)", "x",
+                                    "0*exp(710 - 1000000*(x - 0.3123)^2)"])
 def test_tile_regimes_match_dense(ny, nt, source):
     # nx = 5 leaves a short last tile when two x rows make one; f = x
-    # returns a copy of its points, whose place the differences take
+    # returns a copy of its points, whose place the differences take; the
+    # last f is NaN only between grid points
     grid = mb.GridSpec(nx=5, ny=ny, nt=nt)
     f = parse_function(source)
     for systems in (SYSTEMS[:1], SYSTEMS):
@@ -315,6 +321,87 @@ def test_non_finite_cell_inside_a_tile():
             with pytest.raises(NonFiniteError, match=rf"at x={c!r}, y=0.0, t=0.0001 "):
                 mb.check_classes(f, interval, systems, grid, concave)
             _assert_matches_dense(f, interval, systems, grid, concave)
+
+
+# f is 0 except within ~4.7e-4 of 0.3123 (~4.7e-5 for the narrower one),
+# where it is 0 * inf = NaN. Of the grid points only 0.3125 = 50/160, on
+# the 161-point grid, lies in a window, the wider one, so there f(xs)
+# raises before any tile; in the other cases f first meets a NaN in a tile
+NAN_BETWEEN_GRID_POINTS = [
+    pytest.param("0*exp(710 - 1000000*(x - 0.3123)^2)", (41, 41, 99),
+                 "0.3122136734693878", id="41"),
+    pytest.param("0*exp(710 - 1000000*(x - 0.3123)^2)", (161, 161, 199),
+                 "0.3125", id="161-grid_point"),
+    pytest.param("0*exp(710 - 100000000*(x - 0.3123)^2)", (41, 41, 99),
+                 "0.31225367346938776", id="41-narrow"),
+    pytest.param("0*exp(710 - 100000000*(x - 0.3123)^2)", (161, 161, 199),
+                 "0.312279375", id="161-narrow"),
+]
+
+
+@pytest.mark.parametrize("source, shape, x", NAN_BETWEEN_GRID_POINTS)
+@pytest.mark.parametrize("concave", [False, True])
+@pytest.mark.parametrize("count", [1, 5])
+def test_nan_of_f_between_grid_points(source, shape, x, concave, count):
+    # f's own error, at its first NaN point in scan order, for every system
+    # count and both senses: the scan's NaN test is the first system's
+    f = parse_function(source)
+    grid = mb.GridSpec(*shape)
+    with pytest.raises(ExprDomainError) as got:
+        mb.check_classes(f, Interval(0.0, 1.0), SYSTEMS[:count], grid, concave)
+    assert str(got.value) == f"evaluation produced NaN (at x={x})"
+    assert repr(got.value.x) == x
+    on_grid = np.linspace(0.0, 1.0, shape[0])
+    assert (float(x) in on_grid) == (x == "0.3125")
+
+
+def test_scan_of_no_system_raises_before_any_array(monkeypatch):
+    # nothing to scan for: no f call, and not even the 32 MiB of xs
+    def call(self, x, scratch=None):
+        raise AssertionError("a scan of no system evaluated f")
+
+    monkeypatch.setattr(FunctionDef, "__call__", call)
+    f = parse_function("x^2")
+    for concave in (False, True):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="at least one weight system"):
+                mb.check_classes(f, Interval(0.0, 1.0), [], mb.GridSpec(2**22, 2, 2), concave)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_tile_loop_calls_f_once_per_tile_into_fixed_views(monkeypatch):
+    # the fixed cost of a tile: one f call, into the points and scratch
+    # views made once for its shape, of which a scan has at most two
+    call = FunctionDef.__call__
+    calls = []  # (points, scratch) of each tile's f call
+
+    def recording(self, x, scratch=None):
+        if scratch is not None:
+            calls.append((x, scratch))
+        return call(self, x, scratch)
+
+    monkeypatch.setattr(FunctionDef, "__call__", recording)
+    f = parse_function("exp(sqrt(1 + x^2)) + x/(x + 3) + 0.5*x^4")
+    for nx, ny, nt in [(5, 45, 91), (9, 2731, 3), (3, 3, mb._BLOCK_SAMPLES // 3 + 1),
+                       (161, 161, 199), (41, 41, 99), (2, 2, mb._BLOCK_SAMPLES + 8)]:
+        calls.clear()
+        mb.check_classes(f, Interval(-1.0, 2.0), SYSTEMS[:3], mb.GridSpec(nx, ny, nt))
+        tiles = [
+            (i1 - i0, j1 - j0, nt)
+            for i0, i1, y_slices in mb._tiles(nx, ny, nt)
+            for j0, j1 in y_slices
+        ]
+        assert [x.shape for x, _ in calls] == tiles
+        first = {}  # tile shape -> the first tile's (points, scratch)
+        for x, scratch in calls:
+            points, views = first.setdefault(x.shape, (x, scratch))
+            assert x is points and len(scratch) == len(views) == len(f.scratch(1))
+            assert all(a is b and a.shape == x.shape for a, b in zip(scratch, views))
+        assert len(first) <= 2
 
 
 def test_classes_violate_independently():
