@@ -8,7 +8,9 @@ imported names, so wrappers installed on those modules (the per-layer
 tracing in perfbench/tracing.py) see every call of a name they wrap. Each
 battery item's bounds go through the theorem bodies (`th.sandwich`,
 `th.product_bound`, ...), which that tracer does not wrap, and read one
-`th.Average` of f and one of f*f, so each is integrated once.
+`th.Average` of f and one of f*f, so each is integrated once and f is
+called once per end and midpoint of each; they take the systems of the
+battery's scan, so each closed-form moment table is computed once.
 """
 
 import dataclasses
@@ -153,30 +155,31 @@ def _slack(rep: th.ProductBoundReport) -> float:
 
 
 def _bound_margins(
-    f: expr.FunctionDef, interval: Interval, members: dict[str, bool], quad: QuadSpec
+    f: expr.FunctionDef, interval: Interval, members: dict[str, w.WeightSystem], quad: QuadSpec
 ) -> list[tuple[str, float]]:
-    """(check name, margin) of each bound of the classes f belongs to, in report order."""
+    """(check name, margin) of each bound of the classes f belongs to, in
+    report order; members maps each such class name to its battery system."""
     mean, square = th.Average(f, interval, quad), th.Average(f, interval, quad, f)
     out = []
-    if members["classical"]:
+    if (ws := members.get("classical")) is not None:
         out += [
-            ("sandwich/hadamard", min(th.sandwich(w.classical(), mean).margins)),
-            ("product/pachpatte_upper", _slack(th.product_bound(w.classical(), square))),
+            ("sandwich/hadamard", min(th.sandwich(ws, mean).margins)),
+            ("product/pachpatte_upper", _slack(th.product_bound(ws, square))),
             ("product/pachpatte_lower", _slack(th.pachpatte_lower(square))),
         ]
     for p in SANDWICH_P_VALUES:
-        if members[f"young_p{p:g}"]:
+        if (ws := members.get(f"young_p{p:g}")) is not None:
             out += [
-                (f"sandwich/young_p{p:g}", min(th.sandwich(w.young(p), mean).margins)),
-                (f"right_bound/young_p{p:g}", th.right_bound(w.young(p), mean).margins[1]),
+                (f"sandwich/young_p{p:g}", min(th.sandwich(ws, mean).margins)),
+                (f"right_bound/young_p{p:g}", th.right_bound(ws, mean).margins[1]),
             ]
     for p in PRODUCT_P_VALUES:
-        if members[f"young_p{p:g}"]:
-            out.append((f"product/young_p{p:g}", _slack(th.product_bound(w.young(p), square))))
-    if members["nesbitt"]:
+        if (ws := members.get(f"young_p{p:g}")) is not None:
+            out.append((f"product/young_p{p:g}", _slack(th.product_bound(ws, square))))
+    if (ws := members.get("nesbitt")) is not None:
         out += [
-            ("sandwich/nesbitt", min(th.sandwich(w.nesbitt(), mean).margins)),
-            ("product/nesbitt_a3", _slack(th.product_bound(w.nesbitt(), square))),
+            ("sandwich/nesbitt", min(th.sandwich(ws, mean).margins)),
+            ("product/nesbitt_a3", _slack(th.product_bound(ws, square))),
             ("product/nesbitt_a5", _slack(th.similarly_ordered_bound(square))),
         ]
     return out
@@ -188,10 +191,11 @@ def _battery_checks(quad: QuadSpec, grid: mb.GridSpec) -> list[dict]:
     classes += [(f"young_p{p:g}", w.young(p)) for p in SANDWICH_P_VALUES]
     systems = [ws for _, ws in classes]
     for f, interval, tag in _battery():
-        members: dict[str, bool] = {}
+        members: dict[str, w.WeightSystem] = {}
         reports = mb.check_classes(f, interval, systems, grid)
-        for (cname, _), report in zip(classes, reports):
-            members[cname] = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+        for (cname, ws), report in zip(classes, reports):
+            if report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION:
+                members[cname] = ws
             out.append(
                 _check(f"membership/{tag}/{cname}", report.max_gap, grid.tol, "le")
             )

@@ -2,11 +2,13 @@
 
 Each bound body (`sandwich`, `right_bound`, `product_bound`,
 `similarly_ordered_bound`, `pachpatte_lower`) computes the members of one
-inequality from one `Average` of f or of f*g, which it reads only after
-its own checks pass, and reports whether the inequality holds; bodies
-given the same Average share its integral. Coefficients are the
-closed-form weight moments of `WeightSystem.moments_closed_form()`, since
-every bound is the defining inequality integrated over t, and each
+inequality from one `Average` of f or of f*g, whose integral it reads
+only after its own checks pass, and reports whether the inequality holds;
+bodies given the same Average share its integral and f's and g's values
+at the ends and the midpoint, each computed once. Coefficients are the
+closed-form weight moments of `WeightSystem.moments_closed_form()`, a
+table each system computes once and keeps, since every bound is the
+defining inequality integrated over t, and each
 class-named theorem wraps a body around a fresh Average. The moments are
 cross-checked against the quadrature oracle in `constants_table`. Verdicts
 use check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
@@ -87,8 +89,9 @@ def _check_tol(quad_error: float) -> float:
 @dataclass(frozen=True)
 class Average:
     """The average of f, or of the product f*g, over the interval. Its `value`,
-    (average, error), is integrated on first read and kept, so the bounds
-    given one Average share one integral."""
+    (average, error), and f's and g's values at the ends and the midpoint
+    are computed on first read and kept (g's are f's when g is f), so the
+    bounds given one Average share them; a read that raises keeps nothing."""
 
     f: Callable
     interval: Interval
@@ -116,6 +119,23 @@ class Average:
             )
         return res.value / width, res.error_estimate / width
 
+    @functools.cached_property
+    def f_ends(self) -> tuple[float, float]:
+        return self.f(self.interval.a), self.f(self.interval.b)
+
+    @functools.cached_property
+    def f_mid(self) -> float:
+        return self.f(self.interval.midpoint)
+
+    @functools.cached_property
+    def g_ends(self) -> tuple[float, float]:
+        g, interval = self.g, self.interval
+        return self.f_ends if g is self.f else (g(interval.a), g(interval.b))
+
+    @functools.cached_property
+    def g_mid(self) -> float:
+        return self.f_mid if self.g is self.f else self.g(self.interval.midpoint)
+
 
 def _require_finite(**members: float | None) -> None:
     for name, value in members.items():
@@ -129,11 +149,10 @@ def _sandwich_report(mean: Average, left_coeff, m10, m01) -> SandwichReport:
     The left member is left_coeff * f(mid), or the average itself when
     left_coeff is None.
     """
-    f, interval = mean.f, mean.interval
     avg, err = mean.value
-    fa, fb = f(interval.a), f(interval.b)
+    fa, fb = mean.f_ends
     right = m10 * (fa + fb) if m10 == m01 else m10 * fa + m01 * fb
-    left = avg if left_coeff is None else left_coeff * f(interval.midpoint)
+    left = avg if left_coeff is None else left_coeff * mean.f_mid
     _require_finite(left=left, middle=avg, right=right)
     ct = _check_tol(err)
     margins = (avg - left, right - avg)
@@ -230,10 +249,8 @@ def _product_report(
     With equal endpoint coefficients the bound is evaluated as
     coeff_aa*M + coeff_N*N, the form the report's docstring promises.
     """
-    f, g, interval = mean.f, mean.g, mean.interval
     avg, err = mean.value
-    fa, fb = f(interval.a), f(interval.b)
-    ga, gb = g(interval.a), g(interval.b)
+    (fa, fb), (ga, gb) = mean.f_ends, mean.g_ends
     paa = fa * ga
     pbb = fb * gb
     m_term = paa + pbb
@@ -271,11 +288,11 @@ def similarly_ordered_bound(mean: Average) -> ProductBoundReport:
     Similarly ordered is the endpoint condition (f(a)-f(b))(g(a)-g(b)) >= 0,
     exactly what collapses N <= M in the proof.
     """
-    f, g, interval = mean.f, mean.g, mean.interval
-    ordering = (f(interval.a) - f(interval.b)) * (g(interval.a) - g(interval.b))
+    (fa, fb), (ga, gb) = mean.f_ends, mean.g_ends
+    ordering = (fa - fb) * (ga - gb)
     if not ordering >= 0.0:
         raise OrderingError(
-            f"f and g are not similarly ordered on [{interval.a}, {interval.b}]: "
+            f"f and g are not similarly ordered on [{mean.interval.a}, {mean.interval.b}]: "
             f"(f(a)-f(b))(g(a)-g(b)) = {ordering:g}, not >= 0"
         )
     return _product_report(mean, NESBITT_ORDERED_COEFF, NESBITT_ORDERED_COEFF, 0.0)
@@ -291,8 +308,7 @@ def nesbitt_similarly_ordered_bound(
 def pachpatte_lower(mean: Average) -> ProductBoundReport:
     """2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint."""
     table = w.classical().moments_closed_form()
-    f, g, mid = mean.f, mean.g, mean.interval.midpoint
-    return _product_report(mean, table.m11, table.m11, table.m20, 2.0 * f(mid) * g(mid))
+    return _product_report(mean, table.m11, table.m11, table.m20, 2.0 * mean.f_mid * mean.g_mid)
 
 
 def pachpatte_bounds(

@@ -11,6 +11,7 @@ both as closed forms and through the quadrature oracle.
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -141,8 +142,13 @@ class WeightSystem:
         quadrature oracle (the one appearing in the product-bound proof);
         see `theorems.constants_table` for the alternative display. The
         Young m02 entry diverges for p >= 2 and is None. A Young p past
-        ~7.7e153, where 3p^2 overflows a double, raises NonFiniteError.
+        ~7.7e153, where 3p^2 overflows a double, raises NonFiniteError on
+        every call; any other table is computed once and kept.
         """
+        return self._closed_form
+
+    @functools.cached_property
+    def _closed_form(self) -> MomentTable:
         if self.kind is WeightKind.CLASSICAL:
             return MomentTable.symmetric(0.5, 1.0 / 3.0, 1.0 / 6.0)
         if self.kind is WeightKind.NESBITT:

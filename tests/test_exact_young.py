@@ -50,10 +50,14 @@ def _integral(series: dict) -> Fraction | None:
     return sum(c * _beta(a, n) for (a, n), c in series.items())
 
 
-def exact_moments(p: Fraction) -> dict[str, Fraction | None]:
+def exact_weights(p: Fraction) -> tuple[dict, dict]:
+    """The series (w_x, w_y) of Young(p), keyed by (a, n) of t^a (1-t)^n."""
     q = 1 / p
-    wx = {(q, 0): q, (1 + q, 0): 1 - q}
-    wy = {(q, 1): 1 - q, (q - 1, 1): q}
+    return {(q, 0): q, (1 + q, 0): 1 - q}, {(q, 1): 1 - q, (q - 1, 1): q}
+
+
+def exact_moments(p: Fraction) -> dict[str, Fraction | None]:
+    wx, wy = exact_weights(p)
     return {
         "m10": _integral(wx),
         "m01": _integral(wy),
@@ -100,3 +104,29 @@ def test_cross_displays_at_three_halves_are_exact_rationals():
     assert proof - theorem == Fraction(3, 70)
     assert _within_ulps(young_cross_moment_proof_display(1.5), proof, 8)
     assert _within_ulps(young_cross_moment_theorem_display(1.5), theorem, 8)
+
+
+def _powers(series: dict) -> dict:
+    """sum c t^a (1-t)^n as sum c' t^a', expanding (1-t)^n; no zero terms."""
+    out: dict = {}
+    for (a, n), c in series.items():
+        for k in range(n + 1):
+            out[a + k] = out.get(a + k, 0) + c * math.comb(n, k) * (-1) ** k
+    return {a: c for a, c in out.items() if c}
+
+
+def _at_one(powers: dict, order: int) -> Fraction:
+    """The order-th derivative of sum c t^a at t = 1: sum c a(a-1)...(a-order+1)."""
+    return sum(c * math.prod(a - k for k in range(order)) for a, c in powers.items())
+
+
+@pytest.mark.parametrize("p", P_VALUES, ids=str)
+def test_lemma_rhs_is_flat_to_second_order_at_one(p):
+    # L = w_x + w_y = (1/p) t^(1/p-1) + (1-1/p) t^(1/p). L(1) = 1, L'(1) = 0
+    # and L''(1) = (p-1)/p^2 > 0, so a Young(p) member is convex
+    # (README, "What the classes contain")
+    q = 1 / p
+    wx, wy = exact_weights(p)
+    lemma = _powers(wx | wy)
+    assert lemma == {q - 1: q, q: 1 - q}
+    assert [_at_one(lemma, order) for order in range(3)] == [1, 0, (p - 1) / p**2]

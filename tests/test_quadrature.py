@@ -96,6 +96,26 @@ def test_node_on_panel_end_stalls():
     assert (res.evaluations, res.converged, res.stop_reason) == (1365, False, "stalled")
 
 
+def _spike_at_half(t):
+    # f(1/2) = 1e30 on the first panel's centre node; no child node comes
+    # within 1e-3 of 1/2, where the spike is exp(-1e6) = 0
+    return 1e30 * np.exp(-1e12 * (t - 0.5) ** 2) + np.sin(100.0 * t)
+
+
+def test_final_sums_that_miss_the_tolerance_stall():
+    # the first panel's error (~1e29) swamps its children's, so the running
+    # total_err + (lerr + rerr - perr) rounds to 0 and the loop stops at
+    # once; the final sums by position hold only the children's error
+    res = integrate_unit(_spike_at_half)
+    (lval, lerr), (rval, rerr) = (_ref_gk15(_spike_at_half, 0.0, 0.5),
+                                  _ref_gk15(_spike_at_half, 0.5, 1.0))
+    assert (res.evaluations, res.subdivisions) == (45, 1)
+    assert (res.value, res.error_estimate) == (lval + rval, lerr + rerr)
+    spec = QuadSpec()
+    assert res.error_estimate > max(spec.abs_tol, spec.rel_tol * abs(res.value))
+    assert (res.converged, res.stop_reason) == (False, "stalled")
+
+
 # unhinted t^alpha: (alpha, integrand evaluations), as before the divergence
 # test existed; the left panel keeps 2^-(1+alpha) <= 0.979 of its value per
 # bisection, so the test never fires
@@ -411,6 +431,7 @@ DIFFERENTIAL_CASES = {
     "1/(t + 1e-6)": (lambda t: 1.0 / (t + 1e-6), UNIT, QuadSpec()),
     "stalled 1/(3 - t)": (lambda t: 1.0 / (3.0 - t), Interval(0.0, 3.0), QuadSpec()),
     "stalled child 1/(t - 0.25)": (lambda t: 1.0 / (t - 0.25), UNIT, QuadSpec()),
+    "stalled final sums": (_spike_at_half, UNIT, QuadSpec()),
     "budget t^-0.5": (lambda t: t**-0.5, UNIT, QuadSpec(max_subdivisions=3)),
     "sin, exp": (parse_function("sin(3*x)*exp(-x)"), Interval(0.0, 4.0), QuadSpec()),
     "cos, ln": (parse_function("cos(x)^2 + ln(1 + x)"), Interval(0.5, 2.0), QuadSpec()),

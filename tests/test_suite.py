@@ -25,9 +25,10 @@ VERIFY_PAPER_EVALUATIONS = 8_160
 # points the default verify_paper() run evaluates through FunctionDef:
 # 12 battery scans of 41*41*99 samples (one per (f, interval), shared by
 # its five classes), the Proposition's 41*41*99 default-grid and 41*41*2
-# witness scans, their x and y axes, certificates and the quadrature panels
-# (one run per theorem average)
-VERIFY_PAPER_F_POINTS = 2_169_282
+# witness scans, their x and y axes, certificates, the quadrature panels
+# (one run per theorem average) and each average's f values at its ends and
+# midpoint, read once per average
+VERIFY_PAPER_F_POINTS = 2_168_718
 
 
 def test_square_expansion_uses_suite_quad_spec():

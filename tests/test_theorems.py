@@ -1,10 +1,12 @@
+import collections
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from convexa.errors import DivergentCoefficient, DomainError, NonFiniteError, OrderingError
-from convexa.expr import parse_function
+from convexa.expr import ExprDomainError, parse_function
 from convexa.quadrature import Interval, QuadSpec
 from convexa.theorems import (
     NESBITT_ORDERED_COEFF,
@@ -359,6 +361,60 @@ def test_pachpatte_bound_invariant():
     upper, _ = pachpatte_bounds(FX2, FX, Interval(1.0, 3.0))
     assert upper.bound == upper.coeff_aa * upper.M + upper.coeff_N * upper.N
     assert upper.holds
+
+
+# -- one Average, shared by every body ---------------------------------------------------
+
+
+class _CountingFunction:
+    """f, counting its scalar calls by point; integrand calls pass arrays."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, collections.Counter()
+
+    def __call__(self, x):
+        if np.ndim(x) == 0:
+            self.calls[float(x)] += 1
+        return self.f(x)
+
+
+@pytest.mark.parametrize("g_is_f", [False, True])
+def test_bodies_read_each_end_and_midpoint_value_once(g_is_f):
+    f = _CountingFunction(FX2)
+    g = f if g_is_f else _CountingFunction(parse_function("x+1"))
+    mean = Average(f, Interval(1.0, 3.0), g=g)
+    nesbitt = sandwich(weights.nesbitt(), mean)
+    sandwich(young(1.5), mean)
+    right_bound(young(1.5), mean)
+    pachpatte = product_bound(weights.classical(), mean)
+    product_bound(young(1.5), mean)
+    similarly_ordered_bound(mean)
+    pachpatte_lower(mean)
+    for counted in {f, g}:
+        assert counted.calls == {1.0: 1, 3.0: 1, 2.0: 1}
+    # the values the bodies read are the ones a fresh call gives
+    assert nesbitt.left_value == FX2(2.0)
+    assert pachpatte.endpoint_bb == FX2(3.0) * (FX2(3.0) if g_is_f else 4.0)
+
+
+def test_an_end_value_that_raises_raises_on_every_read():
+    # finite inside [0, 1], so the integral is fine; f(1) divides by zero
+    f = _CountingFunction(parse_function("x^2 + 0/(1-x)"))
+    mean = Average(f, UNIT, g=f)
+    reads = [
+        lambda: mean.f_ends,
+        lambda: mean.g_ends,
+        lambda: sandwich(weights.classical(), mean),
+        lambda: right_bound(young(2.0), mean),
+        lambda: product_bound(weights.nesbitt(), mean),
+        lambda: similarly_ordered_bound(mean),
+        lambda: pachpatte_lower(mean),
+    ]
+    for read in reads * 2:
+        with pytest.raises(ExprDomainError, match=r"division by zero \(at x=1.0\)"):
+            read()
+    assert f.calls == {0.0: 14, 1.0: 14, 0.5: 1}
+    assert (mean.value[0], mean.f_mid) == (pytest.approx(0.2, abs=1e-12), 0.25)
 
 
 # -- constants table ---------------------------------------------------------------------

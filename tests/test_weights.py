@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexa import theorems
+from convexa import specfun, theorems
 from convexa.errors import DomainError, NonConvergenceError, NonFiniteError
 from convexa.quadrature import QuadSpec, integrate_unit
 from convexa.weights import (
@@ -64,6 +64,11 @@ def test_eval_nesbitt_half_recovers_jensen():
     pair = nesbitt().eval(0.5)
     assert pair.wx == 0.5
     assert pair.wy == 0.5
+    # the arrays are bitwise the classical pair, so a Nesbitt member is
+    # midpoint convex (README, "What the classes contain")
+    half = np.array([0.5])
+    bits = [a.tobytes() for ws in (nesbitt(), classical()) for a in ws.eval_arrays(half)]
+    assert bits == [half.tobytes()] * 4
 
 
 def test_eval_classical():
@@ -233,8 +238,25 @@ def test_young_closed_forms_overflow_bound():
     values = [table.m10, table.m01, table.m20, table.m11]
     assert values == pytest.approx([0.5, 1.5, 1.0 / 3.0, 1.0 / 6.0], rel=1e-15)
     assert table.m02 is None
-    with pytest.raises(NonFiniteError, match=r"young\(p=8e\+153\) overflow a double"):
-        young(8e153).moments_closed_form()
+    ws = young(8e153)
+    for _ in range(2):  # an overflow is never kept: every call raises
+        with pytest.raises(NonFiniteError, match=r"young\(p=8e\+153\) overflow a double"):
+            ws.moments_closed_form()
+
+
+def test_closed_form_table_is_computed_once_per_system(monkeypatch):
+    calls = []
+    beta = specfun.beta
+    monkeypatch.setattr(specfun, "beta", lambda *args: calls.append(args) or beta(*args))
+    ws = young(1.5)
+    first = ws.moments_closed_form()
+    assert calls
+    calls.clear()
+    assert ws.moments_closed_form() is first
+    assert calls == []
+    # a fresh system computes its own table
+    assert young(1.5).moments_closed_form() == first
+    assert calls
 
 
 @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9])

@@ -37,11 +37,11 @@ COUNTS = {
         "quadrature.useful_evals": 7_650,
         "quadrature.nonconverged": 1,
         "expr.parse_calls": 19,
-        "expr.eval_calls": 869,
-        "expr.eval_points": 2_169_282,
+        "expr.eval_calls": 305,
+        "expr.eval_points": 2_168_718,
         "weights.eval_calls": 236,
         "weights.eval_points": 10_903,
-        "specfun.calls": 393,
+        "specfun.calls": 84,
         "theorems.calls": 40,
         "theorems.integrals": 28,
         "theorems.redundant_integrals": 4,
@@ -62,8 +62,8 @@ COUNTS = {
         "quadrature.evals": 133_995,
         "quadrature.useful_evals": 133_995,
         "quadrature.nonconverged": 0,
-        "expr.eval_calls": 1_184,
-        "expr.eval_points": 5_448,
+        "expr.eval_calls": 992,
+        "expr.eval_points": 5_256,
         "weights.eval_calls": 2_625,
         "weights.eval_points": 74_415,
         "specfun.calls": 948,
