@@ -30,18 +30,16 @@ from .membership import (
 from .quadrature import Interval, QuadResult, QuadSpec, integrate, integrate_unit
 from .specfun import beta, log_gamma
 from .theorems import (
+    Average,
     ConstantsRow,
     ProductBoundReport,
     SandwichReport,
     constants_table,
-    hadamard_classical,
-    nesbitt_product_bound,
-    nesbitt_sandwich,
-    nesbitt_similarly_ordered_bound,
-    pachpatte_bounds,
-    young_product_bound,
-    young_right_bound,
-    young_sandwich,
+    pachpatte_lower,
+    product_bound,
+    right_bound,
+    sandwich,
+    similarly_ordered_bound,
 )
 from .weights import (
     MomentTable,
@@ -57,6 +55,7 @@ from .weights import (
 )
 
 __all__ = [
+    "Average",
     "ConstantsRow",
     "DivergentCoefficient",
     "DomainError",
@@ -86,21 +85,18 @@ __all__ = [
     "classical",
     "constants_table",
     "dominates_classical",
-    "hadamard_classical",
     "integrate",
     "integrate_unit",
     "log_gamma",
     "nesbitt",
     "nesbitt_inequality",
-    "nesbitt_product_bound",
-    "nesbitt_sandwich",
-    "nesbitt_similarly_ordered_bound",
     "nonnegativity_witness",
-    "pachpatte_bounds",
+    "pachpatte_lower",
     "parse_function",
+    "product_bound",
+    "right_bound",
+    "sandwich",
+    "similarly_ordered_bound",
     "young",
     "young_inequality",
-    "young_product_bound",
-    "young_right_bound",
-    "young_sandwich",
 ]

@@ -92,7 +92,7 @@ def _flatten(value: Any, prefix: str = "", out: dict | None = None) -> dict:
 
 def report_to_json(report: Report) -> str:
     payload = {
-        "schema_version": report.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "config": report.config,
         "results": report.results,
         "overall": report.overall.value,
@@ -131,12 +131,12 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --format name -> renderer
+_RENDERERS = {"text": report_to_text, "json": report_to_json, "csv": report_to_csv}
+
+
 def render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report_to_json(report)
-    if fmt == "csv":
-        return report_to_csv(report)
-    return report_to_text(report)
+    return _RENDERERS[fmt](report)
 
 
 # --- argument handling -----------------------------------------------------------
@@ -173,21 +173,21 @@ def _build_parser() -> argparse.ArgumentParser:
     exponents.add_argument("--p", type=float, action="append",
                            help="Young exponent; repeatable")
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    output.add_argument("--format", choices=list(_RENDERERS), default="text")
     output.add_argument("--out", help="write the report to this path")
     quadrature = argparse.ArgumentParser(add_help=False)
-    quadrature.add_argument("--abs-tol", type=float, default=1e-10)
-    quadrature.add_argument("--rel-tol", type=float, default=1e-10)
-    quadrature.add_argument("--max-subdivisions", type=int, default=2000)
+    quadrature.add_argument("--abs-tol", type=float, default=QuadSpec.abs_tol)
+    quadrature.add_argument("--rel-tol", type=float, default=QuadSpec.rel_tol)
+    quadrature.add_argument("--max-subdivisions", type=int, default=QuadSpec.max_subdivisions)
     theorem_groups = [function, weight_class, interval, output, quadrature]
 
     sp = sub.add_parser("check", parents=[function, weight_class, interval, output],
                         help="grid-search membership test")
-    sp.add_argument("--nx", type=int, default=41)
-    sp.add_argument("--ny", type=int, default=41)
-    sp.add_argument("--nt", type=int, default=99)
-    sp.add_argument("--t-min", type=float, default=1e-4)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--nx", type=int, default=mb.GridSpec.nx)
+    sp.add_argument("--ny", type=int, default=mb.GridSpec.ny)
+    sp.add_argument("--nt", type=int, default=mb.GridSpec.nt)
+    sp.add_argument("--t-min", type=float, default=mb.GridSpec.t_min)
+    sp.add_argument("--tol", type=float, default=mb.GridSpec.tol)
     sub.add_parser("sandwich", parents=theorem_groups,
                    help="evaluate the class's sandwich inequality")
     sp = sub.add_parser("product", parents=theorem_groups,
@@ -225,7 +225,7 @@ def _cmd_check(args) -> Report:
     report = mb.check_convex(f, Interval(args.a, args.b), ws, grid)
     rec = _record("membership", f"{args.f_source}/{ws.label()}", _membership_payload(report))
     overall = _holds(report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION)
-    return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
+    return Report(_config_echo(args), [rec], overall)
 
 
 # record names of each class's sandwich and product bound, a Young one
@@ -248,7 +248,7 @@ def _cmd_sandwich(args) -> Report:
     rep = th.sandwich(ws, th.Average(f, Interval(args.a, args.b), _quad_spec(args)))
     rec = _record("sandwich", _theorem_names(ws)[0], dataclasses.asdict(rep))
     overall = _holds(rep.left_holds and rep.right_holds)
-    return Report(SCHEMA_VERSION, _config_echo(args), [rec], overall)
+    return Report(_config_echo(args), [rec], overall)
 
 
 def _cmd_product(args) -> Report:
@@ -268,14 +268,14 @@ def _cmd_product(args) -> Report:
         _record("product", name, dataclasses.asdict(rep)) for name, rep in reports.items()
     ]
     overall = _holds(all(r["holds"] for r in records))
-    return Report(SCHEMA_VERSION, _config_echo(args), records, overall)
+    return Report(_config_echo(args), records, overall)
 
 
 def _cmd_constants(args) -> Report:
     p_values = args.p if args.p else [1.5]
     rows = th.constants_table(p_values, _quad_spec(args))
     records = [_record("constants", row.name, dataclasses.asdict(row)) for row in rows]
-    return Report(SCHEMA_VERSION, _config_echo(args), records, Overall.ALL_HOLD)
+    return Report(_config_echo(args), records, Overall.ALL_HOLD)
 
 
 def _cmd_moments(args) -> Report:
@@ -294,7 +294,7 @@ def _cmd_moments(args) -> Report:
         records.append(_record("moments", f"{ws.label()}/{key}", payload))
     agree = all((c is None) == (oracle[key] is None) for key, c in closed.items())
     overall = Overall.ALL_HOLD if agree else Overall.NUMERIC_FAILURE
-    return Report(SCHEMA_VERSION, _config_echo(args), records, overall)
+    return Report(_config_echo(args), records, overall)
 
 
 def _cmd_verify_paper(args) -> Report:

@@ -3,11 +3,11 @@
 Each check builder returns records {name, status, metric, threshold,
 relation}; `verify_paper` runs them in a fixed order and derives the
 overall verdict. Other layers are reached through module attributes
-(`th.pachpatte_bounds`, `w.young`, `expr.parse_function`) rather than
+(`th.product_bound`, `w.young`, `expr.parse_function`) rather than
 imported names, so wrappers installed on those modules (the per-layer
 tracing in perfbench/tracing.py) see every call of a name they wrap. Each
-battery item's bounds go through the theorem bodies (`th.sandwich`,
-`th.product_bound`, ...), which that tracer does not wrap, and read one
+bound goes through a theorem body (`th.sandwich`, `th.product_bound`,
+...), which that tracer does not wrap. A battery item's bounds read one
 `th.Average` of f and one of f*f, so each is integrated once and f is
 called once per end and midpoint of each; they take the systems of the
 battery's scan, so each closed-form moment table is computed once.
@@ -37,7 +37,6 @@ class Overall(enum.Enum):
 
 @dataclass(frozen=True)
 class Report:
-    schema_version: str
     config: dict
     results: list[dict]
     overall: Overall
@@ -129,11 +128,11 @@ def _divergence_checks(quad: QuadSpec, oracles: dict) -> list[dict]:
     f1 = expr.parse_function("x")
     for p in (2.0, 3.0):
         try:
-            th.young_product_bound(f1, f1, Interval(0.0, 1.0), p, quad)
+            th.product_bound(w.young(p), th.Average(f1, Interval(0.0, 1.0), quad, f1))
             raised = 0.0
         except DivergentCoefficient:
             raised = 1.0
-        out.append(_check(f"divergence/young_product_p{p:g}", raised, 0.5, "ge"))
+        out.append(_check(f"divergence/young_product_p{w.exponent_text(p)}", raised, 0.5, "ge"))
     diverged = 1.0 if oracles["young(p=2)", "m02"] is None else 0.0
     out.append(_check("divergence/young_m02_integrand_p2", diverged, 0.5, "ge"))
     return out
@@ -167,15 +166,15 @@ def _bound_margins(
             ("product/pachpatte_upper", _slack(th.product_bound(ws, square))),
             ("product/pachpatte_lower", _slack(th.pachpatte_lower(square))),
         ]
-    for p in SANDWICH_P_VALUES:
-        if (ws := members.get(f"young_p{p:g}")) is not None:
+    for p in map(w.exponent_text, SANDWICH_P_VALUES):
+        if (ws := members.get(f"young_p{p}")) is not None:
             out += [
-                (f"sandwich/young_p{p:g}", min(th.sandwich(ws, mean).margins)),
-                (f"right_bound/young_p{p:g}", th.right_bound(ws, mean).margins[1]),
+                (f"sandwich/young_p{p}", min(th.sandwich(ws, mean).margins)),
+                (f"right_bound/young_p{p}", th.right_bound(ws, mean).margins[1]),
             ]
-    for p in PRODUCT_P_VALUES:
-        if (ws := members.get(f"young_p{p:g}")) is not None:
-            out.append((f"product/young_p{p:g}", _slack(th.product_bound(ws, square))))
+    for p in map(w.exponent_text, PRODUCT_P_VALUES):
+        if (ws := members.get(f"young_p{p}")) is not None:
+            out.append((f"product/young_p{p}", _slack(th.product_bound(ws, square))))
     if (ws := members.get("nesbitt")) is not None:
         out += [
             ("sandwich/nesbitt", min(th.sandwich(ws, mean).margins)),
@@ -188,7 +187,7 @@ def _bound_margins(
 def _battery_checks(quad: QuadSpec, grid: mb.GridSpec) -> list[dict]:
     out = []
     classes = [("classical", w.classical()), ("nesbitt", w.nesbitt())]
-    classes += [(f"young_p{p:g}", w.young(p)) for p in SANDWICH_P_VALUES]
+    classes += [(f"young_p{w.exponent_text(p)}", w.young(p)) for p in SANDWICH_P_VALUES]
     systems = [ws for _, ws in classes]
     for f, interval, tag in _battery():
         members: dict[str, w.WeightSystem] = {}
@@ -206,8 +205,8 @@ def _battery_checks(quad: QuadSpec, grid: mb.GridSpec) -> list[dict]:
 
 def _degeneration_checks(quad: QuadSpec) -> list[dict]:
     out = []
-    p = 1.0 + 1e-8
-    table = w.young(p).moments_closed_form()
+    young, classical = w.young(1.0 + 1e-8), w.classical()
+    table = young.moments_closed_form()
     out.append(
         _check(
             "degeneration/right_coefficients",
@@ -218,9 +217,9 @@ def _degeneration_checks(quad: QuadSpec) -> list[dict]:
     )
     for src, (a, b) in (("x^2", (0.0, 1.0)), ("exp(x)", (1.0, 3.0))):
         mean = th.Average(expr.parse_function(src), Interval(a, b), quad)
-        ys = th.sandwich(w.young(p), mean)
-        yr = th.right_bound(w.young(p), mean)
-        hc = th.sandwich(w.classical(), mean)
+        ys = th.sandwich(young, mean)
+        yr = th.right_bound(young, mean)
+        hc = th.sandwich(classical, mean)
         metric = max(
             abs(ys.left_value - hc.left_value),
             abs(ys.right_value - hc.right_value),
@@ -269,12 +268,14 @@ def _proposition_checks(grid: mb.GridSpec) -> list[dict]:
 
 
 def _equality_checks(quad: QuadSpec) -> list[dict]:
-    interval = Interval(0.0, 1.0)
-    fx = expr.parse_function("x")
-    upper_fx, lower_fx = th.pachpatte_bounds(fx, fx, interval, quad)
-    one = expr.parse_function("1")
-    upper_one, _ = th.pachpatte_bounds(one, one, interval, quad)
-    reports = {"upper_fx": upper_fx, "lower_fx": lower_fx, "upper_const1": upper_one}
+    interval, classical = Interval(0.0, 1.0), w.classical()
+    fx, one = expr.parse_function("x"), expr.parse_function("1")
+    square, ones = th.Average(fx, interval, quad, fx), th.Average(one, interval, quad, one)
+    reports = {
+        "upper_fx": th.product_bound(classical, square),
+        "lower_fx": th.pachpatte_lower(square),
+        "upper_const1": th.product_bound(classical, ones),
+    }
     return [
         _check(f"pachpatte/equality_{name}", abs(_slack(rep)), 1e-10, "le")
         for name, rep in reports.items()
@@ -320,4 +321,4 @@ def verify_paper(quad: QuadSpec = QuadSpec()) -> Report:
         overall = Overall.ALL_HOLD
     config = {"subcommand": "verify-paper", "quad": dataclasses.asdict(quad),
               "grid": dataclasses.asdict(grid)}
-    return Report(SCHEMA_VERSION, config, results, overall)
+    return Report(config, results, overall)

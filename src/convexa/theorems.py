@@ -1,18 +1,18 @@
 """Hadamard-type inequality evaluation for concrete functions and intervals.
 
-Each bound body (`sandwich`, `right_bound`, `product_bound`,
-`similarly_ordered_bound`, `pachpatte_lower`) computes the members of one
-inequality from one `Average` of f or of f*g, whose integral it reads
-only after its own checks pass, and reports whether the inequality holds;
-bodies given the same Average share its integral and f's and g's values
-at the ends and the midpoint, each computed once. Coefficients are the
-closed-form weight moments of `WeightSystem.moments_closed_form()`, a
-table each system computes once and keeps, since every bound is the
-defining inequality integrated over t, and each
-class-named theorem wraps a body around a fresh Average. The moments are
-cross-checked against the quadrature oracle in `constants_table`. Verdicts
-use check_tol = max(1e-8, 10 * quadrature error) so they cannot flip on
-integration noise, and an inf or NaN member raises NonFiniteError.
+The bound bodies (`sandwich`, `right_bound`, `product_bound`,
+`similarly_ordered_bound`, `pachpatte_lower`) are the API. Each computes
+the members of one inequality from one `Average` of f or of f*g, whose
+integral it reads only after its own checks pass, and reports whether the
+inequality holds; bodies given the same Average share its integral and
+f's and g's values at the ends and the midpoint, each computed once.
+Coefficients are the closed-form weight moments of
+`WeightSystem.moments_closed_form()`, a table each system computes once
+and keeps, since every bound is the defining inequality integrated over
+t. The moments are cross-checked against the quadrature oracle in
+`constants_table`. Verdicts use check_tol = max(1e-8, 10 * quadrature
+error) so they cannot flip on integration noise, and an inf or NaN member
+raises NonFiniteError.
 """
 
 import functools
@@ -177,38 +177,10 @@ def right_bound(ws: w.WeightSystem, mean: Average) -> SandwichReport:
     return _sandwich_report(mean, None, table.m10, table.m01)
 
 
-def hadamard_classical(
-    f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
-) -> SandwichReport:
-    """f((a+b)/2) <= avg integral <= (f(a)+f(b))/2 for classically convex f."""
-    return sandwich(w.classical(), Average(f, interval, spec))
-
-
-def young_right_bound(
-    f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
-) -> SandwichReport:
-    """The right bound with the Young moments m10(p), m01(p)."""
-    return right_bound(w.young(p), Average(f, interval, spec))
-
-
 def young_sandwich_coefficients(p: float) -> tuple[float, float]:
     """(left coefficient 1/L(1/2) = 2^(1/p) p/(p+1), right bracket
     2p/(p+1)) of the Young sandwich; the bracket is the weight mass."""
     return 2.0 ** (1.0 / p) * p / (p + 1.0), w.young(p).weight_mass()
-
-
-def young_sandwich(
-    f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
-) -> SandwichReport:
-    """2^(1/p) p/(p+1) f(mid) <= avg integral <= (p/(p+1)) (f(a)+f(b))."""
-    return sandwich(w.young(p), Average(f, interval, spec))
-
-
-def nesbitt_sandwich(
-    f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
-) -> SandwichReport:
-    """f(mid) <= avg integral <= ((3/2)ln3 - 1)(f(a) + f(b))."""
-    return sandwich(w.nesbitt(), Average(f, interval, spec))
 
 
 def product_bound(ws: w.WeightSystem, mean: Average) -> ProductBoundReport:
@@ -224,21 +196,6 @@ def product_bound(ws: w.WeightSystem, mean: Average) -> ProductBoundReport:
             "(for Young weights beta(2/p - 1, 3), which requires 2/p - 1 > 0)"
         )
     return _product_report(mean, table.m20, table.m02, table.m11)
-
-
-def young_product_bound(
-    f: FunctionDef, g: FunctionDef, interval: Interval, p: float,
-    spec: QuadSpec = QuadSpec(),
-) -> ProductBoundReport:
-    """The product bound with the oracle-confirmed Beta coefficients, 1 < p < 2."""
-    return product_bound(w.young(p), Average(f, interval, spec, g))
-
-
-def nesbitt_product_bound(
-    f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
-) -> ProductBoundReport:
-    """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
-    return product_bound(w.nesbitt(), Average(f, interval, spec, g))
 
 
 def _product_report(
@@ -298,17 +255,62 @@ def similarly_ordered_bound(mean: Average) -> ProductBoundReport:
     return _product_report(mean, NESBITT_ORDERED_COEFF, NESBITT_ORDERED_COEFF, 0.0)
 
 
+def pachpatte_lower(mean: Average) -> ProductBoundReport:
+    """2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint."""
+    table = w.classical().moments_closed_form()
+    return _product_report(mean, table.m11, table.m11, table.m20, 2.0 * mean.f_mid * mean.g_mid)
+
+
+# The class-named theorems each wrap one body around a fresh Average. Nothing in
+# the package calls them; perfbench's oracle-sweep and its tracer call them by name.
+def hadamard_classical(
+    f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
+) -> SandwichReport:
+    """f((a+b)/2) <= avg integral <= (f(a)+f(b))/2 for classically convex f."""
+    return sandwich(w.classical(), Average(f, interval, spec))
+
+
+def young_right_bound(
+    f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
+) -> SandwichReport:
+    """The right bound with the Young moments m10(p), m01(p)."""
+    return right_bound(w.young(p), Average(f, interval, spec))
+
+
+def young_sandwich(
+    f: FunctionDef, interval: Interval, p: float, spec: QuadSpec = QuadSpec()
+) -> SandwichReport:
+    """2^(1/p) p/(p+1) f(mid) <= avg integral <= (p/(p+1)) (f(a)+f(b))."""
+    return sandwich(w.young(p), Average(f, interval, spec))
+
+
+def nesbitt_sandwich(
+    f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
+) -> SandwichReport:
+    """f(mid) <= avg integral <= ((3/2)ln3 - 1)(f(a) + f(b))."""
+    return sandwich(w.nesbitt(), Average(f, interval, spec))
+
+
+def young_product_bound(
+    f: FunctionDef, g: FunctionDef, interval: Interval, p: float,
+    spec: QuadSpec = QuadSpec(),
+) -> ProductBoundReport:
+    """The product bound with the oracle-confirmed Beta coefficients, 1 < p < 2."""
+    return product_bound(w.young(p), Average(f, interval, spec, g))
+
+
+def nesbitt_product_bound(
+    f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
+) -> ProductBoundReport:
+    """avg of fg <= (125/6 - (147/8)ln3) M + ((117/8)ln3 - 95/6) N."""
+    return product_bound(w.nesbitt(), Average(f, interval, spec, g))
+
+
 def nesbitt_similarly_ordered_bound(
     f: FunctionDef, g: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> ProductBoundReport:
     """The similarly ordered bound of f, g."""
     return similarly_ordered_bound(Average(f, interval, spec, g))
-
-
-def pachpatte_lower(mean: Average) -> ProductBoundReport:
-    """2 f(m)g(m) <= avg of fg + (1/6)M + (1/3)N, m the midpoint."""
-    table = w.classical().moments_closed_form()
-    return _product_report(mean, table.m11, table.m11, table.m20, 2.0 * mean.f_mid * mean.g_mid)
 
 
 def pachpatte_bounds(

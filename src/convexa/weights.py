@@ -35,7 +35,6 @@ class WeightKind(enum.Enum):
 class WeightPair:
     wx: float
     wy: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class WeightSystem:
 
     def eval(self, t: float) -> WeightPair:
         wx, wy = self.eval_arrays(np.array([t]))
-        return WeightPair(float(wx[0]), float(wy[0]), t)
+        return WeightPair(float(wx[0]), float(wy[0]))
 
     def lemma_rhs_arrays(self, t: np.ndarray) -> np.ndarray:
         """Right-hand side of the defining lemma inequality (>= 1 on (0, 1])."""

@@ -126,6 +126,24 @@ CHECK_GOLDEN = [
         "d9f2a827dee8625a0c6233c10751cd01ad08bf998e54032163ee526c0ec11ae7",
     ),
 ]
+# README's non-convex function that the default grid reads as a Young
+# member ("What the classes contain"): the default t grid misses its
+# violation (max_gap 0), and a t grid at 0.999 finds it, with a certificate
+# at x = 1, y = 1.115, t = 0.999
+_YOUNG_BLIND_SPOT = ["--f", "2.69 + 0.305*sin(1.13*x + 1.84) - 0.2*x",
+                     "--a", "1", "--b", "3", "--class", "young", "--p", "2"]
+CHECK_GOLDEN += [
+    (
+        _YOUNG_BLIND_SPOT,
+        EXIT_OK,
+        "98aa6f2a2fa2e773b7a941bda960db2d07959e7d0173026c6765b8ed0c80d3f3",
+    ),
+    (
+        _YOUNG_BLIND_SPOT + ["--nx", "401", "--ny", "401", "--nt", "2", "--t-min", "0.999"],
+        EXIT_VIOLATION,
+        "6cefa265ca9e846487212f6d35cc26ed947c99e9955eedc7eef81afc4db5e9b5",
+    ),
+]
 
 
 @pytest.mark.parametrize(

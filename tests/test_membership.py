@@ -190,6 +190,27 @@ def test_dominating_scans_gap_no_more_than_classical(terms, a, width, ps, shape,
         assert report.max_gap <= reports[0].max_gap + slack
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    terms=st.lists(_NONNEGATIVE_TERM, min_size=1, max_size=4),
+    a=st.floats(-3.0, 2.0),
+    width=st.floats(0.05, 3.0),
+    shape=st.tuples(st.integers(2, 41), st.integers(2, 41)),
+)
+def test_nesbitt_scan_is_classical_on_half_and_one(terms, a, width, shape):
+    # on the t nodes {1/2, 1} Nesbitt's rows are the classical ones at
+    # t = 1/2, bit for bit, and at t = 1 neither violates for f >= 0
+    # (classical rhs f(x), Nesbitt's 2 f(x)); so both read the same verdict
+    # and certificate (README, "What the classes contain")
+    f = parse_function(" + ".join(terms))
+    interval = Interval(a, a + width)
+    grid = GridSpec(*shape, nt=2, t_min=0.5)
+    nesbitt_report = check_convex(f, interval, nesbitt(), grid)
+    classical_report = check_convex(f, interval, classical(), grid)
+    assert nesbitt_report.verdict is classical_report.verdict
+    assert nesbitt_report.certificate == classical_report.certificate
+
+
 @pytest.mark.xfail(
     raises=ExprDomainError,
     strict=True,

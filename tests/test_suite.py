@@ -1,13 +1,18 @@
-"""The verify-paper suite: tolerance plumbing and its quadrature budget."""
+"""The verify-paper suite: tolerance plumbing, its quadrature budget and
+the records of a failed paper check."""
 
 import collections
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from convexa import expr, quadrature, suite
 from convexa import membership as mb
+from convexa import theorems as th
 from convexa import weights as w
+from convexa.cli import EXIT_VIOLATION, run
 from convexa.quadrature import Interval, QuadSpec
 from convexa.suite import (
     MOMENT_P_FIRST_ONLY,
@@ -28,7 +33,7 @@ VERIFY_PAPER_EVALUATIONS = 8_160
 # witness scans, their x and y axes, certificates, the quadrature panels
 # (one run per theorem average) and each average's f values at its ends and
 # midpoint, read once per average
-VERIFY_PAPER_F_POINTS = 2_168_718
+VERIFY_PAPER_F_POINTS = 2_168_717
 
 
 def test_square_expansion_uses_suite_quad_spec():
@@ -122,3 +127,43 @@ def test_membership_record_agrees_with_verdict(ws, k):
     record = suite._check("membership", report.max_gap, grid.tol, "le")
     no_violation = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
     assert (record["status"] == "hold") == no_violation
+
+
+def _young_p2_m02_converges(monkeypatch):
+    # product_bound as if the Young p = 2 m02 coefficient were finite
+    original = th.product_bound
+
+    def product_bound(ws, mean):
+        return None if ws == w.young(2.0) else original(ws, mean)
+
+    monkeypatch.setattr(th, "product_bound", product_bound)
+
+
+def _witness_not_violated(monkeypatch):
+    # the Proposition's t grid {1/2, 1} finds no violation of f = -1
+    original = mb.check_convex
+
+    def check_convex(f, interval, ws, grid=mb.GridSpec()):
+        report = original(f, interval, ws, grid)
+        if grid.t_min != 0.5:
+            return report
+        return dataclasses.replace(
+            report, verdict=mb.Verdict.NO_VIOLATION_AT_RESOLUTION, certificate=None
+        )
+
+    monkeypatch.setattr(mb, "check_convex", check_convex)
+
+
+@pytest.mark.parametrize("patch, name", [
+    (_young_p2_m02_converges, "divergence/young_product_p2"),
+    (_witness_not_violated, "proposition/negative_constant_gap_at_half"),
+])
+def test_failed_paper_check_is_one_violation_record(patch, name, monkeypatch, capsys):
+    patch(monkeypatch)
+    code = run(["verify-paper", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_VIOLATION, "")
+    report = json.loads(captured.out)
+    assert report["overall"] == "ViolationFound"
+    failed = [(r["name"], r["status"]) for r in report["results"] if r["status"] != "hold"]
+    assert failed == [(name, "violation")]

@@ -1,5 +1,7 @@
+import ast
 import collections
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from convexa.theorems import (
     young_sandwich,
     young_sandwich_coefficients,
 )
+import convexa
 from convexa import theorems, weights
 from convexa.weights import young
 
@@ -547,3 +550,28 @@ def test_theorems_hold_for_members(source, bounds):
     assert min(nesbitt_sandwich(f, interval).margins) >= -1e-8
     prod = nesbitt_product_bound(f, f, interval)
     assert prod.bound - prod.integral_avg >= -1e-8
+
+
+# the class-named theorems, each one body around a fresh Average
+CLASS_NAMED = ("hadamard_classical", "young_right_bound", "young_sandwich", "nesbitt_sandwich",
+               "young_product_bound", "nesbitt_product_bound",
+               "nesbitt_similarly_ordered_bound", "pachpatte_bounds")
+
+
+def test_the_package_exports_the_bodies_not_the_class_named_theorems():
+    bodies = {"Average", "sandwich", "right_bound", "product_bound",
+              "similarly_ordered_bound", "pachpatte_lower"}
+    assert bodies <= set(convexa.__all__)
+    assert not set(CLASS_NAMED) & (set(convexa.__all__) | set(vars(convexa)))
+
+
+def test_no_package_code_calls_a_class_named_theorem():
+    calls = []
+    for path in pathlib.Path(theorems.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in CLASS_NAMED:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []

@@ -37,12 +37,12 @@ COUNTS = {
         "quadrature.useful_evals": 7_650,
         "quadrature.nonconverged": 1,
         "expr.parse_calls": 19,
-        "expr.eval_calls": 305,
-        "expr.eval_points": 2_168_718,
+        "expr.eval_calls": 304,
+        "expr.eval_points": 2_168_717,
         "weights.eval_calls": 236,
         "weights.eval_points": 10_903,
-        "specfun.calls": 84,
-        "theorems.calls": 40,
+        "specfun.calls": 72,
+        "theorems.calls": 38,
         "theorems.integrals": 28,
         "theorems.redundant_integrals": 4,
         "cli.render_calls": 1,
