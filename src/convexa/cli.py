@@ -14,7 +14,6 @@ is one "error: ..." line on stderr, argparse's usage errors included.
 import argparse
 import dataclasses
 import json
-import re
 import sys
 import textwrap
 from typing import Any
@@ -183,22 +182,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", parents=[function, weight_class, interval, output],
                         help="grid-search membership test")
+    sp.set_defaults(command=_cmd_check)
     sp.add_argument("--nx", type=int, default=mb.GridSpec.nx)
     sp.add_argument("--ny", type=int, default=mb.GridSpec.ny)
     sp.add_argument("--nt", type=int, default=mb.GridSpec.nt)
     sp.add_argument("--t-min", type=float, default=mb.GridSpec.t_min)
     sp.add_argument("--tol", type=float, default=mb.GridSpec.tol)
-    sub.add_parser("sandwich", parents=theorem_groups,
-                   help="evaluate the class's sandwich inequality")
+    sp = sub.add_parser("sandwich", parents=theorem_groups,
+                        help="evaluate the class's sandwich inequality")
+    sp.set_defaults(command=_cmd_sandwich)
     sp = sub.add_parser("product", parents=theorem_groups,
                         help="evaluate the class's product bound(s)")
+    sp.set_defaults(command=_cmd_product)
     sp.add_argument("--g", dest="g_source", required=True, help="second function of x")
-    sub.add_parser("constants", parents=[exponents, output, quadrature],
-                   help="closed-form constants vs quadrature oracle")
-    sub.add_parser("moments", parents=[weight_class, output, quadrature],
-                   help="weight moments: closed form and quadrature")
-    sub.add_parser("verify-paper", parents=[output, quadrature],
-                   help="run the full verification suite")
+    sp = sub.add_parser("constants", parents=[exponents, output, quadrature],
+                        help="closed-form constants vs quadrature oracle")
+    sp.set_defaults(command=_cmd_constants)
+    sp = sub.add_parser("moments", parents=[weight_class, output, quadrature],
+                        help="weight moments: closed form and quadrature")
+    sp.set_defaults(command=_cmd_moments)
+    sp = sub.add_parser("verify-paper", parents=[output, quadrature],
+                        help="run the full verification suite")
+    sp.set_defaults(command=lambda args: verify_paper(_quad_spec(args)))
     return parser
 
 
@@ -215,7 +220,8 @@ def _weight_system(args) -> w.WeightSystem:
 
 
 def _config_echo(args) -> dict:
-    return {key: value for key, value in sorted(vars(args).items()) if key != "out"}
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in ("out", "command")}
 
 
 def _cmd_check(args) -> Report:
@@ -297,36 +303,19 @@ def _cmd_moments(args) -> Report:
     return Report(_config_echo(args), records, overall)
 
 
-def _cmd_verify_paper(args) -> Report:
-    return verify_paper(_quad_spec(args))
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "sandwich": _cmd_sandwich,
-    "product": _cmd_product,
-    "constants": _cmd_constants,
-    "moments": _cmd_moments,
-    "verify-paper": _cmd_verify_paper,
-}
-
-
-# a negative number in any float spelling: argparse's own pattern has no
-# exponent, so it reads "-1e-3" as an option flag
-_NEGATIVE_NUMBER = re.compile(
-    r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-inf(inity)?|-nan", re.IGNORECASE
-)
-
-
-def _attach_negative_numbers(argv: list[str]) -> list[str]:
-    """Join "--opt -1e-3" into "--opt=-1e-3" so the value reaches the option."""
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join "--opt -x^2" into "--opt=-x^2", which argparse would read as two
+    options: every option but -h is spelled with "--", so a token after an
+    option that starts with one "-" and is not -h is the option's value."""
     out: list[str] = []
     for arg in argv:
         if (
             out
             and out[-1].startswith("--")
             and "=" not in out[-1]
-            and _NEGATIVE_NUMBER.fullmatch(arg)
+            and arg.startswith("-")
+            and not arg.startswith("--")
+            and arg != "-h"
         ):
             out[-1] = f"{out[-1]}={arg}"
         else:
@@ -336,8 +325,8 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 def run(argv: list[str]) -> int:
     try:
-        args = _build_parser().parse_args(_attach_negative_numbers(argv))
-        report = _COMMANDS[args.subcommand](args)
+        args = _build_parser().parse_args(_attach_dash_values(argv))
+        report = args.command(args)
         text = render(report, args.format)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:

@@ -11,11 +11,11 @@ running extrema, so its memory grows only with the nx and ny * nt it holds
 whole, which GridSpec caps, not with the tile count. f writes its
 temporaries into scratch arrays that f hands out once per scan, viewed in
 each tile's shape, and leaves its NaN test to the scan, which makes it only
-when the first system's differences are not finite, so a NaN of f still
-raises f's ExprDomainError at the first such point. Any other inf or NaN
-on the grid raises NonFiniteError instead of becoming a verdict. One scan
-serves several weight systems, since f(tx+(1-t)y) does not depend on the
-weights.
+when a system's differences are not finite, so a NaN of f still raises
+f's ExprDomainError at the first such point. Any other inf or NaN on the
+grid raises NonFiniteError instead of becoming a verdict. One scan serves
+several weight systems, since f(tx+(1-t)y) does not depend on the
+weights; one that fails runs the one-class scans again to find the error.
 """
 
 import enum
@@ -159,9 +159,10 @@ def check_classes(
     The points and f(tx+(1-t)y) do not depend on the weights, so each tile
     computes them once and every system forms its own right-hand side,
     difference, extrema and certificate from them. Each report is
-    bit-identical to the one-class scan of its system, and the
-    NonFiniteError raised is the one the one-class scans, run in the given
-    order, would raise first.
+    bit-identical to the one-class scan of its system. A one-class scan
+    raises at its first non-finite difference; a scan of several systems
+    then runs their one-class scans in the given order, so the error raised
+    is the one they raise first.
     """
     if not systems:
         raise DomainError("a membership scan needs at least one weight system")
@@ -172,7 +173,6 @@ def check_classes(
     max_gaps = [-math.inf] * len(systems)
     max_slacks = [-math.inf] * len(systems)
     certificates = [None] * len(systems)
-    errors = [None] * len(systems)
     with np.errstate(all="ignore"):
         fx = f(xs)
         fy = f(ys)
@@ -218,8 +218,6 @@ def check_classes(
                 lhs = f(points, tile_scratch)
                 d = points  # f has read the points, and never returns them
                 for c, (ws, (wx, wy_fy)) in enumerate(zip(systems, terms)):
-                    if errors[c] is not None:
-                        continue
                     # w_x f(x) is one t row per x, so it is formed per tile
                     # and copied, like the x row; d holds the right-hand
                     # side, then lhs - rhs, and a cell's rhs is added again
@@ -231,25 +229,27 @@ def check_classes(
                     top = float(np.maximum.reduce(d, axis=None))
                     bottom = float(np.minimum.reduce(d, axis=None))
                     if not (math.isfinite(top) and math.isfinite(bottom)):
+                        if len(systems) > 1:
+                            # the error is the one that the one-class
+                            # scans, run in the given order, raise first
+                            for one in systems:
+                                check_classes(f, interval, (one,), grid, concave)
                         a, b, k = np.unravel_index(
                             int(np.argmax(~np.isfinite(d))), d.shape
                         )
-                        errors[c] = NonFiniteError(
+                        error = NonFiniteError(
                             f"membership scan produced a non-finite value at "
                             f"x={float(xs[i0 + a])!r}, y={float(ys[j0 + b])!r}, "
                             f"t={float(ts[k])!r} (lhs={float(lhs[a, b, k])!r}, "
                             f"rhs={float(wx_fx[a, 0, k] + wy_fy[j0 + b, k])!r})"
                         )
-                        if c == 0:
-                            # f's NaN error comes first, blamed at its first
-                            # NaN point of the tile, so the points that d
-                            # overwrote are rebuilt; no earlier system's
-                            # scan can raise first
-                            np.copyto(points, x_part)
-                            np.add(points, y_part[j0:j1], out=points)
-                            check_nan(lhs, points)
-                            raise errors[c]
-                        continue
+                        # f's NaN error comes first, blamed at its first NaN
+                        # point of the tile, so the points that d overwrote
+                        # are rebuilt
+                        np.copyto(points, x_part)
+                        np.add(points, y_part[j0:j1], out=points)
+                        check_nan(lhs, points)
+                        raise error
                     gap, slack = (-bottom, top) if concave else (top, -bottom)
                     max_gaps[c] = max(max_gaps[c], gap)
                     max_slacks[c] = max(max_slacks[c], slack)
@@ -259,9 +259,6 @@ def check_classes(
                         f, ws, sign, grid.tol, d, lhs, (wx_fx, wy_fy[j0:j1]),
                         lambda a, b, k: (float(xs[i0 + a]), float(ys[j0 + b]), float(ts[k])),
                     )
-    for error in errors:
-        if error is not None:
-            raise error
     samples = grid.nx * grid.ny * grid.nt
     # + 0.0 reads a zero maximum as +0.0, whatever the tiling or lane order
     return [

@@ -163,10 +163,10 @@ def _sandwich_report(mean: Average, left_coeff, m10, m01) -> SandwichReport:
 
 def sandwich(ws: w.WeightSystem, mean: Average) -> SandwichReport:
     """f(mid) / L(1/2) <= avg integral <= (m10 + m01)/2 (f(a) + f(b)), L the
-    lemma's right-hand side (1 / L(1/2) = 1 unless ws is Young's) and
-    m10 + m01 the weight mass `WeightSystem.weight_mass()`.
+    lemma's right-hand side (1 / L(1/2) = 1 unless ws is Young's, whose is
+    2^(1/p) p/(p+1)) and m10 + m01 the weight mass `WeightSystem.weight_mass()`.
     """
-    left_coeff = 1.0 if ws.p is None else young_sandwich_coefficients(ws.p)[0]
+    left_coeff = 1.0 if ws.p is None else 2.0 ** (1.0 / ws.p) * ws.p / (ws.p + 1.0)
     half = 0.5 * ws.weight_mass()
     return _sandwich_report(mean, left_coeff, half, half)
 
@@ -175,12 +175,6 @@ def right_bound(ws: w.WeightSystem, mean: Average) -> SandwichReport:
     """avg integral <= m10 f(a) + m01 f(b); left member unused (= middle)."""
     table = ws.moments_closed_form()
     return _sandwich_report(mean, None, table.m10, table.m01)
-
-
-def young_sandwich_coefficients(p: float) -> tuple[float, float]:
-    """(left coefficient 1/L(1/2) = 2^(1/p) p/(p+1), right bracket
-    2p/(p+1)) of the Young sandwich; the bracket is the weight mass."""
-    return 2.0 ** (1.0 / p) * p / (p + 1.0), w.young(p).weight_mass()
 
 
 def product_bound(ws: w.WeightSystem, mean: Average) -> ProductBoundReport:
@@ -261,8 +255,14 @@ def pachpatte_lower(mean: Average) -> ProductBoundReport:
     return _product_report(mean, table.m11, table.m11, table.m20, 2.0 * mean.f_mid * mean.g_mid)
 
 
-# The class-named theorems each wrap one body around a fresh Average. Nothing in
-# the package calls them; perfbench's oracle-sweep and its tracer call them by name.
+# Kept only for perfbench's oracle-sweep and tracer, which call these names; the
+# package calls none of them. Each class-named theorem wraps a body around a fresh Average.
+def young_sandwich_coefficients(p: float) -> tuple[float, float]:
+    """(left coefficient 1/L(1/2) = 2^(1/p) p/(p+1), right bracket
+    2p/(p+1)) of the Young sandwich; the bracket is the weight mass."""
+    return 2.0 ** (1.0 / p) * p / (p + 1.0), w.young(p).weight_mass()
+
+
 def hadamard_classical(
     f: FunctionDef, interval: Interval, spec: QuadSpec = QuadSpec()
 ) -> SandwichReport:

@@ -120,14 +120,10 @@ class WeightSystem:
         return WeightPair(float(wx[0]), float(wy[0]))
 
     def lemma_rhs_arrays(self, t: np.ndarray) -> np.ndarray:
-        """Right-hand side of the defining lemma inequality (>= 1 on (0, 1])."""
-        t = _unit_t(t, "lemma_rhs is")
-        if self.kind is WeightKind.CLASSICAL:
-            return np.ones_like(t)
-        if self.kind is WeightKind.YOUNG:
-            p = self.p
-            return (1.0 / p) * t ** (1.0 / p - 1.0) + (1.0 - 1.0 / p) * t ** (1.0 / p)
-        return 2.0 * t / (3.0 - 2.0 * t) + 2.0 * (1.0 - t) / (1.0 + 2.0 * t)
+        """L = w_x + w_y, the right-hand side of the defining lemma
+        inequality (>= 1 on (0, 1])."""
+        wx, wy = self.eval_arrays(_unit_t(t, "lemma_rhs is"))
+        return wx + wy
 
     def lemma_rhs(self, t: float) -> float:
         return float(self.lemma_rhs_arrays(np.array([t]))[0])

@@ -463,6 +463,36 @@ def test_negative_scientific_notation_reaches_option(capsys):
     assert (payload["config"]["a"], payload["config"]["b"]) == (-1.0, -0.5)
 
 
+# (argv, option, value, exit code): every value starts with one "-", so
+# argparse alone would read it as an option flag; "--opt value" must read
+# as "--opt=value"
+DASH_VALUES = [
+    (["check", "--class", "classical", "--a", "0", "--b", "1"], "--f", "-x^2",
+     EXIT_VIOLATION),
+    (["product", "--f", "x", "--class", "classical", "--a", "0", "--b", "1"],
+     "--g", "-x+2", EXIT_OK),
+    (["check", "--f", "x^2", "--class", "classical", "--b", "1"], "--a", "-inf",
+     EXIT_USAGE),
+    (["check", "--f", "x^2", "--class", "classical", "--b", "1"], "--a", "-nan",
+     EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("argv, option, value, code", DASH_VALUES)
+def test_value_starting_with_a_dash_reaches_its_option(argv, option, value, code):
+    spaced = _run_strict(argv + [option, value, "--format", "json"])
+    joined = _run_strict(argv + [f"{option}={value}", "--format", "json"])
+    assert spaced == joined
+    assert spaced[0] == code
+
+
+def test_dash_h_after_an_option_stays_the_help_flag():
+    # so "--f -h" is --f with no value, not f = -h
+    code, out, err = _run_strict(["check", "--f", "-h"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: argument --f: expected one argument\n"
+
+
 _BAD_NUMBERS = ["nan", "inf", "-inf", "1e300", "-1e300", "1e308", "-1e308", "abc", ""]
 _TOLERANCES = (["1e-10", "1e-6", "1e-3"],
                ["1e-300", "0", "-1", "1e300", "nan", "inf", "abc", ""])

@@ -131,3 +131,25 @@ def test_closed_form_ulps(key):
         "ordered": NESBITT_ORDERED_COEFF,
     }
     assert ulps_from_exact(closed[key], EXACT[key]) <= ULP_BOUNDS[key]
+
+
+T_VALUES = [Fraction(1, 10**4), Fraction(1, 7), Fraction(1, 4), Fraction(1, 3),
+            Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(1)]
+
+
+def _paper_l(t: Fraction) -> Fraction:
+    """The lemma's L as the paper writes it."""
+    return 2 * t / (3 - 2 * t) + 2 * (1 - t) / (1 + 2 * t)
+
+
+@pytest.mark.parametrize("t", T_VALUES)
+def test_weight_sum_is_the_papers_l(t):
+    # w_x + w_y is L exactly, so lemma_rhs may be the sum; evaluated in
+    # doubles it is within 3 ulps of L (2.04 at t = 1/7, as measured)
+    u, v = 3 - 2 * t, 1 + 2 * t
+    wx = 2 * t * t / u + 2 * t * (1 - t) / v
+    wy = 2 * t * (1 - t) / u + 2 * (1 - t) ** 2 / v
+    assert wx + wy == _paper_l(t)
+    exact = _paper_l(Fraction(float(t)))
+    ulp = Fraction(math.ulp(float(exact)))
+    assert abs(Fraction(nesbitt().lemma_rhs(float(t))) - exact) <= 3 * ulp

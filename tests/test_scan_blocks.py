@@ -453,6 +453,53 @@ def test_non_finite_error_of_the_first_raising_class(order, raised):
     _assert_matches_dense(f, interval, chosen, grid, concave=False)
 
 
+def _count_scans(monkeypatch):
+    """The system count of each check_classes call, the scan's own rescans
+    included, as the calls are made."""
+    scan, calls = mb.check_classes, []
+
+    def counting(f, interval, systems, *args):
+        calls.append(len(systems))
+        return scan(f, interval, systems, *args)
+
+    monkeypatch.setattr(mb, "check_classes", counting)
+    return calls
+
+
+def test_passing_multi_class_scan_scans_once(monkeypatch):
+    # a scan that raises nothing runs no one-class scan
+    calls = _count_scans(monkeypatch)
+    reports = mb.check_classes(parse_function("x^2"), Interval(0.0, 1.0), SYSTEMS)
+    assert calls == [5]
+    assert {r.verdict for r in reports} == {mb.Verdict.NO_VIOLATION_AT_RESOLUTION}
+
+
+@pytest.mark.parametrize(
+    "source, shape, order, scans, error",
+    [
+        # as in test_non_finite_error_of_the_first_raising_class: young(7)
+        # meets inf first, but the one-class scans run in the given order,
+        # and nesbitt's, the second, raises
+        ("1e308*x", (2, 41, 400), (0, 1, 2), [3, 1, 1], NonFiniteError),
+        ("1e308*x", (2, 41, 400), (2, 1, 0), [3, 1], NonFiniteError),
+        # f's NaN error, raised by the first system's one-class scan
+        ("0*exp(710 - 1000000*(x - 0.3123)^2)", (41, 41, 99), (0, 1, 2), [3, 1],
+         ExprDomainError),
+        ("0*exp(710 - 1000000*(x - 0.3123)^2)", (41, 41, 99), (1,), [1],
+         ExprDomainError),
+    ],
+)
+def test_failing_multi_class_scan_asks_its_one_class_scans(
+    source, shape, order, scans, error, monkeypatch
+):
+    systems = [[classical(), nesbitt(), young(7.0)][k] for k in order]
+    calls = _count_scans(monkeypatch)
+    with pytest.raises(error):
+        mb.check_classes(parse_function(source), Interval(0.0, 1.0), systems,
+                         mb.GridSpec(*shape))
+    assert calls == scans
+
+
 def test_scan_memory_is_bounded(monkeypatch):
     # one dense 101x101x199 float64 array is 16 MB; a tiled scan holds one
     # tile buffer, f's scratch arrays and the ny x nt (y, t) terms

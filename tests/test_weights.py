@@ -147,20 +147,25 @@ def test_lemma_rhs_examples():
     assert classical().lemma_rhs(0.123) == 1.0
 
 
+# the lemma's L as the paper writes it, the reference for lemma_rhs = w_x + w_y
+def _paper_young_l(p, t):
+    return (1.0 / p) * t ** (1.0 / p - 1.0) + (1.0 - 1.0 / p) * t ** (1.0 / p)
+
+
+def _paper_nesbitt_l(t):
+    return 2.0 * t / (3.0 - 2.0 * t) + 2.0 * (1.0 - t) / (1.0 + 2.0 * t)
+
+
 @settings(deadline=None, max_examples=200)
 @given(p_strategy, t_strategy)
 def test_sum_identity_young(p, t):
-    ws = young(p)
-    pair = ws.eval(t)
-    assert abs(pair.wx + pair.wy - ws.lemma_rhs(t)) <= 1e-12
+    assert abs(young(p).lemma_rhs(t) - _paper_young_l(p, t)) <= 1e-12
 
 
 @settings(deadline=None, max_examples=200)
 @given(t_strategy)
 def test_sum_identity_nesbitt(t):
-    ws = nesbitt()
-    pair = ws.eval(t)
-    assert abs(pair.wx + pair.wy - ws.lemma_rhs(t)) <= 1e-12
+    assert abs(nesbitt().lemma_rhs(t) - _paper_nesbitt_l(t)) <= 1e-12
 
 
 def test_lemma_positivity():

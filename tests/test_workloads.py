@@ -28,8 +28,11 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # are membership.computed_bytes and membership.max_scan_bytes, which model
 # the dense scan rather than the tiled one, and trace.spans, which counts
 # the tracer's own work. verify-paper's theorems.calls counts only the
-# wrapped names, mostly young_sandwich_coefficients: its battery bounds go
-# through the theorem bodies, which the tracer does not wrap.
+# wrapped names, and it calls none: its bounds go through the theorem
+# bodies, which the tracer does not wrap, and the Young sandwich spells its
+# left coefficient instead of calling young_sandwich_coefficients. Its
+# weights.eval_* include the lemma checks' 7 x 999 points, since L is
+# w_x + w_y from eval_arrays.
 COUNTS = {
     "verify_paper": {
         "quadrature.calls": 61,
@@ -39,10 +42,10 @@ COUNTS = {
         "expr.parse_calls": 19,
         "expr.eval_calls": 304,
         "expr.eval_points": 2_168_717,
-        "weights.eval_calls": 236,
-        "weights.eval_points": 10_903,
+        "weights.eval_calls": 243,
+        "weights.eval_points": 17_896,
         "specfun.calls": 72,
-        "theorems.calls": 38,
+        "theorems.calls": 0,
         "theorems.integrals": 28,
         "theorems.redundant_integrals": 4,
         "cli.render_calls": 1,
