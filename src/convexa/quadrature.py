@@ -143,23 +143,37 @@ def _gk15(f, *panels):
             "an integrand must return one value per node: "
             f"shape {nodes.shape}, got {out.shape}"
         )
-    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
-    g0, g1, g2, g3 = _WG
-    results = []
     # per panel: the centre, then each Kronrod node pair (-x, +x)
     panel_values = zip(*[iter(out.tolist())] * 15)
-    for (_, h), (c, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6) in zip(
-        centred, panel_values
-    ):
-        p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
-        kron = (k7 * c + k0 * (l0 + r0) + k1 * p1 + k2 * (l2 + r2) + k3 * p3
-                + k4 * (l4 + r4) + k5 * p5 + k6 * (l6 + r6))
-        gauss = g3 * c + g0 * p1 + g1 * p3 + g2 * p5
-        # floor at one rounding unit of the panel value: the embedded-rule
-        # difference can round to zero while the panel still carries ulp error
-        err = max(abs(kron - gauss), 2.0**-52 * abs(kron)) * abs(h)
-        results.append((kron * h, err))
-    return results
+    return [_gk15_rule(h, *values) for (_, h), values in zip(centred, panel_values)]
+
+
+def _gk15_rule(h, c, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, larger=max):
+    """(kronrod value, |K15 - G7| error estimate) of one panel of
+    half-width h from its 15 values, the centre first. Floats, or one
+    ndarray column per node with `larger` = `_larger`: the operations and
+    their order are the same, so each column entry keeps a float's bits."""
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+    kron = (k7 * c + k0 * (l0 + r0) + k1 * p1 + k2 * (l2 + r2) + k3 * p3
+            + k4 * (l4 + r4) + k5 * p5 + k6 * (l6 + r6))
+    gauss = g3 * c + g0 * p1 + g1 * p3 + g2 * p5
+    # floor at one rounding unit of the panel value: the embedded-rule
+    # difference can round to zero while the panel still carries ulp error
+    err = larger(abs(kron - gauss), 2.0**-52 * abs(kron)) * abs(h)
+    return kron * h, err
+
+
+def _larger(a, b):
+    """max(a, b) per entry, NaN included: b where b > a, else a."""
+    return np.where(b > a, b, a)
+
+
+def _desingularize(u, a, m):
+    """(t, dt/du) of the substitution t = a + u^m; m a float, or a column of
+    one m per row of u."""
+    return a + u**m, m * u ** (m - 1.0)
 
 
 def integrate(
@@ -198,14 +212,13 @@ def _integrate_desingularized(f, interval, spec, alpha):
     # t = a + u^m with m = 1/(1+alpha): a factor (t-a)^alpha in f becomes
     # bounded, at the cost of the Jacobian m*u^(m-1).
     a = interval.a
-    c = interval.width
     m = 1.0 / (1.0 + alpha)
-    upper = c ** (1.0 + alpha)
 
     def g(u):
-        return f(a + u**m) * (m * u ** (m - 1.0))
+        t, jacobian = _desingularize(u, a, m)
+        return f(t) * jacobian
 
-    return _adaptive(g, 0.0, upper, spec)
+    return _adaptive(g, 0.0, interval.width ** (1.0 + alpha), spec)
 
 
 # The divergence test. An integrable t^alpha keeps 2^-(1+alpha) < 1 of the
@@ -223,7 +236,24 @@ _PROBE_ULPS = 2.0**8
 
 
 def _adaptive(f, lo, hi, spec):
-    [(value0, err0)] = _gk15(f, (lo, hi))
+    """`_refine` of f over [lo, hi], each request in one integrand call."""
+    run = _refine(lo, hi, spec)
+    panels = next(run)
+    while True:
+        try:
+            panels = run.send(_gk15(f, *panels))
+        except StopIteration as done:
+            return done.value
+
+
+def _refine(lo, hi, spec):
+    """The refinement of one integral over [lo, hi], as a generator that
+    evaluates nothing itself. It yields the panels ((lo, hi), ...) whose
+    GK15 (value, error) it needs next: the first panel, both halves of a
+    bisection (the left first) or the divergence probe. It is sent their
+    list in the same order, and returns the QuadResult. Drivers differ only
+    in how they evaluate panels, so the rules below exist once."""
+    [(value0, err0)] = yield ((lo, hi),)
     evaluations = 15
     # heap entries: (-err, insertion seq, lo, hi, value, err)
     heap = [(-err0, 0, lo, hi, value0, err0)]
@@ -246,8 +276,7 @@ def _adaptive(f, lo, hi, spec):
             # bisection cannot make progress at double precision
             reason = "stalled"
             break
-        # both children in one integrand call, the left first
-        (lval, lerr), (rval, rerr) = _gk15(f, (plo, mid), (mid, phi))
+        (lval, lerr), (rval, rerr) = yield ((plo, mid), (mid, phi))
         evaluations += 30
         if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
             # the stalled panel is still heap[0], so it stays in the totals
@@ -263,7 +292,7 @@ def _adaptive(f, lo, hi, spec):
             still = still + 1 if abs(lval) > _STILL_RATIO * abs(pval) else 0
             if still == _STILL_HALVINGS:
                 probe_hi = min(lo + _PROBE_ULPS * math.ulp(lo), mid)
-                [(probe, _)] = _gk15(f, (lo, probe_hi))
+                [(probe, _)] = yield ((lo, probe_hi),)
                 evaluations += 15
                 if not abs(probe) <= _STILL_RATIO * abs(lval):
                     reason = "divergent"

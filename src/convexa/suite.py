@@ -76,8 +76,8 @@ def _lemma_checks() -> list[dict]:
 
 
 # oracle integrals that later checks read, by system label: they run in the
-# moment checks' integrals call, so each system's panel weights are
-# evaluated once per report
+# moment checks' oracle call, so each system's panel weights are evaluated
+# once per report
 LATER_ORACLES = {
     "young(p=2)": {"m02": w.MOMENT_INTEGRANDS["m02"]},
     "nesbitt": {"square": (lambda wx, wy: (wx + wy) ** 2, (0, 2))},
@@ -86,18 +86,23 @@ LATER_ORACLES = {
 
 def _moment_checks(quad: QuadSpec) -> tuple[list[dict], dict]:
     """The moment checks, and the oracle values of their integrals and of
-    LATER_ORACLES keyed by (label, key); None where one did not converge."""
+    LATER_ORACLES keyed by (label, key); None where one did not converge.
+    Every integral runs in one lockstep oracle call."""
     every = tuple(w.MOMENT_INTEGRANDS)
     cases = [(w.young(p), every) for p in MOMENT_P_FULL]
     cases += [(w.young(p), ("m10", "m01")) for p in MOMENT_P_FIRST_ONLY]
     cases.append((w.nesbitt(), every))
-    out, oracles = [], {}
+    oracle_cases = [
+        (ws, {key: w.MOMENT_INTEGRANDS[key] for key in keys} | LATER_ORACLES.get(ws.label(), {}))
+        for ws, keys in cases
+    ]
+    oracles = {}
+    for (ws, terms), results in w.oracle(oracle_cases, quad):
+        for key, res in zip(terms, results):
+            oracles[ws.label(), key] = w.moment_value(res)
+    out = []
     for ws, keys in cases:
         closed = ws.moments_closed_form().entries()
-        terms = {key: w.MOMENT_INTEGRANDS[key] for key in keys}
-        terms |= LATER_ORACLES.get(ws.label(), {})
-        for key, res in zip(terms, ws.integrals(terms.values(), quad)):
-            oracles[ws.label(), key] = w.moment_value(res)
         for key in keys:
             oracle = oracles[ws.label(), key]
             diff = float("inf") if oracle is None else abs(closed[key] - oracle)

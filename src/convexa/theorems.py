@@ -337,32 +337,45 @@ def _oracle_row(ws: w.WeightSystem, name, closed, res) -> ConstantsRow:
     return _row(name, ws.p, closed, res.value)
 
 
+# Nesbitt's ordered coefficient m20 + m11 and the weight mass m10 + m01 as
+# oracle terms of the constants table
+_ORDERED_TERM = (lambda wx, wy: wx * (wx + wy), (1, 1))
+_MASS_TERM = (lambda wx, wy: wx + wy, (0, 1))
+
+
+def _constants_case(ws: w.WeightSystem):
+    """ws and the oracle terms of its rows, in row order: its defined
+    moments, Nesbitt's ordered coefficient, then w_x + w_y."""
+    closed = ws.moments_closed_form().entries()
+    terms = {key: w.MOMENT_INTEGRANDS[key] for key in closed if closed[key] is not None}
+    if ws.p is None:
+        terms["ordered"] = _ORDERED_TERM
+    terms["w_sum"] = _MASS_TERM
+    return ws, terms
+
+
 def constants_table(
     p_values: list[float], spec: QuadSpec = QuadSpec()
 ) -> list[ConstantsRow]:
     """Closed-form constants next to their quadrature-oracle values.
 
-    Per weight system, young(p) for each p and then nesbitt(), built one at
-    a time: its defined moments, one extra row and w_x + w_y. Young's extra
-    row is the cross coefficient as displayed in the product-bound theorem,
-    which disagrees with the oracle away from p = 2 (the proof display is
-    the one used in bounds); it is marked "erratum candidate". A system's
-    integrals come from one `WeightSystem.integrals` call, one at a time,
-    so an error still stops the table at its own row.
+    Per weight system, young(p) for each p and then nesbitt(): its defined
+    moments, one extra row and w_x + w_y. Young's extra row is the cross
+    coefficient as displayed in the product-bound theorem, which disagrees
+    with the oracle away from p = 2 (the proof display is the one used in
+    bounds); it is marked "erratum candidate". The systems are built, and
+    their closed forms computed, one at a time in order, as `w.oracle`
+    reads its cases; their integrals run in its lockstep batches, and the
+    first error in row order is the one raised.
     """
     rows: list[ConstantsRow] = []
-    for ws in itertools.chain(map(w.young, p_values), [w.nesbitt()]):
+    systems = itertools.chain(map(w.young, p_values), [w.nesbitt()])
+    for (ws, terms), oracles in w.oracle(map(_constants_case, systems), spec):
         kind, p = ws.kind.value, ws.p
         closed = ws.moments_closed_form().entries()
-        keys = [key for key in w.MOMENT_INTEGRANDS if closed[key] is not None]
-        terms = [w.MOMENT_INTEGRANDS[key] for key in keys]
-        if p is None:
-            terms.append((lambda wx, wy: wx * (wx + wy), (1, 1)))
-        terms.append((lambda wx, wy: wx + wy, (0, 1)))
-        oracles = ws.integrals(terms, spec)
         moments = {
             key: _oracle_row(ws, f"{kind}_{key}", closed[key], next(oracles))
-            for key in keys
+            for key in terms if key in closed
         }
         rows += moments.values()
         if p is None:

@@ -9,20 +9,26 @@ products) generate every Hadamard-type theorem constant; they are available
 both as closed forms and through the quadrature oracle.
 """
 
+import collections
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import specfun
+from . import quadrature, specfun
 from .errors import DomainError, NonConvergenceError, NonFiniteError
-from .quadrature import QuadResult, QuadSpec, integrate_unit
+from .quadrature import QuadResult, QuadSpec
 
 LN3 = math.log(3.0)
+
+# A term of the weight-moment oracle: g(w_x, w_y), and the degree (i, j) of
+# its most singular monomial w_x^i w_y^j
+Term = tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], tuple[int, int]]
 
 
 class WeightKind(enum.Enum):
@@ -93,27 +99,7 @@ class WeightSystem:
         Single evaluation path for both the scalar API and grid scans, so a
         violation certificate recomputes bit-identically.
         """
-        t = _unit_t(t, "weights are")
-        # each shared subexpression once, each sum and product in its
-        # written order, so the bits do not depend on the sharing
-        one_minus_t = 1.0 - t
-        if self.kind is WeightKind.CLASSICAL:
-            return t, one_minus_t
-        if self.kind is WeightKind.YOUNG:
-            p = self.p
-            inv_p = 1.0 / p
-            ratio = (p - 1.0) / p
-            root = t**inv_p
-            wx = inv_p * root + ratio * t ** (1.0 + inv_p)
-            wy = ratio * one_minus_t * root + inv_p * t ** (inv_p - 1.0) * one_minus_t
-            return wx, wy
-        two_t = 2.0 * t
-        left = 3.0 - two_t
-        right = 1.0 + two_t
-        cross = two_t * one_minus_t
-        wx = 2.0 * t**2 / left + cross / right
-        wy = cross / left + 2.0 * one_minus_t**2 / right
-        return wx, wy
+        return _weight_pair(self.kind, _unit_t(t, "weights are"), self.p)
 
     def eval(self, t: float) -> WeightPair:
         wx, wy = self.eval_arrays(np.array([t]))
@@ -186,62 +172,12 @@ class WeightSystem:
         return 3.0 * LN3 - 2.0
 
     def integrals(
-        self,
-        terms: Iterable[tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-                              tuple[int, int]]],
-        spec: QuadSpec = QuadSpec(),
+        self, terms: Iterable[Term], spec: QuadSpec = QuadSpec()
     ) -> Iterator[QuadResult]:
-        """Quadrature of each g(w_x, w_y) over t in [0, 1], one QuadResult
-        per (g, degree) of terms, in order and only when asked for.
-
-        degree = (i, j) names the most singular monomial w_x^i w_y^j of g.
-        Young weights behave like w_x ~ t^(1/p) and w_y ~ t^(1/p - 1) at
-        t = 0, so that monomial carries t^((i + j)/p - j); the exponent is
-        passed to the quadrature as a left-endpoint hint when it lies in
-        (-1, 0). Integrands that diverge are reported (converged=False).
-        An integrable monomial that double precision cannot resolve raises
-        NonConvergenceError when its term is reached: its exponent rounds
-        to -1 (p past ~1.8e16), or t underflows to 0 in the hint's
-        substitution (m01 at most p past ~121, m02 at most p in [1.984, 2)).
-
-        Integrals with the same substitution bisect the same panels first,
-        so the weights at the nodes of each integrand call (a panel, or
-        both halves of a bisection) are computed once and shared by this
-        call's integrals, read-only; the values are those of
-        separate integrals, bit for bit. Nothing is kept after the call.
-        """
-        panels = {}  # node bytes -> read-only (w_x, w_y) at those nodes
-
-        def weights_at(t):
-            key = t.tobytes()
-            pair = panels.get(key)
-            if pair is None:
-                pair = self.eval_arrays(t)
-                for values in pair:
-                    values.flags.writeable = False
-                panels[key] = pair
-            return pair
-
-        for g, degree in terms:
-            hint = None
-            unresolved = (
-                f"the {self.label()} integral of degree {degree} cannot be resolved"
-            )
-            if self.kind is WeightKind.YOUNG:
-                i, j = degree
-                exponent = (i + j) / self.p - j
-                if (i + j) / self.p > j - 1 and not exponent > -1.0:
-                    raise NonConvergenceError(
-                        f"{unresolved}: {i + j}/p - {j} rounds to -1"
-                    )
-                if -1.0 < exponent < 0.0:
-                    hint = exponent
-            local = dataclasses.replace(spec, left_singularity_exponent=hint)
-            try:
-                result = integrate_unit(lambda t: g(*weights_at(t)), local)
-            except DomainError as exc:
-                raise NonConvergenceError(f"{unresolved}: t underflows to 0") from exc
-            yield result
+        """`oracle` of this one system: one QuadResult per (g, degree) of
+        terms, in order."""
+        [(_, results)] = oracle([(self, dict(enumerate(terms)))], spec)
+        return results
 
     def moments(self, spec: QuadSpec = QuadSpec()) -> MomentTable:
         """Moment table from the adaptive-quadrature oracle.
@@ -251,6 +187,308 @@ class WeightSystem:
         """
         results = self.integrals(MOMENT_INTEGRANDS.values(), spec)
         return MomentTable(*map(moment_value, results))
+
+
+def _weight_pair(kind: WeightKind, t: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """(w_x, w_y) at t, the one place the weights are written; p is the
+    Young exponent, a float or a column of one p per row of t. Each shared
+    subexpression is computed once, each sum and product in its written
+    order, so the bits depend neither on the sharing nor on the rows."""
+    one_minus_t = 1.0 - t
+    if kind is WeightKind.CLASSICAL:
+        return t, one_minus_t
+    if kind is WeightKind.YOUNG:
+        inv_p = 1.0 / p
+        ratio = (p - 1.0) / p
+        root = t**inv_p
+        wx = inv_p * root + ratio * t ** (1.0 + inv_p)
+        wy = ratio * one_minus_t * root + inv_p * t ** (inv_p - 1.0) * one_minus_t
+        return wx, wy
+    two_t = 2.0 * t
+    left = 3.0 - two_t
+    right = 1.0 + two_t
+    cross = two_t * one_minus_t
+    wx = 2.0 * t**2 / left + cross / right
+    wy = cross / left + 2.0 * one_minus_t**2 / right
+    return wx, wy
+
+
+# systems whose integrals refine in lockstep at most, so the oracle's working
+# memory does not grow with the number of cases
+_BATCH_SYSTEMS = 32
+
+
+def oracle(
+    cases: Iterable[tuple[WeightSystem, Mapping[str, Term]]], spec: QuadSpec = QuadSpec()
+) -> Iterator[tuple[tuple[WeightSystem, Mapping[str, Term]], Iterator[QuadResult]]]:
+    """Quadrature of each g(w_x, w_y) over t in [0, 1]: per case (ws, terms),
+    in order, the case and an iterator of one QuadResult per term.
+
+    degree = (i, j) names the most singular monomial w_x^i w_y^j of g.
+    Young weights behave like w_x ~ t^(1/p) and w_y ~ t^(1/p - 1) at
+    t = 0, so that monomial carries t^((i + j)/p - j); the exponent is
+    the quadrature's left-endpoint hint when it lies in (-1, 0).
+    Integrands that diverge are reported (converged=False). An integrable
+    monomial that double precision cannot resolve raises
+    NonConvergenceError when its term is reached: its exponent rounds to
+    -1 (p past ~1.8e16), or t underflows to 0 in the hint's substitution
+    (m01 at most p past ~121, m02 at most p in [1.984, 2)).
+
+    The integrals of up to 32 cases at a time refine in lockstep, one
+    numpy pass per round over the panels every unfinished integral asks
+    for, and each (system, panel) weight row is computed once per batch.
+    Each result is that of `integrate_unit` on the term alone with its
+    hint, bit for bit. The cases are read in order; an error they raise,
+    and an error of an integral, is raised where a run of one case and one
+    term at a time would raise it, after the results before it. An
+    exception from g itself propagates at once.
+    """
+    cases = iter(cases)
+    while True:
+        batch, later = [], None
+        try:
+            for case in itertools.islice(cases, _BATCH_SYSTEMS):
+                batch.append(case)
+        except Exception as exc:  # raised once the cases before it are read
+            later = exc
+        for case, outcomes in zip(batch, _lockstep(batch, spec)):
+            yield case, _in_order(outcomes)
+        if later is not None:
+            raise later
+        if len(batch) < _BATCH_SYSTEMS:
+            return
+
+
+def _in_order(outcomes):
+    """The results of outcomes, raising its exception where it stands."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
+def _unresolved(ws: WeightSystem, degree, why: str) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"the {ws.label()} integral of degree {degree} cannot be resolved: {why}"
+    )
+
+
+def _hint(ws: WeightSystem, degree) -> float | None:
+    """The left-endpoint exponent of the term of this degree, where it lies
+    in (-1, 0), else None; NonConvergenceError where it rounds to -1."""
+    if ws.kind is not WeightKind.YOUNG:
+        return None
+    i, j = degree
+    exponent = (i + j) / ws.p - j
+    if (i + j) / ws.p > j - 1 and not exponent > -1.0:
+        raise _unresolved(ws, degree, f"{i + j}/p - {j} rounds to -1")
+    return exponent if -1.0 < exponent < 0.0 else None
+
+
+# Kronrod node offsets within a panel, centre first, as in quadrature._gk15
+_NODE_OFFSETS = np.array(quadrature._OFFSETS)
+# one weight row per panel: w_x, w_y and the Jacobian of the substitution
+# at its 15 nodes, then its half-width
+_WX, _WY, _JAC, _HALF = slice(0, 15), slice(15, 30), slice(30, 45), 45
+# numpy runs a scalar exponent of -1, 0, 0.5, 1 or 2 as reciprocal, ones,
+# sqrt, a copy or square, whose bits can differ from pow's; a column of
+# exponents always runs pow
+_FAST_EXPONENTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
+# parts below this are (kind, hinted) column parts, parts from it one group each
+_SCALAR_PARTS = 2 * len(WeightKind)
+
+
+def _lockstep(batch, spec: QuadSpec) -> list[list]:
+    """Every integral of the batch's cases, refined in lockstep: per case,
+    its outcomes in term order, each a QuadResult or the exception the
+    integral raises, which ends the list.
+
+    Each integral is a `quadrature._refine` run over u in [0, 1], which its
+    substitution maps onto t in [0, 1]. Runs are grouped by system and
+    substitution, so the runs of a group put the same t at the same panel.
+    A round weighs the panels each distinct request (group, panels) asks
+    for, once; a request keeps its weight rows for later rounds only while
+    a live run of its group has not asked for it yet, so each (system,
+    panel) weight row is computed once per batch and held no longer than a
+    run may read it. Then each term is evaluated once on the rows of its
+    runs, and the GK15 sums are formed per column.
+    """
+    outcomes = [[] for _ in batch]
+    groups = {}  # (system, hint) -> group number
+    terms = {}  # g -> term number
+    runs = []  # (term number, group number, case, slot, degree)
+    for case, (ws, case_terms) in enumerate(batch):
+        for g, degree in case_terms.values():
+            try:
+                alpha = _hint(ws, degree)
+            except NonConvergenceError as exc:
+                outcomes[case].append(exc)
+                break
+            group = groups.setdefault((ws, alpha), len(groups))
+            runs.append((terms.setdefault(g, len(terms)), group, case,
+                         len(outcomes[case]), degree))
+            outcomes[case].append(None)
+    # in term order, so that a round's rows of one term are one slice
+    runs.sort(key=lambda run: run[0])
+    term_g = list(terms)
+    weigh = functools.partial(_weigh, _GroupTable(list(groups)))
+    group_live = [set() for _ in groups]  # the unfinished runs of each group
+    for number, run in enumerate(runs):
+        group_live[run[1]].add(number)
+    kept = {}  # request -> (its rows, the live runs of its group yet to ask it)
+    failures = {}  # request -> the DomainError of its t
+    refinements = [quadrature._refine(0.0, 1.0, spec) for _ in runs]
+    asking = [next(refinement) for refinement in refinements]
+    order = list(range(len(runs)))  # the unfinished runs
+
+    def finish(number, outcome):
+        _, group, case, slot, _ = runs[number]
+        outcomes[case][slot] = outcome
+        refinements[number] = asking[number] = None
+        group_live[group].discard(number)
+
+    with np.errstate(all="ignore"):
+        while order:
+            keys = [(runs[number][1], asking[number]) for number in order]
+            start_of, fresh, reused, stop = {}, [], [], 0
+            for key in keys:
+                if key in start_of or key in failures:
+                    continue
+                if key in kept:
+                    reused.append(key)
+                    continue
+                start_of[key] = stop
+                stop += len(key[1])
+                fresh.append(key)
+            rows = np.empty((0, 46))
+            if fresh:
+                rows, failed = weigh(fresh)
+                failures |= failed
+            for key in reused:
+                start_of[key] = len(rows)
+                rows = np.concatenate([rows, kept[key][0]])
+            if failures:
+                for number, key in zip(order, keys):
+                    if key in failures:
+                        _, _, case, _, degree = runs[number]
+                        error = _unresolved(batch[case][0], degree, "t underflows to 0")
+                        error.__cause__ = failures[key]
+                        finish(number, error)
+                order = [number for number in order if asking[number] is not None]
+                keys = [(runs[number][1], asking[number]) for number in order]
+                if not order:
+                    break
+            # requests that a live run of their group has not asked for yet
+            shared = [key for key, count in collections.Counter(keys).items()
+                      if count < len(group_live[key[0]]) or key in kept]
+            index, slices, term = [], [], None
+            for number, key in zip(order, keys):
+                if runs[number][0] != term:
+                    term = runs[number][0]
+                    slices.append((term_g[term], len(index)))
+                start = start_of[key]
+                index += range(start, start + len(key[1]))
+            pairs = _panel_sums(rows[index], slices)
+            asked, at = list(zip(order, keys)), 0
+            for number, key in asked:
+                size = len(key[1])
+                try:
+                    asking[number] = refinements[number].send(pairs[at:at + size])
+                except StopIteration as done:
+                    finish(number, done.value)
+                at += size
+            order = [number for number in order if asking[number] is not None]
+            for key in shared:
+                askers = {number for number, other in asked if other == key}
+                waiting = (kept[key][1] if key in kept else group_live[key[0]]) - askers
+                start = start_of[key]
+                kept[key] = rows[start:start + len(key[1])].copy(), waiting
+            for key, (_, waiting) in list(kept.items()):
+                waiting &= group_live[key[0]]
+                if not waiting:
+                    del kept[key]
+    return outcomes
+
+
+def _panel_sums(block, slices):
+    """(value, error) of the panel of each weight row of block: each term
+    g, given as (g, first row of its slice), evaluated once on its rows and
+    times the Jacobian, then GK15 summed per column."""
+    block.flags.writeable = False
+    values = np.empty((len(block), 15))
+    ends = [first for _, first in slices[1:]] + [len(block)]
+    for (g, lo), hi in zip(slices, ends):
+        out = g(block[lo:hi, _WX], block[lo:hi, _WY])
+        if np.shape(out) != (hi - lo, 15):
+            raise TypeError("a weight term must return one value per node: "
+                            f"shape {(hi - lo, 15)}, got {np.shape(out)}")
+        values[lo:hi] = out
+    values *= block[:, _JAC]
+    kron, err = quadrature._gk15_rule(block[:, _HALF], *values.T, larger=quadrature._larger)
+    return list(zip(kron.tolist(), err.tolist()))
+
+
+class _GroupTable:
+    """Per group of a lockstep batch: its kind, Young p, and substitution
+    exponent m = 1/(1 + alpha) (NaN without a hint), and the part it is
+    weighed in. Groups with an exponent numpy would run by a scalar fast
+    path are weighed one group at a time with scalar exponents, bit for
+    bit as `eval_arrays`; the others by kind and hint, with columns."""
+
+    def __init__(self, groups):
+        self.kinds = [ws.kind for ws, _ in groups]
+        self.p = np.array([math.nan if ws.p is None else ws.p for ws, _ in groups])
+        self.m = np.array([math.nan if alpha is None else 1.0 / (1.0 + alpha)
+                           for _, alpha in groups])
+        part = []
+        for number, (ws, alpha) in enumerate(groups):
+            exponents = set()
+            if ws.p is not None:
+                exponents |= {1.0 / ws.p, 1.0 + 1.0 / ws.p, 1.0 / ws.p - 1.0}
+            if alpha is not None:
+                exponents |= {self.m[number], self.m[number] - 1.0}
+            if exponents & _FAST_EXPONENTS:
+                part.append(_SCALAR_PARTS + number)
+            else:
+                part.append(2 * list(WeightKind).index(ws.kind) + (alpha is not None))
+        self.part = np.array(part)
+
+
+def _weigh(table: _GroupTable, fresh):
+    """The weight rows of the panels of the fresh (group, panels) requests,
+    in order, and the DomainError of each request whose t leaves (0, 1]
+    (where t = u^m underflows to 0)."""
+    group = np.array([number for number, panels in fresh for _ in panels])
+    lo, hi = np.array([panel for _, panels in fresh for panel in panels]).T
+    new = np.empty((len(group), 46))
+    half = new[:, _HALF] = 0.5 * (hi - lo)
+    # quadrature._midpoint: lo + hi cannot overflow inside [0, 1]
+    u = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODE_OFFSETS
+    t = np.empty_like(u)
+    part = table.part[group]
+    for key in dict.fromkeys(part.tolist()):
+        rows = part == key
+        first = group[rows][0]
+        if key >= _SCALAR_PARTS:  # one group, its scalars
+            p, m = float(table.p[first]), float(table.m[first])
+        else:
+            p, m = table.p[group[rows], None], table.m[group[rows], None]
+        if np.isnan(table.m[first]):
+            t[rows], new[rows, _JAC] = u[rows], 1.0
+        else:
+            t[rows], new[rows, _JAC] = quadrature._desingularize(u[rows], 0.0, m)
+        new[rows, _WX], new[rows, _WY] = _weight_pair(table.kinds[first], t[rows], p)
+    failed = {}
+    if not ((t > 0.0) & (t <= 1.0)).all():
+        at = 0
+        for key in fresh:
+            n = len(key[1])
+            try:
+                _unit_t(t[at:at + n], "weights are")
+            except DomainError as exc:
+                failed[key] = exc
+            at += n
+    return new, failed
 
 
 def moment_value(result: QuadResult) -> float | None:

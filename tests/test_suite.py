@@ -21,12 +21,18 @@ from convexa.suite import (
     verify_paper,
 )
 
-# integrand evaluations of the default verify_paper() run; raising it means
-# the suite computes integrals it does not check. 495 + 15 of them stop the
-# divergent Young p=2 m02 integral (16 bisections and the endpoint probe).
-# Each battery item's average of f and of f*f is integrated once, and every
-# bound of the item reads it
+# integrand evaluations of the default verify_paper() run, in its 61
+# quadrature runs; raising it means the suite computes integrals it does
+# not check. 495 + 15 of them stop the divergent Young p=2 m02 integral (16
+# bisections and the endpoint probe). Each battery item's average of f and
+# of f*f is integrated once, and every bound of the item reads it
 VERIFY_PAPER_EVALUATIONS = 8_160
+VERIFY_PAPER_INTEGRALS = 61
+# 7,740 of them are the 33 integrals of the moment oracle, run in lockstep
+# outside integrate and integrate_unit. Their 516 panels weigh 324 distinct
+# (system, substitution, panel) weight rows
+VERIFY_PAPER_ORACLE_EVALUATIONS = 7_740
+VERIFY_PAPER_ORACLE_PANELS = 324
 # points the default verify_paper() run evaluates through FunctionDef:
 # 12 battery scans of 41*41*99 samples (one per (f, interval), shared by
 # its five classes), the Proposition's 41*41*99 default-grid and 41*41*2
@@ -46,18 +52,20 @@ def test_square_expansion_uses_suite_quad_spec():
 
 
 def test_verify_paper_evaluation_budget(monkeypatch):
-    original = quadrature._adaptive
+    # every quadrature run, a theorem average's or a lockstep oracle
+    # integral's, is one quadrature._refine run
+    original = quadrature._refine
     evaluations = []
 
-    def counting(*args, **kwargs):
-        res = original(*args, **kwargs)
-        evaluations.append(res.evaluations)
-        return res
+    def counting(lo, hi, spec):
+        result = yield from original(lo, hi, spec)
+        evaluations.append(result.evaluations)
+        return result
 
-    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    monkeypatch.setattr(quadrature, "_refine", counting)
     assert verify_paper().overall is Overall.ALL_HOLD
-    assert evaluations, "verify_paper ran no quadrature through _adaptive"
-    assert sum(evaluations) <= VERIFY_PAPER_EVALUATIONS
+    assert len(evaluations) == VERIFY_PAPER_INTEGRALS
+    assert sum(evaluations) == VERIFY_PAPER_EVALUATIONS
 
 
 def test_verify_paper_f_evaluation_budget(monkeypatch):
@@ -75,34 +83,38 @@ def test_verify_paper_f_evaluation_budget(monkeypatch):
 
 def test_each_oracle_panel_is_weighted_once(monkeypatch):
     # every weight-system oracle integral of the report (the moments, the
-    # Young p=2 divergence check, Nesbitt's square expansion) runs in its
-    # system's one integrals call, so the weights at each 15-node panel are
-    # evaluated once per report
-    original_integrate = w.integrate_unit
-    original_eval = w.WeightSystem.eval_arrays
+    # Young p=2 divergence check, Nesbitt's square expansion) runs in one
+    # lockstep oracle call, so the weights of each system at each 15-node
+    # panel are evaluated once per report
+    original_weigh = w._weigh
+    original_pair = w._weight_pair
     inside = []
-    panels = collections.defaultdict(list)  # system label -> node bytes
+    panels = collections.defaultdict(list)  # system label -> t bytes of each panel
 
-    def integrate_unit(f, spec):
+    def weigh(*args):
         inside.append(None)
         try:
-            return original_integrate(f, spec)
+            return original_weigh(*args)
         finally:
             inside.pop()
 
-    def eval_arrays(self, t):
-        if inside:  # a quadrature node set, not a scan's t grid
-            for nodes in np.asarray(t).reshape(-1, 15):
-                panels[self.label()].append(nodes.tobytes())
-        return original_eval(self, t)
+    def weight_pair(kind, t, p):
+        if inside:  # an oracle panel row, not a scan's t grid
+            p_rows = np.broadcast_to(p, (len(t), 1))[:, 0].tolist()
+            for nodes, p_row in zip(t, p_rows):
+                ws = w.WeightSystem(kind, p_row if kind is w.WeightKind.YOUNG else None)
+                panels[ws.label()].append(nodes.tobytes())
+        return original_pair(kind, t, p)
 
-    monkeypatch.setattr(w, "integrate_unit", integrate_unit)
-    monkeypatch.setattr(w.WeightSystem, "eval_arrays", eval_arrays)
+    monkeypatch.setattr(w, "_weigh", weigh)
+    monkeypatch.setattr(w, "_weight_pair", weight_pair)
     assert verify_paper().overall is Overall.ALL_HOLD
     systems = [w.young(p) for p in MOMENT_P_FULL + MOMENT_P_FIRST_ONLY] + [w.nesbitt()]
     assert sorted(panels) == sorted(ws.label() for ws in systems)
     for label, seen in panels.items():
         assert len(seen) == len(set(seen)), label
+    # the rows of the suite's 33 oracle integrals
+    assert sum(map(len, panels.values())) == VERIFY_PAPER_ORACLE_PANELS
 
 
 # the suite's membership record compares max_gap with the absolute grid.tol,

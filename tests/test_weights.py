@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexa import specfun, theorems
+from convexa import weights as weights_module
 from convexa.errors import DomainError, NonConvergenceError, NonFiniteError
 from convexa.quadrature import QuadSpec, integrate_unit
 from convexa.weights import (
@@ -168,15 +172,12 @@ def test_sum_identity_nesbitt(t):
     assert abs(nesbitt().lemma_rhs(t) - _paper_nesbitt_l(t)) <= 1e-12
 
 
-def test_lemma_positivity():
-    ts = np.linspace(1e-4, 1.0, 999)
-    for ws in [nesbitt()] + [young(p) for p in LEMMA_P_VALUES]:
-        assert float((ws.lemma_rhs_arrays(ts) - 1.0).min()) >= -1e-12
-
-
 def test_weight_pair_sum_at_least_one():
+    # the lemma: L = w_x + w_y >= 1, read through lemma_rhs_arrays and
+    # summed from eval_arrays
     ts = np.linspace(1e-4, 1.0, 999)
     for ws in [classical(), nesbitt()] + [young(p) for p in LEMMA_P_VALUES]:
+        assert float((ws.lemma_rhs_arrays(ts) - 1.0).min()) >= -1e-12
         wx, wy = ws.eval_arrays(ts)
         assert float((wx + wy).min()) >= 1.0 - 1e-12
 
@@ -312,19 +313,15 @@ def test_moment_agreement_classical():
         (classical(), (0, 1), None),
     ],
 )
-def test_integral_singularity_hint(monkeypatch, ws, degree, hint):
-    import convexa.weights as weights_module
+def test_integral_singularity_hint(ws, degree, hint):
+    # the oracle's run of the term is integrate_unit's with exactly this hint
+    def g(wx, wy):
+        return wx ** degree[0] * wy ** degree[1]
 
-    seen = []
-    original = weights_module.integrate_unit
-
-    def spy(f, spec):
-        seen.append(spec.left_singularity_exponent)
-        return original(f, spec)
-
-    monkeypatch.setattr(weights_module, "integrate_unit", spy)
-    next(ws.integrals([(lambda wx, wy: wx**degree[0] * wy**degree[1], degree)]))
-    assert seen == [hint]
+    assert weights_module._hint(ws, degree) == hint
+    result = next(ws.integrals([(g, degree)]))
+    spec = QuadSpec(left_singularity_exponent=hint)
+    assert _bits(result) == _bits(integrate_unit(lambda t: g(*ws.eval_arrays(t)), spec))
 
 
 def _moment(ws, key):
@@ -426,21 +423,116 @@ def test_shared_weights_are_read_only_and_live_for_one_call(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         next(ws.integrals([(overwrite, (1, 0))]))
 
-    calls = []
-    original = WeightSystem.eval_arrays
+    points = []
+    original = weights_module._weight_pair
 
-    def counting(self, t):
-        calls.append(len(t))
-        return original(self, t)
+    def counting(kind, t, p):
+        points.append(np.size(t))
+        return original(kind, t, p)
 
-    monkeypatch.setattr(WeightSystem, "eval_arrays", counting)
+    monkeypatch.setattr(weights_module, "_weight_pair", counting)
     m10 = MOMENT_INTEGRANDS["m10"]
     first, again = ws.integrals([m10, m10])
     assert _bits(first) == _bits(again)
-    assert sum(calls) == first.evaluations  # the second reads the first's weights
-    calls.clear()
+    assert sum(points) == first.evaluations  # the second reads the first's weights
+    points.clear()
     assert _bits(next(ws.integrals([m10]))) == _bits(first)
-    assert sum(calls) == first.evaluations  # a new call computes them anew
+    assert sum(points) == first.evaluations  # a new call computes them anew
+
+
+# -- the lockstep oracle -------------------------------------------------------
+
+# every term the package integrates: the moments, the constants table's
+# two extra rows and the suite's (w_x + w_y)^2
+_EVERY_TERM = {
+    **MOMENT_INTEGRANDS,
+    "ordered": (lambda wx, wy: wx * (wx + wy), (1, 1)),
+    "w_sum": (lambda wx, wy: wx + wy, (0, 1)),
+    "square": (lambda wx, wy: (wx + wy) ** 2, (0, 2)),
+}
+
+
+def _term_reference(ws, g, degree):
+    """One term as the oracle integrated it before lockstep refinement: one
+    integrate_unit run on weights computed afresh, hinted by the exponent
+    (i + j)/p - j of t where it lies in (-1, 0). Its QuadResult bits, or
+    the message of the error the oracle raises when t underflows to 0."""
+    hint = None
+    if ws.kind is WeightKind.YOUNG:
+        exponent = sum(degree) / ws.p - degree[1]
+        hint = exponent if -1.0 < exponent < 0.0 else None
+    try:
+        result = integrate_unit(lambda t: g(*ws.eval_arrays(t)),
+                                QuadSpec(left_singularity_exponent=hint))
+    except DomainError:
+        return (f"the {ws.label()} integral of degree {degree} cannot be resolved: "
+                "t underflows to 0")
+    return _bits(result)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.one_of(st.none(), st.floats(1.0001, 10.0), st.sampled_from([1.99, 200.0])),
+                min_size=1, max_size=4))
+@example([2.0, None, 1.5])  # p = 2: t^0.5, and the m01 substitution u^2
+@example([1.5, 2.0])  # p = 1.5 next to young(2)'s divergent m02 and its probe
+def test_lockstep_oracle_matches_a_run_per_term(p_values):
+    systems = [nesbitt() if p is None else young(p) for p in p_values]
+    cases = [(ws, _EVERY_TERM) for ws in systems]
+    seen = []
+    for (ws, terms), results in weights_module.oracle(cases):
+        seen.append(ws)
+        for g, degree in terms.values():
+            expected = _term_reference(ws, g, degree)
+            if isinstance(expected, str):  # the case's results end at its error
+                with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
+                    next(results)
+                break
+            assert _bits(next(results)) == expected, (ws.label(), degree)
+    assert seen == systems
+
+
+@pytest.mark.parametrize("p_values, error, message", [
+    ([1e17, 0.5], NonConvergenceError,
+     "the young(p=1e+17) integral of degree (0, 1) cannot be resolved: 1/p - 1 rounds to -1"),
+    ([1.5, 1.99], NonConvergenceError,
+     "the young(p=1.99) integral of degree (0, 2) cannot be resolved: t underflows to 0"),
+    ([200.0], NonConvergenceError,
+     "the young(p=200) integral of degree (0, 1) cannot be resolved: t underflows to 0"),
+    ([1.2, 1e155], NonFiniteError, "the closed-form moments of young(p=1e+155) overflow a double"),
+    # the second lockstep batch: its p = 0.5 comes after its p = 1.99 error
+    ([1.5] * 32 + [1.99, 0.5], NonConvergenceError,
+     "the young(p=1.99) integral of degree (0, 2) cannot be resolved: t underflows to 0"),
+    # an error of the first batch comes before the second batch is built
+    ([1.99] + [1.5] * 32 + [0.5], NonConvergenceError,
+     "the young(p=1.99) integral of degree (0, 2) cannot be resolved: t underflows to 0"),
+], ids=["1e17-0.5", "1.5-1.99", "200", "1.2-1e155", "second-batch", "first-batch"])
+def test_constants_table_raises_the_first_error_in_row_order(p_values, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning leaks from a batch
+        with pytest.raises(error) as info:
+            theorems.constants_table(p_values)
+    assert str(info.value) == message
+
+
+def test_constants_table_memory_does_not_grow_with_its_p_list():
+    """Systems are integrated 32 at a time, each integral's heap is freed
+    with its result and each batch's weight rows with the batch: the
+    memory a call uses beyond the rows it returns is the same for ~600 p
+    as for 64."""
+
+    def working_bytes(n):
+        # p in (1, 10], clear of the m02 underflow range [1.984, 2)
+        p_values = [p for p in np.linspace(1.01, 9.9, n).tolist() if not 1.98 <= p < 2.0]
+        tracemalloc.start()
+        try:
+            rows = theorems.constants_table(p_values)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 6 * len(p_values)
+        return peak - held
+
+    assert working_bytes(600) <= working_bytes(64) + 64 * 1024
 
 
 def test_young_cross_moment_displays():

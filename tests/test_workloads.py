@@ -19,6 +19,8 @@ import pathlib
 
 import pytest
 
+from convexa import quadrature
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # the counters of one traced seed-0 cycle, each met exactly. A change that
@@ -32,18 +34,21 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # bodies, which the tracer does not wrap, and the Young sandwich spells its
 # left coefficient instead of calling young_sandwich_coefficients. Its
 # weights.eval_* include the lemma checks' 7 x 999 points, since L is
-# w_x + w_y from eval_arrays.
+# w_x + w_y from eval_arrays. The moment oracle's lockstep integrals call
+# neither integrate_unit nor eval_arrays, so quadrature.* and weights.eval_*
+# leave them out: the tracer cannot see them, they still run, and
+# test_oracle_sweep_oracle_work pins them from inside the program.
 COUNTS = {
     "verify_paper": {
-        "quadrature.calls": 61,
-        "quadrature.evals": 8_160,
-        "quadrature.useful_evals": 7_650,
-        "quadrature.nonconverged": 1,
+        "quadrature.calls": 28,
+        "quadrature.evals": 420,
+        "quadrature.useful_evals": 420,
+        "quadrature.nonconverged": 0,
         "expr.parse_calls": 19,
         "expr.eval_calls": 304,
         "expr.eval_points": 2_168_717,
-        "weights.eval_calls": 243,
-        "weights.eval_points": 17_896,
+        "weights.eval_calls": 71,
+        "weights.eval_points": 13_036,
         "specfun.calls": 72,
         "theorems.calls": 0,
         "theorems.integrals": 28,
@@ -61,14 +66,14 @@ COUNTS = {
         "membership.certificates": 7,
     },
     "oracle_sweep": {
-        "quadrature.calls": 727,
-        "quadrature.evals": 133_995,
-        "quadrature.useful_evals": 133_995,
+        "quadrature.calls": 192,
+        "quadrature.evals": 3_000,
+        "quadrature.useful_evals": 3_000,
         "quadrature.nonconverged": 0,
         "expr.eval_calls": 992,
         "expr.eval_points": 5_256,
-        "weights.eval_calls": 2_625,
-        "weights.eval_points": 74_415,
+        "weights.eval_calls": 0,
+        "weights.eval_points": 0,
         "specfun.calls": 948,
         "theorems.calls": 193,
         "theorems.integrals": 192,
@@ -127,3 +132,26 @@ def test_verify_paper_cycle_passes_its_checks(cycle):
 def test_cycle_counts(cycle, builder):
     counts = cycle(builder)[2]
     assert {name: counts[name] for name in COUNTS[builder]} == COUNTS[builder]
+
+
+def test_oracle_sweep_oracle_work(monkeypatch):
+    """The seed-0 constants_table's integrals, counted where every
+    quadrature run goes: 535 `quadrature._refine` runs of 130,995
+    evaluations, all converged, as before they refined in lockstep."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    [constants, *_] = workloads.oracle_sweep(0).batches[0]
+    assert constants.name.startswith("constants_table(96 seeded p)")
+    original = quadrature._refine
+    results = []
+
+    def counting(lo, hi, spec):
+        result = yield from original(lo, hi, spec)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(quadrature, "_refine", counting)
+    constants.run()
+    assert len(results) == 535
+    assert sum(result.evaluations for result in results) == 130_995
+    assert all(result.converged for result in results)
