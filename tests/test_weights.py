@@ -172,12 +172,15 @@ def test_sum_identity_nesbitt(t):
     assert abs(nesbitt().lemma_rhs(t) - _paper_nesbitt_l(t)) <= 1e-12
 
 
+def test_lemma_positivity():
+    ts = np.linspace(1e-4, 1.0, 999)
+    for ws in [nesbitt()] + [young(p) for p in LEMMA_P_VALUES]:
+        assert float((ws.lemma_rhs_arrays(ts) - 1.0).min()) >= -1e-12
+
+
 def test_weight_pair_sum_at_least_one():
-    # the lemma: L = w_x + w_y >= 1, read through lemma_rhs_arrays and
-    # summed from eval_arrays
     ts = np.linspace(1e-4, 1.0, 999)
     for ws in [classical(), nesbitt()] + [young(p) for p in LEMMA_P_VALUES]:
-        assert float((ws.lemma_rhs_arrays(ts) - 1.0).min()) >= -1e-12
         wx, wy = ws.eval_arrays(ts)
         assert float((wx + wy).min()) >= 1.0 - 1e-12
 
