@@ -238,10 +238,11 @@ def oracle(
     numpy pass per round over the panels every unfinished integral asks
     for, and each (system, panel) weight row is computed once per batch.
     Each result is that of `integrate_unit` on the term alone with its
-    hint, bit for bit. The cases are read in order; an error they raise,
-    and an error of an integral, is raised where a run of one case and one
-    term at a time would raise it, after the results before it. An
-    exception from g itself propagates at once.
+    hint, bit for bit. The cases are read in order, and an error they
+    raise comes after the results of the cases before it. A batch whose
+    lockstep run raises, from an integral or from g, yields each case's
+    terms run alone instead, so its error is the one a run of one case
+    and one term at a time raises, after the results before it.
     """
     cases = iter(cases)
     while True:
@@ -251,20 +252,23 @@ def oracle(
                 batch.append(case)
         except Exception as exc:  # raised once the cases before it are read
             later = exc
-        for case, outcomes in zip(batch, _lockstep(batch, spec)):
-            yield case, _in_order(outcomes)
+        try:
+            batch_results = _lockstep(batch, spec)
+        except Exception:  # found again, in order, by each term alone
+            batch_results = [_alone(ws, terms, spec) for ws, terms in batch]
+        for case, results in zip(batch, batch_results):
+            yield case, iter(results)
         if later is not None:
             raise later
         if len(batch) < _BATCH_SYSTEMS:
             return
 
 
-def _in_order(outcomes):
-    """The results of outcomes, raising its exception where it stands."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        yield outcome
+def _alone(ws: WeightSystem, terms: Mapping[str, Term], spec: QuadSpec):
+    """The result of each term of ws run alone, in order, until one raises."""
+    for key, term in terms.items():
+        [[result]] = _lockstep([(ws, {key: term})], spec)
+        yield result
 
 
 def _unresolved(ws: WeightSystem, degree, why: str) -> NonConvergenceError:
@@ -294,14 +298,15 @@ _WX, _WY, _JAC, _HALF = slice(0, 15), slice(15, 30), slice(30, 45), 45
 # sqrt, a copy or square, whose bits can differ from pow's; a column of
 # exponents always runs pow
 _FAST_EXPONENTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
-# parts below this are (kind, hinted) column parts, parts from it one group each
-_SCALAR_PARTS = 2 * len(WeightKind)
+# parts below this are one column part per kind, parts from it one group each
+_SCALAR_PARTS = len(WeightKind)
 
 
-def _lockstep(batch, spec: QuadSpec) -> list[list]:
+def _lockstep(batch, spec: QuadSpec) -> list[list[QuadResult]]:
     """Every integral of the batch's cases, refined in lockstep: per case,
-    its outcomes in term order, each a QuadResult or the exception the
-    integral raises, which ends the list.
+    its QuadResults in term order. It raises the first error it meets, of
+    a hint, of a t = u^m that underflows to 0 or of g; in a batch of one
+    term, that term's error, as `oracle` raises it.
 
     Each integral is a `quadrature._refine` run over u in [0, 1], which its
     substitution maps onto t in [0, 1]. Runs are grouped by system and
@@ -313,21 +318,14 @@ def _lockstep(batch, spec: QuadSpec) -> list[list]:
     run may read it. Then each term is evaluated once on the rows of its
     runs, and the GK15 sums are formed per column.
     """
-    outcomes = [[] for _ in batch]
+    results = [[None] * len(case_terms) for _, case_terms in batch]
     groups = {}  # (system, hint) -> group number
     terms = {}  # g -> term number
-    runs = []  # (term number, group number, case, slot, degree)
+    runs = []  # (term number, group number, case, slot)
     for case, (ws, case_terms) in enumerate(batch):
-        for g, degree in case_terms.values():
-            try:
-                alpha = _hint(ws, degree)
-            except NonConvergenceError as exc:
-                outcomes[case].append(exc)
-                break
-            group = groups.setdefault((ws, alpha), len(groups))
-            runs.append((terms.setdefault(g, len(terms)), group, case,
-                         len(outcomes[case]), degree))
-            outcomes[case].append(None)
+        for slot, (g, degree) in enumerate(case_terms.values()):
+            group = groups.setdefault((ws, _hint(ws, degree)), len(groups))
+            runs.append((terms.setdefault(g, len(terms)), group, case, slot))
     # in term order, so that a round's rows of one term are one slice
     runs.sort(key=lambda run: run[0])
     term_g = list(terms)
@@ -336,48 +334,28 @@ def _lockstep(batch, spec: QuadSpec) -> list[list]:
     for number, run in enumerate(runs):
         group_live[run[1]].add(number)
     kept = {}  # request -> (its rows, the live runs of its group yet to ask it)
-    failures = {}  # request -> the DomainError of its t
     refinements = [quadrature._refine(0.0, 1.0, spec) for _ in runs]
     asking = [next(refinement) for refinement in refinements]
     order = list(range(len(runs)))  # the unfinished runs
 
-    def finish(number, outcome):
-        _, group, case, slot, _ = runs[number]
-        outcomes[case][slot] = outcome
-        refinements[number] = asking[number] = None
-        group_live[group].discard(number)
-
     with np.errstate(all="ignore"):
         while order:
             keys = [(runs[number][1], asking[number]) for number in order]
-            start_of, fresh, reused, stop = {}, [], [], 0
-            for key in keys:
-                if key in start_of or key in failures:
-                    continue
+            requests = list(dict.fromkeys(keys))
+            fresh = [key for key in requests if key not in kept]
+            try:
+                rows = weigh(fresh) if fresh else np.empty((0, 46))
+            except DomainError as exc:
+                _, _, case, slot = runs[order[0]]
+                ws, case_terms = batch[case]
+                degree = list(case_terms.values())[slot][1]
+                raise _unresolved(ws, degree, "t underflows to 0") from exc
+            start_of = dict(zip(fresh, itertools.accumulate(
+                (len(key[1]) for key in fresh), initial=0)))
+            for key in requests:
                 if key in kept:
-                    reused.append(key)
-                    continue
-                start_of[key] = stop
-                stop += len(key[1])
-                fresh.append(key)
-            rows = np.empty((0, 46))
-            if fresh:
-                rows, failed = weigh(fresh)
-                failures |= failed
-            for key in reused:
-                start_of[key] = len(rows)
-                rows = np.concatenate([rows, kept[key][0]])
-            if failures:
-                for number, key in zip(order, keys):
-                    if key in failures:
-                        _, _, case, _, degree = runs[number]
-                        error = _unresolved(batch[case][0], degree, "t underflows to 0")
-                        error.__cause__ = failures[key]
-                        finish(number, error)
-                order = [number for number in order if asking[number] is not None]
-                keys = [(runs[number][1], asking[number]) for number in order]
-                if not order:
-                    break
+                    start_of[key] = len(rows)
+                    rows = np.concatenate([rows, kept[key][0]])
             # requests that a live run of their group has not asked for yet
             shared = [key for key, count in collections.Counter(keys).items()
                       if count < len(group_live[key[0]]) or key in kept]
@@ -389,17 +367,19 @@ def _lockstep(batch, spec: QuadSpec) -> list[list]:
                 start = start_of[key]
                 index += range(start, start + len(key[1]))
             pairs = _panel_sums(rows[index], slices)
-            asked, at = list(zip(order, keys)), 0
-            for number, key in asked:
+            at = 0
+            for number, key in zip(order, keys):
                 size = len(key[1])
                 try:
                     asking[number] = refinements[number].send(pairs[at:at + size])
                 except StopIteration as done:
-                    finish(number, done.value)
+                    _, group, case, slot = runs[number]
+                    results[case][slot] = done.value
+                    refinements[number] = asking[number] = None
+                    group_live[group].discard(number)
                 at += size
-            order = [number for number in order if asking[number] is not None]
             for key in shared:
-                askers = {number for number, other in asked if other == key}
+                askers = {number for number, other in zip(order, keys) if other == key}
                 waiting = (kept[key][1] if key in kept else group_live[key[0]]) - askers
                 start = start_of[key]
                 kept[key] = rows[start:start + len(key[1])].copy(), waiting
@@ -407,7 +387,8 @@ def _lockstep(batch, spec: QuadSpec) -> list[list]:
                 waiting &= group_live[key[0]]
                 if not waiting:
                     del kept[key]
-    return outcomes
+            order = [number for number in order if asking[number] is not None]
+    return results
 
 
 def _panel_sums(block, slices):
@@ -430,15 +411,16 @@ def _panel_sums(block, slices):
 
 class _GroupTable:
     """Per group of a lockstep batch: its kind, Young p, and substitution
-    exponent m = 1/(1 + alpha) (NaN without a hint), and the part it is
+    exponent m = 1/(1 + alpha), m = 1 without a hint, and the part it is
     weighed in. Groups with an exponent numpy would run by a scalar fast
     path are weighed one group at a time with scalar exponents, bit for
-    bit as `eval_arrays`; the others by kind and hint, with columns."""
+    bit as `eval_arrays`; the others by kind, with columns, where pow
+    gives u^1 = u and u^0 = 1 exactly."""
 
     def __init__(self, groups):
         self.kinds = [ws.kind for ws, _ in groups]
         self.p = np.array([math.nan if ws.p is None else ws.p for ws, _ in groups])
-        self.m = np.array([math.nan if alpha is None else 1.0 / (1.0 + alpha)
+        self.m = np.array([1.0 if alpha is None else 1.0 / (1.0 + alpha)
                            for _, alpha in groups])
         part = []
         for number, (ws, alpha) in enumerate(groups):
@@ -450,14 +432,14 @@ class _GroupTable:
             if exponents & _FAST_EXPONENTS:
                 part.append(_SCALAR_PARTS + number)
             else:
-                part.append(2 * list(WeightKind).index(ws.kind) + (alpha is not None))
+                part.append(list(WeightKind).index(ws.kind))
         self.part = np.array(part)
 
 
 def _weigh(table: _GroupTable, fresh):
     """The weight rows of the panels of the fresh (group, panels) requests,
-    in order, and the DomainError of each request whose t leaves (0, 1]
-    (where t = u^m underflows to 0)."""
+    in order, each at t = u^m; DomainError where a t leaves (0, 1], as
+    where t = u^m underflows to 0."""
     group = np.array([number for number, panels in fresh for _ in panels])
     lo, hi = np.array([panel for _, panels in fresh for panel in panels]).T
     new = np.empty((len(group), 46))
@@ -473,22 +455,10 @@ def _weigh(table: _GroupTable, fresh):
             p, m = float(table.p[first]), float(table.m[first])
         else:
             p, m = table.p[group[rows], None], table.m[group[rows], None]
-        if np.isnan(table.m[first]):
-            t[rows], new[rows, _JAC] = u[rows], 1.0
-        else:
-            t[rows], new[rows, _JAC] = quadrature._desingularize(u[rows], 0.0, m)
+        t[rows], new[rows, _JAC] = quadrature._desingularize(u[rows], 0.0, m)
         new[rows, _WX], new[rows, _WY] = _weight_pair(table.kinds[first], t[rows], p)
-    failed = {}
-    if not ((t > 0.0) & (t <= 1.0)).all():
-        at = 0
-        for key in fresh:
-            n = len(key[1])
-            try:
-                _unit_t(t[at:at + n], "weights are")
-            except DomainError as exc:
-                failed[key] = exc
-            at += n
-    return new, failed
+    _unit_t(t, "weights are")
+    return new
 
 
 def moment_value(result: QuadResult) -> float | None:

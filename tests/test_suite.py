@@ -33,6 +33,9 @@ VERIFY_PAPER_INTEGRALS = 61
 # (system, substitution, panel) weight rows
 VERIFY_PAPER_ORACLE_EVALUATIONS = 7_740
 VERIFY_PAPER_ORACLE_PANELS = 324
+# (weighings, rows weighed, rounds, rows summed) of the oracle call: each
+# round sums all 516 panels the call asks for
+VERIFY_PAPER_ORACLE_ROUNDS = (20, 324, 20, 516)
 # points the default verify_paper() run evaluates through FunctionDef:
 # 12 battery scans of 41*41*99 samples (one per (f, interval), shared by
 # its five classes), the Proposition's 41*41*99 default-grid and 41*41*2
@@ -88,15 +91,22 @@ def test_each_oracle_panel_is_weighted_once(monkeypatch):
     # panel are evaluated once per report
     original_weigh = w._weigh
     original_pair = w._weight_pair
+    original_sums = w._panel_sums
     inside = []
     panels = collections.defaultdict(list)  # system label -> t bytes of each panel
+    weighed, summed = [], []
 
-    def weigh(*args):
+    def weigh(table, fresh):
+        weighed.append(sum(len(asked) for _, asked in fresh))
         inside.append(None)
         try:
-            return original_weigh(*args)
+            return original_weigh(table, fresh)
         finally:
             inside.pop()
+
+    def panel_sums(block, slices):
+        summed.append(len(block))
+        return original_sums(block, slices)
 
     def weight_pair(kind, t, p):
         if inside:  # an oracle panel row, not a scan's t grid
@@ -108,7 +118,10 @@ def test_each_oracle_panel_is_weighted_once(monkeypatch):
 
     monkeypatch.setattr(w, "_weigh", weigh)
     monkeypatch.setattr(w, "_weight_pair", weight_pair)
+    monkeypatch.setattr(w, "_panel_sums", panel_sums)
     assert verify_paper().overall is Overall.ALL_HOLD
+    rounds = len(weighed), sum(weighed), len(summed), sum(summed)
+    assert rounds == VERIFY_PAPER_ORACLE_ROUNDS
     systems = [w.young(p) for p in MOMENT_P_FULL + MOMENT_P_FIRST_ONLY] + [w.nesbitt()]
     assert sorted(panels) == sorted(ws.label() for ws in systems)
     for label, seen in panels.items():

@@ -478,6 +478,11 @@ def _term_reference(ws, g, degree):
                 min_size=1, max_size=4))
 @example([2.0, None, 1.5])  # p = 2: t^0.5, and the m01 substitution u^2
 @example([1.5, 2.0])  # p = 1.5 next to young(2)'s divergent m02 and its probe
+# unhinted Young rows of the one column part beside scalar parts of their
+# kind: p = 4/3's m02 substitution has m = 2 and m - 1 = 1, and p = 3's m11
+# substitution m = 1.5 and m - 1 = 0.5
+@example([4 / 3])
+@example([3.0])
 def test_lockstep_oracle_matches_a_run_per_term(p_values):
     systems = [nesbitt() if p is None else young(p) for p in p_values]
     cases = [(ws, _EVERY_TERM) for ws in systems]
@@ -515,6 +520,33 @@ def test_constants_table_raises_the_first_error_in_row_order(p_values, error, me
         with pytest.raises(error) as info:
             theorems.constants_table(p_values)
     assert str(info.value) == message
+    if message.endswith("t underflows to 0"):
+        cause = info.value.__cause__
+        assert type(cause) is DomainError
+        assert str(cause) == "weights are defined for t in (0, 1], got t=0.0"
+
+
+def test_a_raising_term_comes_after_the_results_before_it():
+    """g's error is the one its term raises alone, in term order: a
+    return of one value per panel row names the term-alone shape."""
+    m10 = MOMENT_INTEGRANDS["m10"]
+    results = young(1.5).integrals([m10, (lambda wx, wy: wx[:, 0], (1, 0))])
+    assert _bits(next(results)) == _bits(next(young(1.5).integrals([m10])))
+    with pytest.raises(TypeError, match=re.escape("shape (1, 15), got (1,)")):
+        next(results)
+
+
+def test_an_integral_error_comes_before_a_later_cases_raising_term():
+    def boom(wx, wy):
+        raise ZeroDivisionError("boom")
+
+    cases = [(young(1.99), {"m02": MOMENT_INTEGRANDS["m02"]}),
+             (young(1.5), {"boom": (boom, (1, 0))})]
+    with pytest.raises(NonConvergenceError, match=re.escape(
+            "the young(p=1.99) integral of degree (0, 2) cannot be resolved: "
+            "t underflows to 0")):
+        for _, results in weights_module.oracle(cases):
+            list(results)
 
 
 def test_constants_table_memory_does_not_grow_with_its_p_list():
