@@ -65,6 +65,13 @@ def _check(name, metric, threshold, relation, kind="violation") -> dict:
     }
 
 
+def _membership_check(name, report: mb.MembershipReport, tol) -> dict:
+    """A membership record: max_gap against tol, with the status of the
+    scan's verdict, whose test scales tol by the compared values."""
+    holds = report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION
+    return _check(name, report.max_gap, tol, "le") | {"status": "hold" if holds else "violation"}
+
+
 def _lemma_checks() -> list[dict]:
     ts = np.linspace(1e-4, 1.0, 999)
     systems = [w.nesbitt()] + [w.young(p) for p in LEMMA_P_VALUES]
@@ -76,8 +83,8 @@ def _lemma_checks() -> list[dict]:
 
 
 # oracle integrals that later checks read, by system label: they run in the
-# moment checks' oracle call, so each system's panel weights are evaluated
-# once per report
+# moment checks' oracle call, so each round weighs a system's panels once
+# for all of its integrals
 LATER_ORACLES = {
     "young(p=2)": {"m02": w.MOMENT_INTEGRANDS["m02"]},
     "nesbitt": {"square": (lambda wx, wy: (wx + wy) ** 2, (0, 2))},
@@ -198,11 +205,9 @@ def _battery_checks(quad: QuadSpec, grid: mb.GridSpec) -> list[dict]:
         members: dict[str, w.WeightSystem] = {}
         reports = mb.check_classes(f, interval, systems, grid)
         for (cname, ws), report in zip(classes, reports):
-            if report.verdict is mb.Verdict.NO_VIOLATION_AT_RESOLUTION:
+            out.append(_membership_check(f"membership/{tag}/{cname}", report, grid.tol))
+            if out[-1]["status"] == "hold":
                 members[cname] = ws
-            out.append(
-                _check(f"membership/{tag}/{cname}", report.max_gap, grid.tol, "le")
-            )
         for name, margin in _bound_margins(f, interval, members, quad):
             out.append(_check(f"{name}/{tag}", margin, -1e-8, "ge"))
     return out

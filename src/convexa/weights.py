@@ -9,7 +9,6 @@ products) generate every Hadamard-type theorem constant; they are available
 both as closed forms and through the quadrature oracle.
 """
 
-import collections
 import dataclasses
 import enum
 import functools
@@ -236,7 +235,7 @@ def oracle(
 
     The integrals of up to 32 cases at a time refine in lockstep, one
     numpy pass per round over the panels every unfinished integral asks
-    for, and each (system, panel) weight row is computed once per batch.
+    for, weighing each distinct (system, panel) row once per round.
     Each result is that of `integrate_unit` on the term alone with its
     hint, bit for bit. The cases are read in order, and an error they
     raise comes after the results of the cases before it. A batch whose
@@ -311,12 +310,10 @@ def _lockstep(batch, spec: QuadSpec) -> list[list[QuadResult]]:
     Each integral is a `quadrature._refine` run over u in [0, 1], which its
     substitution maps onto t in [0, 1]. Runs are grouped by system and
     substitution, so the runs of a group put the same t at the same panel.
-    A round weighs the panels each distinct request (group, panels) asks
-    for, once; a request keeps its weight rows for later rounds only while
-    a live run of its group has not asked for it yet, so each (system,
-    panel) weight row is computed once per batch and held no longer than a
-    run may read it. Then each term is evaluated once on the rows of its
-    runs, and the GK15 sums are formed per column.
+    A round weighs the panels of each distinct request (group, panels) of
+    its runs once, and holds no weight row past the round. Then each term
+    is evaluated once on the rows of its runs, and the GK15 sums are formed
+    per column.
     """
     results = [[None] * len(case_terms) for _, case_terms in batch]
     groups = {}  # (system, hint) -> group number
@@ -330,63 +327,40 @@ def _lockstep(batch, spec: QuadSpec) -> list[list[QuadResult]]:
     runs.sort(key=lambda run: run[0])
     term_g = list(terms)
     weigh = functools.partial(_weigh, _GroupTable(list(groups)))
-    group_live = [set() for _ in groups]  # the unfinished runs of each group
-    for number, run in enumerate(runs):
-        group_live[run[1]].add(number)
-    kept = {}  # request -> (its rows, the live runs of its group yet to ask it)
     refinements = [quadrature._refine(0.0, 1.0, spec) for _ in runs]
     asking = [next(refinement) for refinement in refinements]
     order = list(range(len(runs)))  # the unfinished runs
 
     with np.errstate(all="ignore"):
         while order:
-            keys = [(runs[number][1], asking[number]) for number in order]
-            requests = list(dict.fromkeys(keys))
-            fresh = [key for key in requests if key not in kept]
+            requests = {}  # (group, panels) -> its number in the round
+            asked = [requests.setdefault((runs[number][1], asking[number]), len(requests))
+                     for number in order]
             try:
-                rows = weigh(fresh) if fresh else np.empty((0, 46))
+                rows = weigh(list(requests))
             except DomainError as exc:
                 _, _, case, slot = runs[order[0]]
                 ws, case_terms = batch[case]
                 degree = list(case_terms.values())[slot][1]
                 raise _unresolved(ws, degree, "t underflows to 0") from exc
-            start_of = dict(zip(fresh, itertools.accumulate(
-                (len(key[1]) for key in fresh), initial=0)))
-            for key in requests:
-                if key in kept:
-                    start_of[key] = len(rows)
-                    rows = np.concatenate([rows, kept[key][0]])
-            # requests that a live run of their group has not asked for yet
-            shared = [key for key, count in collections.Counter(keys).items()
-                      if count < len(group_live[key[0]]) or key in kept]
-            index, slices, term = [], [], None
-            for number, key in zip(order, keys):
-                if runs[number][0] != term:
-                    term = runs[number][0]
-                    slices.append((term_g[term], len(index)))
-                start = start_of[key]
-                index += range(start, start + len(key[1]))
+            # run k's rows of the block, and its sums in pairs, are
+            # first[k]:end[k]; index copies them from its request's rows
+            sizes = np.array([len(panels) for _, panels in requests])
+            size = sizes[asked]
+            end = np.cumsum(size)
+            index = np.repeat(np.cumsum(sizes)[asked] - end, size) + np.arange(end[-1])
+            first, end = (end - size).tolist(), end.tolist()
+            term = [runs[number][0] for number in order]
+            slices = [(term_g[term[k]], first[k])
+                      for k in np.flatnonzero(np.diff(term, prepend=-1)).tolist()]
             pairs = _panel_sums(rows[index], slices)
-            at = 0
-            for number, key in zip(order, keys):
-                size = len(key[1])
+            for number, lo, hi in zip(order, first, end):
                 try:
-                    asking[number] = refinements[number].send(pairs[at:at + size])
+                    asking[number] = refinements[number].send(pairs[lo:hi])
                 except StopIteration as done:
-                    _, group, case, slot = runs[number]
+                    _, _, case, slot = runs[number]
                     results[case][slot] = done.value
                     refinements[number] = asking[number] = None
-                    group_live[group].discard(number)
-                at += size
-            for key in shared:
-                askers = {number for number, other in zip(order, keys) if other == key}
-                waiting = (kept[key][1] if key in kept else group_live[key[0]]) - askers
-                start = start_of[key]
-                kept[key] = rows[start:start + len(key[1])].copy(), waiting
-            for key, (_, waiting) in list(kept.items()):
-                waiting &= group_live[key[0]]
-                if not waiting:
-                    del kept[key]
             order = [number for number in order if asking[number] is not None]
     return results
 
@@ -436,12 +410,12 @@ class _GroupTable:
         self.part = np.array(part)
 
 
-def _weigh(table: _GroupTable, fresh):
-    """The weight rows of the panels of the fresh (group, panels) requests,
-    in order, each at t = u^m; DomainError where a t leaves (0, 1], as
+def _weigh(table: _GroupTable, requests):
+    """The weight rows of the panels of the (group, panels) requests, in
+    order, each at t = u^m; DomainError where a t leaves (0, 1], as
     where t = u^m underflows to 0."""
-    group = np.array([number for number, panels in fresh for _ in panels])
-    lo, hi = np.array([panel for _, panels in fresh for panel in panels]).T
+    group = np.array([number for number, panels in requests for _ in panels])
+    lo, hi = np.array([panel for _, panels in requests for panel in panels]).T
     new = np.empty((len(group), 46))
     half = new[:, _HALF] = 0.5 * (hi - lo)
     # quadrature._midpoint: lo + hi cannot overflow inside [0, 1]

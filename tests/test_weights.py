@@ -551,7 +551,7 @@ def test_an_integral_error_comes_before_a_later_cases_raising_term():
 
 def test_constants_table_memory_does_not_grow_with_its_p_list():
     """Systems are integrated 32 at a time, each integral's heap is freed
-    with its result and each batch's weight rows with the batch: the
+    with its result and each round's weight rows with the round: the
     memory a call uses beyond the rows it returns is the same for ~600 p
     as for 64."""
 
