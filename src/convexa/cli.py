@@ -96,7 +96,7 @@ def report_to_json(report: Report) -> str:
         "results": report.results,
         "overall": report.overall.value,
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_to_text(report: Report) -> str:
@@ -107,6 +107,7 @@ def report_to_text(report: Report) -> str:
             lines.append(
                 f"[{mark}] {rec['name']}: metric={_fmt(rec['metric'])} "
                 f"{rec['relation']} threshold={_fmt(rec['threshold'])}"
+                + (f" ({rec['reason']})" if "reason" in rec else "")
             )
             continue
         flat = _flatten(rec)
@@ -123,6 +124,7 @@ def report_to_csv(report: Report) -> str:
         keys = ["name", "p", "closed_form", "oracle", "abs_diff"]
     elif all("metric" in r for r in rows):
         keys = ["name", "status", "relation", "metric", "threshold"]
+        keys += ["reason"] * any("reason" in r for r in rows)
     else:
         rows = [_flatten(r) for r in rows]
         keys = list(dict.fromkeys(k for flat in rows for k in flat))

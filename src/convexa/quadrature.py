@@ -7,6 +7,12 @@ Divergent integrands are reported (converged=False), never guessed: a
 left-endpoint blow-up is stopped once the leftmost panel stops shrinking
 under bisection and a probe next to the endpoint confirms it (QUADPACK
 dqagse reports the same condition as ier=5).
+
+The refinement rules have two forms: `_refine`, one integral a request at
+a time, which `integrate` runs, and `_Refinements`, many integrals as
+arrays, one numpy step per round, which the lockstep moment oracle
+(`weights.oracle`) runs. The array form is pinned to `_refine` bit for
+bit; `_refine` is the reference.
 """
 
 import heapq
@@ -252,7 +258,9 @@ def _refine(lo, hi, spec):
     GK15 (value, error) it needs next: the first panel, both halves of a
     bisection (the left first) or the divergence probe. It is sent their
     list in the same order, and returns the QuadResult. Drivers differ only
-    in how they evaluate panels, so the rules below exist once."""
+    in how they evaluate panels. `_Refinements` is the same rules as
+    arrays, for many integrals at once; this form is its reference, and a
+    change to a rule here is made there too."""
     [(value0, err0)] = yield ((lo, hi),)
     evaluations = 15
     # heap entries: (-err, insertion seq, lo, hi, value, err)
@@ -305,6 +313,12 @@ def _refine(lo, hi, spec):
     for _, _, _, _, pval, perr in panels:
         value += pval
         err += perr
+    return _result(value, err, reason, evaluations, subdivisions, spec)
+
+
+def _result(value, err, reason, evaluations, subdivisions, spec):
+    """The QuadResult of a run whose final sums are value and err, stopped
+    for reason: None where its running totals met the tolerance."""
     converged = (
         reason in (None, "budget")
         and math.isfinite(value)
@@ -317,3 +331,223 @@ def _refine(lo, hi, spec):
         # the running totals met the tolerance, the final sums do not
         reason = "stalled"
     return QuadResult(value, err, evaluations, converged, reason, subdivisions)
+
+
+# The array form of the rules, `_Refinements`. A run asks for a bisection of
+# its worst panel or, once, the divergence probe; why a run stopped is one of
+# _STOPS, _GOING while it has not
+_BISECT, _PROBE = 1, 2
+_GOING = 0
+_STOPS = (None, None, "budget", "stalled", "divergent")
+_MET, _BUDGET, _STALLED, _DIVERGENT = range(1, 5)
+# panel slots of a run's first block in the pool
+_FIRST_SLOTS = 4
+
+
+def _ranges(starts, lengths):
+    """start, start + 1, ..., start + length - 1 of each (start, length),
+    concatenated in order."""
+    ends = lengths.cumsum()
+    return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+class _Refinements:
+    """`_refine` of n integrals over [lo, hi], as arrays: one numpy step of
+    the same rules per round for every unfinished run. `asking` gives the
+    unfinished runs, in order, and their requests; `send` takes the GK15
+    (value, error) of the requested panels and returns each run that
+    stopped with its QuadResult, built in that round. Each result is that
+    of a `_refine(lo, hi, spec)` run, bit for bit.
+
+    A run keeps its panels in its own block of one pool, in insertion
+    order: a bisection appends its left child, then its right, and retires
+    its parent with error -inf. The first largest error of a block is then
+    the panel `_refine`'s heap bisects, the oldest among ties. A full block
+    moves, its live panels only, to the end of the pool; a full pool is
+    rebuilt from the live panels of the unfinished runs."""
+
+    def __init__(self, n, lo, hi, spec):
+        self.lo, self.spec = lo, spec
+        self.probe_hi = lo + _PROBE_ULPS * math.ulp(lo)
+        # per unfinished run: its request, the panel (a, mid) and, when it
+        # bisects, (mid, b); and its running totals
+        self.floats = np.array([[lo], [hi], [hi], [0.0], [0.0]]).repeat(n, axis=1)
+        # per unfinished run: its number, what it asks for (0 its first
+        # panel), the pool slot of the panel it bisects, its counters, and
+        # its block of the pool
+        self.ints = np.zeros((9, n), dtype=np.int64)
+        self.ints[0] = np.arange(n)
+        self.ints[7] = np.arange(n) * _FIRST_SLOTS
+        self.ints[8] = _FIRST_SLOTS
+        # per panel slot: the panel's ends, value and error, and a last
+        # slot past every block
+        self.pool = np.empty((4, n * _FIRST_SLOTS + 1))
+        self.top = n * _FIRST_SLOTS
+        self.probes = 0  # runs that ask for the probe
+
+    def asking(self):
+        """(run numbers, panel counts, panel lo, panel hi) of the unfinished
+        runs, in order: the panels of each run's request, one after another."""
+        a, mid, b = self.floats[:3]
+        bisects = self.ints[1] == _BISECT
+        self.count = count = 1 + bisects
+        self.first = count.cumsum() - count
+        self.second = self.first + bisects
+        lo, hi = np.empty((2, len(bisects) + bisects.sum()))
+        lo[self.second], hi[self.second] = mid, b
+        lo[self.first], hi[self.first] = a, mid
+        return self.ints[0], count, lo, hi
+
+    def send(self, value, error):
+        """The (run number, QuadResult) of each run that stops, given the
+        value and error arrays of the panels `asking` asked for, in order."""
+        floats, ints, spec, first, second = self.floats, self.ints, self.spec, self.first, self.second
+        a, mid, b, total, total_err = floats
+        _, phase, parent, evaluations, subdivisions, still, used, start, cap = ints
+        lo, hi, val, err = self.pool
+        lval, lerr, rval, rerr = value[first], error[first], value[second], error[second]
+        finite = np.logical_and.reduce(np.isfinite(np.array((lval, lerr, rval, rerr))))
+        evaluations += 15 * self.count
+        probe = first[:0]
+        if not used[0]:  # every run's first panel
+            lo[start], hi[start], val[start], err[start] = a, mid, lval, lerr
+            total[:], total_err[:] = lval, lerr
+            used += 1
+            why = _STALLED * ~finite
+        else:
+            bisects = self.count == 2
+            # a bisection into non-finite children stops the run, its parent live
+            why = _STALLED * (bisects & ~finite)
+            if self.probes:
+                q = (~bisects).nonzero()[0]
+                # against the left child of the bisection before the probe
+                probed = val[start[q] + used[q] - 2]
+                why[q] = _DIVERGENT * ~(abs(lval[q]) <= _STILL_RATIO * abs(probed))
+                still[q] = -1
+                self.probes = 0
+            k = (bisects & finite).nonzero()[0]
+            pk = parent[k]
+            pval, perr = val[pk], err[pk]
+            err[pk] = -math.inf
+            full = used[k] + 2 > cap[k]
+            if full.any():
+                self._grow(k[full])
+                lo, hi, val, err = self.pool
+            lval, lerr, rval, rerr, ak, mk = lval[k], lerr[k], rval[k], rerr[k], a[k], mid[k]
+            slot = start[k] + used[k]
+            lo[slot], hi[slot], val[slot], err[slot] = ak, mk, lval, lerr
+            slot += 1
+            lo[slot], hi[slot], val[slot], err[slot] = mk, b[k], rval, rerr
+            used[k] += 2
+            total[k] += (lval + rval) - pval
+            total_err[k] += (lerr + rerr) - perr
+            subdivisions[k] += 1
+            leftmost = (ak == self.lo) & (still[k] >= 0)
+            if leftmost.any():
+                j = k[leftmost]
+                still[j] = (still[j] + 1) * (abs(lval[leftmost])
+                                             > _STILL_RATIO * abs(pval[leftmost]))
+                probe = j[still[j] == _STILL_HALVINGS]
+                phase[probe] = _PROBE
+                mid[probe] = np.where(mid[probe] < self.probe_hi, mid[probe], self.probe_hi)
+                self.probes = len(probe)
+
+        # each run that goes on without a probe stops at the budget, or at
+        # the tolerance, or where its worst panel cannot be split
+        going = why == _GOING
+        going[probe] = False
+        r = going.nonzero()[0]
+        why[r] = np.maximum(
+            _BUDGET * (subdivisions[r] >= spec.max_subdivisions),
+            _MET * (total_err[r] <= np.fmax(spec.rel_tol * abs(total[r]), spec.abs_tol)))
+        r = r[why[r] == _GOING]
+        worst = self._worst(r)
+        plo, phi = lo[worst], hi[worst]
+        half = 0.5 * (plo + phi)  # _midpoint
+        if not np.isfinite(half).all():
+            half = np.where(np.isfinite(half), half, 0.5 * plo + 0.5 * phi)
+        ok = (plo < half) & (half < phi)
+        why[r] = _STALLED * ~ok
+        r = r[ok]
+        phase[r], parent[r] = _BISECT, worst[ok]
+        a[r], mid[r], b[r] = plo[ok], half[ok], phi[ok]
+
+        if not why.any():
+            return []
+        stopped = why.nonzero()[0]
+        done = self._results(stopped, why[stopped])
+        keep = why == _GOING
+        self.floats, self.ints = floats.compress(keep, axis=1), ints.compress(keep, axis=1)
+        return done
+
+    def _worst(self, rows):
+        """The pool slot of the first largest error in the block of each of
+        rows: one pass over the pool from the first block to the last, in
+        pool order, finds each block's largest error, and one more the first
+        slot of each block that holds it."""
+        if not rows.size:
+            return rows
+        start = self.ints[7, rows]
+        order = start.argsort()
+        # the ends of the blocks and of the gaps between them; the last gap
+        # is the slot past the last block
+        bounds = np.empty(2 * len(rows) + 1, dtype=np.int64)
+        bounds[0:-1:2] = start[order]
+        bounds[1::2] = bounds[0:-1:2] + self.ints[6, rows[order]]
+        bounds[-1] = bounds[-2] + 1
+        span = self.pool[3, bounds[0]:bounds[-1]]
+        bounds -= bounds[0]
+        top = np.maximum.reduceat(span, bounds[:-1])
+        top[1::2] = math.nan  # equal to no error
+        hits = (span == top.repeat(bounds[1:] - bounds[:-1])).nonzero()[0]
+        worst = np.empty_like(start)
+        worst[order] = hits[hits.searchsorted(bounds[0:-1:2])] + start[order[0]]
+        return worst
+
+    def _grow(self, rows):
+        """Room for two more panels in the blocks of rows: each block moves,
+        its live panels only, to the end of the pool, in half as many slots
+        again and four more; where the pool has no room for them, every
+        block moves so into a pool rebuilt a quarter larger than they need."""
+        used, start, cap = self.ints[6:]
+        old = self.pool
+        rebuild = self.top + 2 * used[rows].sum() + 4 * len(rows) >= old.shape[1]
+        if rebuild:
+            rows, self.top = np.arange(len(cap)), 0
+        slots = _ranges(start[rows], used[rows])
+        live = old[3, slots] != -math.inf
+        used[rows] = np.bincount(np.arange(len(rows)).repeat(used[rows])[live],
+                                 minlength=len(rows))
+        cap[rows] = used[rows] + used[rows] // 2 + 4
+        start[rows] = self.top + cap[rows].cumsum() - cap[rows]
+        self.top += cap[rows].sum()
+        if rebuild:
+            self.pool = np.empty((4, self.top + self.top // 4 + 1))
+        self.pool[:, _ranges(start[rows], used[rows])] = old[:, slots[live]]
+
+    def _results(self, rows, why):
+        """(run number, QuadResult) of each of rows, which stopped for why:
+        the values and errors of its live panels summed in panel order from
+        +0.0, one at a time, as `_refine` sums them."""
+        run, _, _, evaluations, subdivisions, _, used, start, _ = self.ints.take(rows, axis=1)
+        lo, _, val, err = self.pool
+        slots = _ranges(start, used)
+        owner = np.arange(len(rows)).repeat(used)
+        live = err[slots] != -math.inf
+        slots, owner = slots[live], owner[live]
+        slots = slots[np.lexsort((lo[slots], owner))]
+        panels = np.bincount(owner, minlength=len(rows))
+        # one row per run, +0.0 first: padding it with +0.0 leaves each sum's
+        # bits alone, as a sum from +0.0 is never -0.0; accumulate adds in
+        # order, where np.sum adds pairwise
+        width = panels.max() + 1
+        at = owner * width + np.arange(1, len(slots) + 1) - (panels.cumsum() - panels)[owner]
+        sums = np.zeros((2, len(rows) * width))
+        sums[0, at], sums[1, at] = val[slots], err[slots]
+        value, error = np.add.accumulate(sums.reshape(2, len(rows), width), axis=2)[:, :, -1]
+        return [
+            (number, _result(v, e, _STOPS[w], n, s, self.spec))
+            for number, v, e, w, n, s in zip(
+                run.tolist(), value.tolist(), error.tolist(), why.tolist(),
+                evaluations.tolist(), subdivisions.tolist())
+        ]

@@ -15,6 +15,7 @@ battery's scan, so each closed-form moment table is computed once.
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +55,31 @@ PRODUCT_P_VALUES = (1.1, 1.5)
 NEGATIVE_CONST_GAP = 1.5 / 2.0**0.5 - 1.0
 
 
-def _check(name, metric, threshold, relation, kind="violation") -> dict:
+def _check(name, metric, threshold, relation, kind="violation", reason=None) -> dict:
+    """A check record. A non-finite metric is written as None, which strict
+    JSON reads as null, and only such a record carries a reason: why its
+    metric has no value."""
     ok = metric >= threshold if relation == "ge" else metric <= threshold
-    return {
+    record = {
         "name": name,
         "status": "hold" if ok else ("numeric_failure" if kind == "numeric" else "violation"),
         "metric": float(metric),
         "threshold": float(threshold),
         "relation": relation,
     }
+    if not math.isfinite(record["metric"]):
+        record["metric"] = None
+        record["reason"] = reason or "the metric is not finite"
+    return record
+
+
+def _oracle_gap(oracles: dict, label: str, key: str, exact: float):
+    """(|exact - oracle value|, None), or (inf, why) where the oracle
+    integral of key for the system label did not converge."""
+    result = oracles[label, key]
+    if not result.converged:
+        return math.inf, f"oracle {key} of {label} did not converge: {result.stop_reason}"
+    return abs(exact - result.value), None
 
 
 def _membership_check(name, report: mb.MembershipReport, tol) -> dict:
@@ -93,8 +110,8 @@ LATER_ORACLES = {
 
 def _moment_checks(quad: QuadSpec) -> tuple[list[dict], dict]:
     """The moment checks, and the oracle values of their integrals and of
-    LATER_ORACLES keyed by (label, key); None where one did not converge.
-    Every integral runs in one lockstep oracle call."""
+    LATER_ORACLES keyed by (label, key): each QuadResult, whose stop_reason
+    a failed check names. Every integral runs in one lockstep oracle call."""
     every = tuple(w.MOMENT_INTEGRANDS)
     cases = [(w.young(p), every) for p in MOMENT_P_FULL]
     cases += [(w.young(p), ("m10", "m01")) for p in MOMENT_P_FIRST_ONLY]
@@ -106,23 +123,23 @@ def _moment_checks(quad: QuadSpec) -> tuple[list[dict], dict]:
     oracles = {}
     for (ws, terms), results in w.oracle(oracle_cases, quad):
         for key, res in zip(terms, results):
-            oracles[ws.label(), key] = w.moment_value(res)
+            oracles[ws.label(), key] = res
     out = []
     for ws, keys in cases:
         closed = ws.moments_closed_form().entries()
         for key in keys:
-            oracle = oracles[ws.label(), key]
-            diff = float("inf") if oracle is None else abs(closed[key] - oracle)
-            out.append(
-                _check(f"moments/{ws.label()}/{key}", diff, 1e-9, "le", kind="numeric")
-            )
+            diff, why = _oracle_gap(oracles, ws.label(), key, closed[key])
+            out.append(_check(f"moments/{ws.label()}/{key}", diff, 1e-9, "le",
+                              kind="numeric", reason=why))
     return out, oracles
 
 
 def _erratum_checks(oracles: dict) -> list[dict]:
-    cross = oracles["young(p=1.5)", "m11"]
+    cross = w.moment_value(oracles["young(p=1.5)", "m11"])
     if cross is None:
-        return [_check("erratum/oracle_p1.5", float("inf"), 1e-9, "le", kind="numeric")]
+        _, why = _oracle_gap(oracles, "young(p=1.5)", "m11", 0.0)
+        return [_check("erratum/oracle_p1.5", math.inf, 1e-9, "le", kind="numeric",
+                       reason=why)]
     proof = w.young_cross_moment_proof_display(1.5)
     theorem = w.young_cross_moment_theorem_display(1.5)
     diff_p2 = abs(
@@ -145,7 +162,7 @@ def _divergence_checks(quad: QuadSpec, oracles: dict) -> list[dict]:
         except DivergentCoefficient:
             raised = 1.0
         out.append(_check(f"divergence/young_product_p{w.exponent_text(p)}", raised, 0.5, "ge"))
-    diverged = 1.0 if oracles["young(p=2)", "m02"] is None else 0.0
+    diverged = 0.0 if oracles["young(p=2)", "m02"].converged else 1.0
     out.append(_check("divergence/young_m02_integrand_p2", diverged, 0.5, "ge"))
     return out
 
@@ -296,15 +313,14 @@ def _constant_checks(oracles: dict) -> list[dict]:
     table = w.nesbitt().moments_closed_form()
     ordered = table.m20 + table.m11
     square = table.m20 + 2.0 * table.m11 + table.m02
-    oracle = oracles["nesbitt", "square"]
+    gap, why = _oracle_gap(oracles, "nesbitt", "square", square)
     return [
         _check("constants/nesbitt_right_decimal",
                abs(th.NESBITT_RIGHT_COEFF - 0.6479184330), 1e-10, "le"),
         _check("constants/a5_paper_decimal", abs(th.NESBITT_ORDERED_COEFF - 0.8802), 5e-5, "le"),
         _check("constants/a5_is_sum_of_a3", abs(th.NESBITT_ORDERED_COEFF - ordered), 1e-12, "le"),
-        _check("constants/nesbitt_square_expansion",
-               float("inf") if oracle is None else abs(square - oracle), 1e-9, "le",
-               kind="numeric"),
+        _check("constants/nesbitt_square_expansion", gap, 1e-9, "le", kind="numeric",
+               reason=why),
     ]
 
 

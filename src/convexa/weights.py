@@ -214,7 +214,7 @@ def _weight_pair(kind: WeightKind, t: np.ndarray, p) -> tuple[np.ndarray, np.nda
 
 # systems whose integrals refine in lockstep at most, so the oracle's working
 # memory does not grow with the number of cases
-_BATCH_SYSTEMS = 32
+_BATCH_SYSTEMS = 64
 
 
 def oracle(
@@ -233,9 +233,10 @@ def oracle(
     -1 (p past ~1.8e16), or t underflows to 0 in the hint's substitution
     (m01 at most p past ~121, m02 at most p in [1.984, 2)).
 
-    The integrals of up to 32 cases at a time refine in lockstep, one
+    The integrals of up to 64 cases at a time refine in lockstep, one
     numpy pass per round over the panels every unfinished integral asks
-    for, weighing each distinct (system, panel) row once per round.
+    for, weighing each distinct (system, panel) row once per round, and
+    one numpy step of the refinement rules (`quadrature._Refinements`).
     Each result is that of `integrate_unit` on the term alone with its
     hint, bit for bit. The cases are read in order, and an error they
     raise comes after the results of the cases before it. A batch whose
@@ -307,13 +308,13 @@ def _lockstep(batch, spec: QuadSpec) -> list[list[QuadResult]]:
     a hint, of a t = u^m that underflows to 0 or of g; in a batch of one
     term, that term's error, as `oracle` raises it.
 
-    Each integral is a `quadrature._refine` run over u in [0, 1], which its
-    substitution maps onto t in [0, 1]. Runs are grouped by system and
-    substitution, so the runs of a group put the same t at the same panel.
-    A round weighs the panels of each distinct request (group, panels) of
-    its runs once, and holds no weight row past the round. Then each term
-    is evaluated once on the rows of its runs, and the GK15 sums are formed
-    per column.
+    The integrals are the runs of one `quadrature._Refinements` over u in
+    [0, 1], which each run's substitution maps onto t in [0, 1]. Runs are
+    grouped by system and substitution, so the runs of a group put the same
+    t at the same panel. A round weighs the panels of each distinct request
+    (group, panels) of its runs once, and holds no weight row past the
+    round. Then each term is evaluated once on the rows of its runs, and
+    the GK15 sums are formed per column.
     """
     results = [[None] * len(case_terms) for _, case_terms in batch]
     groups = {}  # (system, hint) -> group number
@@ -326,61 +327,60 @@ def _lockstep(batch, spec: QuadSpec) -> list[list[QuadResult]]:
     # in term order, so that a round's rows of one term are one slice
     runs.sort(key=lambda run: run[0])
     term_g = list(terms)
-    weigh = functools.partial(_weigh, _GroupTable(list(groups)))
-    refinements = [quadrature._refine(0.0, 1.0, spec) for _ in runs]
-    asking = [next(refinement) for refinement in refinements]
-    order = list(range(len(runs)))  # the unfinished runs
+    table = _GroupTable(list(groups))
+    run_term, run_group = np.array([run[:2] for run in runs], dtype=np.int64).reshape(-1, 2).T
+    refinements = quadrature._Refinements(len(runs), 0.0, 1.0, spec)
 
     with np.errstate(all="ignore"):
-        while order:
-            requests = {}  # (group, panels) -> its number in the round
-            asked = [requests.setdefault((runs[number][1], asking[number]), len(requests))
-                     for number in order]
+        while True:
+            live, count, lo, hi = refinements.asking()
+            if not live.size:
+                return results
+            # the distinct (group, panel) pairs, sorted by part, so that each
+            # part is one slice of the weighing; panel k's row is index[k]
+            group = run_group[live].repeat(count)
+            order = np.lexsort((hi, lo, group, table.part[group]))
+            keys = np.array((group, lo, hi))[:, order]
+            fresh = np.ones(len(order), dtype=bool)
+            fresh[1:] = np.logical_or.reduce(keys[:, 1:] != keys[:, :-1])
+            index = np.empty_like(order)
+            index[order] = fresh.cumsum() - 1
+            pick = order[fresh]
             try:
-                rows = weigh(list(requests))
+                rows = _weigh(table, group[pick], lo[pick], hi[pick])
             except DomainError as exc:
-                _, _, case, slot = runs[order[0]]
+                _, _, case, slot = runs[live[0]]
                 ws, case_terms = batch[case]
                 degree = list(case_terms.values())[slot][1]
                 raise _unresolved(ws, degree, "t underflows to 0") from exc
-            # run k's rows of the block, and its sums in pairs, are
-            # first[k]:end[k]; index copies them from its request's rows
-            sizes = np.array([len(panels) for _, panels in requests])
-            size = sizes[asked]
-            end = np.cumsum(size)
-            index = np.repeat(np.cumsum(sizes)[asked] - end, size) + np.arange(end[-1])
-            first, end = (end - size).tolist(), end.tolist()
-            term = [runs[number][0] for number in order]
-            slices = [(term_g[term[k]], first[k])
-                      for k in np.flatnonzero(np.diff(term, prepend=-1)).tolist()]
-            pairs = _panel_sums(rows[index], slices)
-            for number, lo, hi in zip(order, first, end):
-                try:
-                    asking[number] = refinements[number].send(pairs[lo:hi])
-                except StopIteration as done:
-                    _, _, case, slot = runs[number]
-                    results[case][slot] = done.value
-                    refinements[number] = asking[number] = None
-            order = [number for number in order if asking[number] is not None]
-    return results
+            # each term's panels are one slice
+            term = run_term[live]
+            change = [0, *((term[1:] != term[:-1]).nonzero()[0] + 1).tolist()]
+            first = refinements.first[change].tolist()
+            slices = [(term_g[t], row) for t, row in zip(term[change].tolist(), first)]
+            value, error = _panel_sums(rows, index, slices)
+            for number, result in refinements.send(value, error):
+                _, _, case, slot = runs[number]
+                results[case][slot] = result
 
 
-def _panel_sums(block, slices):
-    """(value, error) of the panel of each weight row of block: each term
-    g, given as (g, first row of its slice), evaluated once on its rows and
-    times the Jacobian, then GK15 summed per column."""
-    block.flags.writeable = False
-    values = np.empty((len(block), 15))
-    ends = [first for _, first in slices[1:]] + [len(block)]
+def _panel_sums(rows, index, slices):
+    """(value, error) arrays of the panels whose weight rows are
+    rows[index]: each term g, given as (g, first panel of its slice),
+    evaluated once on the rows of its panels, gathered per term, and times
+    the Jacobian, then GK15 summed per column."""
+    values = np.empty((len(index), 15))
+    ends = [first for _, first in slices[1:]] + [len(index)]
     for (g, lo), hi in zip(slices, ends):
-        out = g(block[lo:hi, _WX], block[lo:hi, _WY])
+        block = rows[index[lo:hi]]
+        block.flags.writeable = False
+        out = g(block[:, _WX], block[:, _WY])
         if np.shape(out) != (hi - lo, 15):
             raise TypeError("a weight term must return one value per node: "
                             f"shape {(hi - lo, 15)}, got {np.shape(out)}")
         values[lo:hi] = out
-    values *= block[:, _JAC]
-    kron, err = quadrature._gk15_rule(block[:, _HALF], *values.T, larger=quadrature._larger)
-    return list(zip(kron.tolist(), err.tolist()))
+        values[lo:hi] *= block[:, _JAC]
+    return quadrature._gk15_rule(rows[index, _HALF], *values.T, larger=quadrature._larger)
 
 
 class _GroupTable:
@@ -410,27 +410,25 @@ class _GroupTable:
         self.part = np.array(part)
 
 
-def _weigh(table: _GroupTable, requests):
-    """The weight rows of the panels of the (group, panels) requests, in
-    order, each at t = u^m; DomainError where a t leaves (0, 1], as
-    where t = u^m underflows to 0."""
-    group = np.array([number for number, panels in requests for _ in panels])
-    lo, hi = np.array([panel for _, panels in requests for panel in panels]).T
+def _weigh(table: _GroupTable, group, lo, hi):
+    """The weight rows of the panels (lo, hi) of the given groups, in order,
+    each at t = u^m, the rows of each part one slice; DomainError where a t
+    leaves (0, 1], as where t = u^m underflows to 0."""
     new = np.empty((len(group), 46))
     half = new[:, _HALF] = 0.5 * (hi - lo)
     # quadrature._midpoint: lo + hi cannot overflow inside [0, 1]
     u = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODE_OFFSETS
     t = np.empty_like(u)
     part = table.part[group]
-    for key in dict.fromkeys(part.tolist()):
-        rows = part == key
-        first = group[rows][0]
-        if key >= _SCALAR_PARTS:  # one group, its scalars
+    cuts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), len(group)]
+    for a, b in zip(cuts, cuts[1:]):
+        first = group[a]
+        if part[a] >= _SCALAR_PARTS:  # one group, its scalars
             p, m = float(table.p[first]), float(table.m[first])
         else:
-            p, m = table.p[group[rows], None], table.m[group[rows], None]
-        t[rows], new[rows, _JAC] = quadrature._desingularize(u[rows], 0.0, m)
-        new[rows, _WX], new[rows, _WY] = _weight_pair(table.kinds[first], t[rows], p)
+            p, m = table.p[group[a:b], None], table.m[group[a:b], None]
+        t[a:b], new[a:b, _JAC] = quadrature._desingularize(u[a:b], 0.0, m)
+        new[a:b, _WX], new[a:b, _WY] = _weight_pair(table.kinds[first], t[a:b], p)
     _unit_t(t, "weights are")
     return new
 

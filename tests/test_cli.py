@@ -443,6 +443,46 @@ def test_strict_exit_and_one_line_stderr(argv, code, err):
     _assert_strict(*_run_strict(argv), code, err)
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    case for case in STRICT_CASES
+    if case[0][0] in ("check", "sandwich", "product", "moments", "constants")
+    and "--format" not in case[0]])
+def test_strict_cases_write_strict_json(argv, code, err):
+    got, out, _ = _run_strict([*argv, "--format", "json"])
+    assert got == code
+    if out:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def test_failed_verify_paper_report_is_strict_json_with_reasons():
+    """One subdivision leaves 26 moments, the erratum's oracle and the
+    Nesbitt square unconverged: their metrics are null, each of those
+    records and no other says why, in every format."""
+    code, out, err = _run_strict(["verify-paper", "--max-subdivisions", "1",
+                                  "--format", "json"])
+    assert (code, err) == (EXIT_NUMERIC, "")
+    results = json.loads(out, parse_constant=_reject_constant)["results"]
+    failures = [r for r in results if r.get("status") == "numeric_failure"]
+    assert len(failures) == 28
+    assert [r for r in results if "reason" in r] == failures
+    assert all(r["metric"] is None for r in failures)
+    by_name = {r["name"]: r["reason"] for r in failures}
+    assert by_name["moments/young(p=1.01)/m10"] == \
+        "oracle m10 of young(p=1.01) did not converge: budget"
+    assert by_name["erratum/oracle_p1.5"] == \
+        "oracle m11 of young(p=1.5) did not converge: budget"
+    assert by_name["constants/nesbitt_square_expansion"] == \
+        "oracle square of nesbitt did not converge: budget"
+    for fmt in ("text", "csv"):
+        _, out, _ = _run_strict(["verify-paper", "--max-subdivisions", "1", "--format", fmt])
+        assert all(out.count(reason) >= 1 for reason in by_name.values())
+        assert "inf" not in out.lower()
+
+
 @pytest.mark.parametrize("argv,code,err", STRICT_CASES[:2])
 def test_module_entry_point_strict(argv, code, err):
     """`python -W error -m convexa.cli` in a fresh interpreter, so that a

@@ -56,17 +56,18 @@ def test_square_expansion_uses_suite_quad_spec():
 
 
 def test_verify_paper_evaluation_budget(monkeypatch):
-    # every quadrature run, a theorem average's or a lockstep oracle
-    # integral's, is one quadrature._refine run
-    original = quadrature._refine
+    # every quadrature run, a theorem average's `quadrature._refine` run or
+    # a lockstep oracle integral's array run, ends in one QuadResult that
+    # quadrature builds
+    original = quadrature.QuadResult
     evaluations = []
 
-    def counting(lo, hi, spec):
-        result = yield from original(lo, hi, spec)
+    def counting(*fields):
+        result = original(*fields)
         evaluations.append(result.evaluations)
         return result
 
-    monkeypatch.setattr(quadrature, "_refine", counting)
+    monkeypatch.setattr(quadrature, "QuadResult", counting)
     assert verify_paper().overall is Overall.ALL_HOLD
     assert len(evaluations) == VERIFY_PAPER_INTEGRALS
     assert sum(evaluations) == VERIFY_PAPER_EVALUATIONS
@@ -99,17 +100,17 @@ def test_only_nesbitt_quarter_panels_are_weighted_twice(monkeypatch):
     panels = collections.defaultdict(list)  # system label -> t bytes of each panel
     weighed, summed = [], []
 
-    def weigh(table, fresh):
-        weighed.append(sum(len(asked) for _, asked in fresh))
+    def weigh(table, group, lo, hi):
+        weighed.append(len(group))
         inside.append(None)
         try:
-            return original_weigh(table, fresh)
+            return original_weigh(table, group, lo, hi)
         finally:
             inside.pop()
 
-    def panel_sums(block, slices):
-        summed.append(len(block))
-        return original_sums(block, slices)
+    def panel_sums(rows, index, slices):
+        summed.append(len(index))
+        return original_sums(rows, index, slices)
 
     def weight_pair(kind, t, p):
         if inside:  # an oracle panel row, not a scan's t grid

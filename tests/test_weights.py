@@ -455,7 +455,7 @@ _EVERY_TERM = {
 }
 
 
-def _term_reference(ws, g, degree):
+def _term_reference(ws, g, degree, spec=QuadSpec()):
     """One term as the oracle integrated it before lockstep refinement: one
     integrate_unit run on weights computed afresh, hinted by the exponent
     (i + j)/p - j of t where it lies in (-1, 0). Its QuadResult bits, or
@@ -466,7 +466,7 @@ def _term_reference(ws, g, degree):
         hint = exponent if -1.0 < exponent < 0.0 else None
     try:
         result = integrate_unit(lambda t: g(*ws.eval_arrays(t)),
-                                QuadSpec(left_singularity_exponent=hint))
+                                dataclasses.replace(spec, left_singularity_exponent=hint))
     except DomainError:
         return (f"the {ws.label()} integral of degree {degree} cannot be resolved: "
                 "t underflows to 0")
@@ -499,6 +499,89 @@ def test_lockstep_oracle_matches_a_run_per_term(p_values):
     assert seen == systems
 
 
+def _nan_below(wx, wy):  # NaN on the left of (0, 1], so in the first panel
+    return np.where(wx < 0.3, np.nan, wx)
+
+
+def _nan_band(wx, wy):  # NaN on a band that only a deep bisection reaches
+    return np.where((wx > 0.6101) & (wx < 0.6102), np.nan, wx)
+
+
+def _spike(wx, wy):  # classical(): the spike of test_final_sums_that_miss_the_tolerance_stall
+    return 1e30 * np.exp(-1e12 * (wx - 0.5) ** 2) + np.sin(100 * wx)
+
+
+_TINY = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
+
+
+# (system, term, degree, spec, stop reason, evaluations past 15 + 30 per
+# subdivision): one case per way a run of the array form can stop
+@pytest.mark.parametrize("ws, g, degree, spec, reason, extra", [
+    (young(1.5), MOMENT_INTEGRANDS["m10"][0], (1, 0), QuadSpec(), "converged", 0),
+    (young(1.5), MOMENT_INTEGRANDS["m11"][0], (1, 1), QuadSpec(max_subdivisions=1), "budget", 0),
+    (young(1.5), MOMENT_INTEGRANDS["m11"][0], (1, 1), QuadSpec(max_subdivisions=2), "budget", 0),
+    (young(1.5), MOMENT_INTEGRANDS["m11"][0], (1, 1), QuadSpec(max_subdivisions=7), "budget", 0),
+    # a non-finite first panel, and a non-finite bisection, which counts
+    # its 30 evaluations and leaves its parent in the sums
+    (young(1.5), _nan_below, (1, 0), QuadSpec(), "stalled", 0),
+    (young(1.5), _nan_band, (1, 0), _TINY, "stalled", 30),
+    # the worst panel cannot be split at double precision
+    (young(1.01), _spike, (1, 0), _TINY, "stalled", 0),
+    # the divergence probe
+    (young(2.0), MOMENT_INTEGRANDS["m02"][0], (0, 2), QuadSpec(), "divergent", 15),
+    # the running totals meet the tolerance, the final sums do not
+    (classical(), _spike, (1, 0), QuadSpec(), "stalled", 0),
+], ids=["converged", "budget-1", "budget-2", "budget-7", "nan-first-panel",
+        "nan-bisection", "double-precision", "divergent", "final-sums"])
+def test_array_refinement_matches_a_term_alone_run(ws, g, degree, spec, reason, extra):
+    """Each way a run stops, bit for bit as `quadrature._refine` runs the
+    term alone, beside the runs of another system in the same batch."""
+    hint = weights_module._hint(ws, degree)
+    expected = integrate_unit(lambda t: g(*ws.eval_arrays(t)),
+                              dataclasses.replace(spec, left_singularity_exponent=hint))
+    assert expected.stop_reason == reason
+    assert expected.evaluations == 15 + 30 * expected.subdivisions + extra
+    cases = [(young(3.0), MOMENT_INTEGRANDS), (ws, {"term": (g, degree)}),
+             (nesbitt(), MOMENT_INTEGRANDS)]
+    results = [list(results) for _, results in weights_module.oracle(cases, spec)]
+    assert _bits(results[1][0]) == _bits(expected)
+    assert [_bits(r) for r in results[0]] == [
+        _term_reference(young(3.0), g, degree, spec) for g, degree in MOMENT_INTEGRANDS.values()]
+
+
+def test_a_whole_budget_run_holds_only_its_own_panels():
+    """In a batch of 64 systems, one term spends the whole budget of 2,000
+    bisections, 4,001 panels, while the others stop within a few rounds.
+    The batch's working memory beyond the batch without that term stays
+    near that run's own panels (32 bytes each: ends, value and error), far
+    below panel storage sized by the longest run for every run."""
+
+    def oscillating(wx, wy):
+        return np.sin(1e6 * wx)
+
+    # p in (2, 10], clear of the m02 underflow range [1.984, 2)
+    systems = [young(p) for p in np.linspace(2.05, 9.5, 64).tolist()]
+
+    def working_bytes(long_run):
+        cases = [(ws, MOMENT_INTEGRANDS) for ws in systems]
+        if long_run:
+            cases[-1] = (systems[-1], {**MOMENT_INTEGRANDS, "osc": (oscillating, (1, 0))})
+        tracemalloc.start()
+        try:
+            results = [list(results) for _, results in weights_module.oracle(cases)]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 64
+        if long_run:
+            assert results[-1][-1].stop_reason == "budget"
+            assert results[-1][-1].subdivisions == 2000
+        return peak - held
+
+    own_panels = 4001 * 32
+    assert working_bytes(True) <= working_bytes(False) + 4 * own_panels
+
+
 @pytest.mark.parametrize("p_values, error, message", [
     ([1e17, 0.5], NonConvergenceError,
      "the young(p=1e+17) integral of degree (0, 1) cannot be resolved: 1/p - 1 rounds to -1"),
@@ -508,10 +591,10 @@ def test_lockstep_oracle_matches_a_run_per_term(p_values):
      "the young(p=200) integral of degree (0, 1) cannot be resolved: t underflows to 0"),
     ([1.2, 1e155], NonFiniteError, "the closed-form moments of young(p=1e+155) overflow a double"),
     # the second lockstep batch: its p = 0.5 comes after its p = 1.99 error
-    ([1.5] * 32 + [1.99, 0.5], NonConvergenceError,
+    ([1.5] * 64 + [1.99, 0.5], NonConvergenceError,
      "the young(p=1.99) integral of degree (0, 2) cannot be resolved: t underflows to 0"),
     # an error of the first batch comes before the second batch is built
-    ([1.99] + [1.5] * 32 + [0.5], NonConvergenceError,
+    ([1.99] + [1.5] * 64 + [0.5], NonConvergenceError,
      "the young(p=1.99) integral of degree (0, 2) cannot be resolved: t underflows to 0"),
 ], ids=["1e17-0.5", "1.5-1.99", "200", "1.2-1e155", "second-batch", "first-batch"])
 def test_constants_table_raises_the_first_error_in_row_order(p_values, error, message):
@@ -550,8 +633,8 @@ def test_an_integral_error_comes_before_a_later_cases_raising_term():
 
 
 def test_constants_table_memory_does_not_grow_with_its_p_list():
-    """Systems are integrated 32 at a time, each integral's heap is freed
-    with its result and each round's weight rows with the round: the
+    """Systems are integrated 64 at a time, each batch's panels are freed
+    with the batch and each round's weight rows with the round: the
     memory a call uses beyond the rows it returns is the same for ~600 p
     as for 64."""
 

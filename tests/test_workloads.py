@@ -136,38 +136,37 @@ def test_cycle_counts(cycle, builder):
 
 def test_oracle_sweep_oracle_work(monkeypatch):
     """The seed-0 constants_table's integrals, counted where every
-    quadrature run goes: 535 `quadrature._refine` runs of 130,995
-    evaluations, all converged, as before they refined in lockstep. Its
-    60 lockstep rounds weigh 4,965 rows and sum 8,733. Each round weighs
-    the panels its runs ask for, so only Nesbitt's four quarter panels are
-    weighed twice."""
+    quadrature run ends, in the QuadResult quadrature builds: 535 runs of
+    130,995 evaluations, all converged, as before they refined in
+    lockstep. Its 39 lockstep rounds, in two batches of up to 64 systems,
+    weigh 4,965 rows and sum 8,733. Each round weighs the panels its runs
+    ask for, so only Nesbitt's four quarter panels are weighed twice."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     [constants, *_] = workloads.oracle_sweep(0).batches[0]
     assert constants.name.startswith("constants_table(96 seeded p)")
-    original = quadrature._refine
+    original = quadrature.QuadResult
     original_weigh, original_sums = weights._weigh, weights._panel_sums
     results, weighed, summed = [], [], []
 
-    def counting(lo, hi, spec):
-        result = yield from original(lo, hi, spec)
-        results.append(result)
-        return result
+    def counting(*fields):
+        results.append(original(*fields))
+        return results[-1]
 
-    def weigh(table, fresh):
-        weighed.append(sum(len(asked) for _, asked in fresh))
-        return original_weigh(table, fresh)
+    def weigh(table, group, lo, hi):
+        weighed.append(len(group))
+        return original_weigh(table, group, lo, hi)
 
-    def panel_sums(block, slices):
-        summed.append(len(block))
-        return original_sums(block, slices)
+    def panel_sums(rows, index, slices):
+        summed.append(len(index))
+        return original_sums(rows, index, slices)
 
-    monkeypatch.setattr(quadrature, "_refine", counting)
+    monkeypatch.setattr(quadrature, "QuadResult", counting)
     monkeypatch.setattr(weights, "_weigh", weigh)
     monkeypatch.setattr(weights, "_panel_sums", panel_sums)
     constants.run()
     assert len(results) == 535
     assert sum(result.evaluations for result in results) == 130_995
     assert all(result.converged for result in results)
-    assert (len(weighed), sum(weighed)) == (60, 4_965)
-    assert (len(summed), sum(summed)) == (60, 8_733)
+    assert (len(weighed), sum(weighed)) == (39, 4_965)
+    assert (len(summed), sum(summed)) == (39, 8_733)
