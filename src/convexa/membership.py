@@ -20,6 +20,7 @@ weights; one that fails runs the one-class scans again to find the error.
 
 import enum
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -44,6 +45,10 @@ class GridSpec:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("nx", "ny", "nt"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise DomainError(f"grid point count {name} must be an integer, got {n!r}")
         if self.nx < 2 or self.ny < 2 or self.nt < 2:
             raise DomainError("grid point counts nx, ny, nt must be >= 2")
         if max(self.nx, self.ny * self.nt) > _MAX_SCAN_AXIS:

@@ -8,15 +8,17 @@ left-endpoint blow-up is stopped once the leftmost panel stops shrinking
 under bisection and a probe next to the endpoint confirms it (QUADPACK
 dqagse reports the same condition as ier=5).
 
-The refinement rules have two forms: `_refine`, one integral a request at
-a time, which `integrate` runs, and `_Refinements`, many integrals as
-arrays, one numpy step per round, which the lockstep moment oracle
-(`weights.oracle`) runs. The array form is pinned to `_refine` bit for
-bit; `_refine` is the reference.
+The refinement rules have two forms: `_refine`, a loop over one integral
+that evaluates each request of panels in one integrand call, which
+`integrate` runs, and `_Refinements`, many integrals as arrays, one numpy
+step per round, which the lockstep moment oracle (`weights.oracle`) runs.
+The array form is pinned to `_refine` bit for bit; `_refine` is the
+reference.
 """
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,7 +94,8 @@ class QuadSpec:
             tol = getattr(self, name)
             if not 0.0 < tol < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {tol}")
-        if self.max_subdivisions < 1:
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError("max_subdivisions must be a positive integer")
         e = self.left_singularity_exponent
         if e is not None and not (-1.0 < e <= 0.0):
@@ -202,9 +205,17 @@ def integrate(
     """
     alpha = spec.left_singularity_exponent
     with np.errstate(all="ignore"):
-        if alpha is not None and alpha != 0.0:
-            return _integrate_desingularized(f, interval, spec, alpha)
-        return _adaptive(f, interval.a, interval.b, spec)
+        if alpha is None or alpha == 0.0:
+            return _refine(f, interval.a, interval.b, spec)
+        # t = a + u^m with m = 1/(1+alpha): a factor (t-a)^alpha in f becomes
+        # bounded, at the cost of the Jacobian m*u^(m-1).
+        m = 1.0 / (1.0 + alpha)
+
+        def g(u):
+            t, jacobian = _desingularize(u, interval.a, m)
+            return f(t) * jacobian
+
+        return _refine(g, 0.0, interval.width ** (1.0 + alpha), spec)
 
 
 def integrate_unit(
@@ -212,19 +223,6 @@ def integrate_unit(
 ) -> QuadResult:
     """Integrate f over [0, 1]."""
     return integrate(f, Interval(0.0, 1.0), spec)
-
-
-def _integrate_desingularized(f, interval, spec, alpha):
-    # t = a + u^m with m = 1/(1+alpha): a factor (t-a)^alpha in f becomes
-    # bounded, at the cost of the Jacobian m*u^(m-1).
-    a = interval.a
-    m = 1.0 / (1.0 + alpha)
-
-    def g(u):
-        t, jacobian = _desingularize(u, a, m)
-        return f(t) * jacobian
-
-    return _adaptive(g, 0.0, interval.width ** (1.0 + alpha), spec)
 
 
 # The divergence test. An integrable t^alpha keeps 2^-(1+alpha) < 1 of the
@@ -241,34 +239,17 @@ _STILL_RATIO = 0.99
 _PROBE_ULPS = 2.0**8
 
 
-def _adaptive(f, lo, hi, spec):
-    """`_refine` of f over [lo, hi], each request in one integrand call."""
-    run = _refine(lo, hi, spec)
-    panels = next(run)
-    while True:
-        try:
-            panels = run.send(_gk15(f, *panels))
-        except StopIteration as done:
-            return done.value
-
-
-def _refine(lo, hi, spec):
-    """The refinement of one integral over [lo, hi], as a generator that
-    evaluates nothing itself. It yields the panels ((lo, hi), ...) whose
-    GK15 (value, error) it needs next: the first panel, both halves of a
-    bisection (the left first) or the divergence probe. It is sent their
-    list in the same order, and returns the QuadResult. Drivers differ only
-    in how they evaluate panels. `_Refinements` is the same rules as
-    arrays, for many integrals at once; this form is its reference, and a
-    change to a rule here is made there too."""
-    [(value0, err0)] = yield ((lo, hi),)
-    evaluations = 15
+def _refine(f, lo, hi, spec):
+    """The QuadResult of f over [lo, hi]. Each request is one `_gk15`
+    call: the first panel, both halves of a bisection (the left first) or
+    the divergence probe. `_Refinements` is the same rules as arrays, for
+    many integrals at once; this form is its reference, and a change to a
+    rule here is made there too."""
+    [(value0, err0)] = _gk15(f, (lo, hi))
+    evaluations, subdivisions, seq = 15, 0, 1
     # heap entries: (-err, insertion seq, lo, hi, value, err)
     heap = [(-err0, 0, lo, hi, value0, err0)]
-    seq = 1
-    total_value = value0
-    total_err = err0
-    subdivisions = 0
+    total_value, total_err = value0, err0
     still = 0  # consecutive non-shrinking bisections of the leftmost panel
     reason = None if math.isfinite(value0) and math.isfinite(err0) else "stalled"
 
@@ -284,7 +265,7 @@ def _refine(lo, hi, spec):
             # bisection cannot make progress at double precision
             reason = "stalled"
             break
-        (lval, lerr), (rval, rerr) = yield ((plo, mid), (mid, phi))
+        (lval, lerr), (rval, rerr) = _gk15(f, (plo, mid), (mid, phi))
         evaluations += 30
         if not all(map(math.isfinite, (lval, lerr, rval, rerr))):
             # the stalled panel is still heap[0], so it stays in the totals
@@ -300,17 +281,15 @@ def _refine(lo, hi, spec):
             still = still + 1 if abs(lval) > _STILL_RATIO * abs(pval) else 0
             if still == _STILL_HALVINGS:
                 probe_hi = min(lo + _PROBE_ULPS * math.ulp(lo), mid)
-                [(probe, _)] = yield ((lo, probe_hi),)
+                [(probe, _)] = _gk15(f, (lo, probe_hi))
                 evaluations += 15
                 if not abs(probe) <= _STILL_RATIO * abs(lval):
                     reason = "divergent"
                 still = -1  # one probe per run
 
     # authoritative totals: fixed reduction order by panel position
-    panels = sorted(heap, key=lambda e: (e[2], e[3]))
-    value = 0.0
-    err = 0.0
-    for _, _, _, _, pval, perr in panels:
+    value = err = 0.0
+    for _, _, _, _, pval, perr in sorted(heap, key=lambda e: (e[2], e[3])):
         value += pval
         err += perr
     return _result(value, err, reason, evaluations, subdivisions, spec)
@@ -319,12 +298,8 @@ def _refine(lo, hi, spec):
 def _result(value, err, reason, evaluations, subdivisions, spec):
     """The QuadResult of a run whose final sums are value and err, stopped
     for reason: None where its running totals met the tolerance."""
-    converged = (
-        reason in (None, "budget")
-        and math.isfinite(value)
-        and math.isfinite(err)
-        and err <= max(spec.abs_tol, spec.rel_tol * abs(value))
-    )
+    converged = (reason in (None, "budget") and math.isfinite(value) and math.isfinite(err)
+                 and err <= max(spec.abs_tol, spec.rel_tol * abs(value)))
     if converged:
         reason = "converged"
     elif reason is None:
@@ -344,27 +319,25 @@ _MET, _BUDGET, _STALLED, _DIVERGENT = range(1, 5)
 _FIRST_SLOTS = 4
 
 
-def _ranges(starts, lengths):
-    """start, start + 1, ..., start + length - 1 of each (start, length),
-    concatenated in order."""
-    ends = lengths.cumsum()
-    return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
 class _Refinements:
     """`_refine` of n integrals over [lo, hi], as arrays: one numpy step of
     the same rules per round for every unfinished run. `asking` gives the
     unfinished runs, in order, and their requests; `send` takes the GK15
     (value, error) of the requested panels and returns each run that
     stopped with its QuadResult, built in that round. Each result is that
-    of a `_refine(lo, hi, spec)` run, bit for bit.
+    of a `_refine(f, lo, hi, spec)` run, bit for bit.
 
     A run keeps its panels in its own block of one pool, in insertion
     order: a bisection appends its left child, then its right, and retires
     its parent with error -inf. The first largest error of a block is then
-    the panel `_refine`'s heap bisects, the oldest among ties. A full block
-    moves, its live panels only, to the end of the pool; a full pool is
-    rebuilt from the live panels of the unfinished runs."""
+    the panel `_refine`'s heap bisects, the oldest among ties. The blocks
+    of the unfinished runs lie in run order, each reaching to the start of
+    the next, the last to the end of the pool. Every slot without a live
+    panel reads error -inf: room not yet used, retired parents, and the
+    panels of stopped runs, whose room joins the block before. When a
+    block has no room for two more panels, the whole pool is rebuilt from
+    the live panels, each block in its live count, half as many slots
+    again and four more."""
 
     def __init__(self, n, lo, hi, spec):
         self.lo, self.spec = lo, spec
@@ -373,16 +346,13 @@ class _Refinements:
         # bisects, (mid, b); and its running totals
         self.floats = np.array([[lo], [hi], [hi], [0.0], [0.0]]).repeat(n, axis=1)
         # per unfinished run: its number, what it asks for (0 its first
-        # panel), the pool slot of the panel it bisects, its counters, and
-        # its block of the pool
-        self.ints = np.zeros((9, n), dtype=np.int64)
+        # panel), the pool slot of the panel it bisects, its counters, the
+        # slots it has used of its block and the block's first slot
+        self.ints = np.zeros((8, n), dtype=np.int64)
         self.ints[0] = np.arange(n)
         self.ints[7] = np.arange(n) * _FIRST_SLOTS
-        self.ints[8] = _FIRST_SLOTS
-        # per panel slot: the panel's ends, value and error, and a last
-        # slot past every block
-        self.pool = np.empty((4, n * _FIRST_SLOTS + 1))
-        self.top = n * _FIRST_SLOTS
+        # per panel slot: the panel's ends, value and error
+        self.pool = np.full((4, n * _FIRST_SLOTS), -math.inf)
         self.probes = 0  # runs that ask for the probe
 
     def asking(self):
@@ -403,8 +373,9 @@ class _Refinements:
         value and error arrays of the panels `asking` asked for, in order."""
         floats, ints, spec, first, second = self.floats, self.ints, self.spec, self.first, self.second
         a, mid, b, total, total_err = floats
-        _, phase, parent, evaluations, subdivisions, still, used, start, cap = ints
+        _, phase, parent, evaluations, subdivisions, still, used, start = ints
         lo, hi, val, err = self.pool
+        room = np.append(start[1:], len(err)) - start  # the slots of each block
         lval, lerr, rval, rerr = value[first], error[first], value[second], error[second]
         finite = np.logical_and.reduce(np.isfinite(np.array((lval, lerr, rval, rerr))))
         evaluations += 15 * self.count
@@ -429,9 +400,8 @@ class _Refinements:
             pk = parent[k]
             pval, perr = val[pk], err[pk]
             err[pk] = -math.inf
-            full = used[k] + 2 > cap[k]
-            if full.any():
-                self._grow(k[full])
+            if (used[k] + 2 > room[k]).any():
+                room = self._rebuild(room)
                 lo, hi, val, err = self.pool
             lval, lerr, rval, rerr, ak, mk = lval[k], lerr[k], rval[k], rerr[k], a[k], mid[k]
             slot = start[k] + used[k]
@@ -461,7 +431,7 @@ class _Refinements:
             _BUDGET * (subdivisions[r] >= spec.max_subdivisions),
             _MET * (total_err[r] <= np.fmax(spec.rel_tol * abs(total[r]), spec.abs_tol)))
         r = r[why[r] == _GOING]
-        worst = self._worst(r)
+        worst = self._worst(r, room)
         plo, phi = lo[worst], hi[worst]
         half = 0.5 * (plo + phi)  # _midpoint
         if not np.isfinite(half).all():
@@ -475,66 +445,50 @@ class _Refinements:
         if not why.any():
             return []
         stopped = why.nonzero()[0]
-        done = self._results(stopped, why[stopped])
+        done = self._results(stopped, why[stopped], room)
         keep = why == _GOING
         self.floats, self.ints = floats.compress(keep, axis=1), ints.compress(keep, axis=1)
         return done
 
-    def _worst(self, rows):
+    def _worst(self, rows, room):
         """The pool slot of the first largest error in the block of each of
-        rows: one pass over the pool from the first block to the last, in
-        pool order, finds each block's largest error, and one more the first
-        slot of each block that holds it."""
-        if not rows.size:
-            return rows
-        start = self.ints[7, rows]
-        order = start.argsort()
-        # the ends of the blocks and of the gaps between them; the last gap
-        # is the slot past the last block
-        bounds = np.empty(2 * len(rows) + 1, dtype=np.int64)
-        bounds[0:-1:2] = start[order]
-        bounds[1::2] = bounds[0:-1:2] + self.ints[6, rows[order]]
-        bounds[-1] = bounds[-2] + 1
-        span = self.pool[3, bounds[0]:bounds[-1]]
-        bounds -= bounds[0]
-        top = np.maximum.reduceat(span, bounds[:-1])
-        top[1::2] = math.nan  # equal to no error
-        hits = (span == top.repeat(bounds[1:] - bounds[:-1])).nonzero()[0]
-        worst = np.empty_like(start)
-        worst[order] = hits[hits.searchsorted(bounds[0:-1:2])] + start[order[0]]
-        return worst
+        rows: one pass over the blocks finds each block's largest error, and
+        one more the first slot of each block that holds it."""
+        start = self.ints[7]
+        errors = self.pool[3, start[0]:]
+        at = start - start[0]
+        hits = (errors == np.maximum.reduceat(errors, at).repeat(room)).nonzero()[0]
+        return hits[hits.searchsorted(at[rows])] + start[0]
 
-    def _grow(self, rows):
-        """Room for two more panels in the blocks of rows: each block moves,
-        its live panels only, to the end of the pool, in half as many slots
-        again and four more; where the pool has no room for them, every
-        block moves so into a pool rebuilt a quarter larger than they need."""
-        used, start, cap = self.ints[6:]
-        old = self.pool
-        rebuild = self.top + 2 * used[rows].sum() + 4 * len(rows) >= old.shape[1]
-        if rebuild:
-            rows, self.top = np.arange(len(cap)), 0
-        slots = _ranges(start[rows], used[rows])
-        live = old[3, slots] != -math.inf
-        used[rows] = np.bincount(np.arange(len(rows)).repeat(used[rows])[live],
-                                 minlength=len(rows))
-        cap[rows] = used[rows] + used[rows] // 2 + 4
-        start[rows] = self.top + cap[rows].cumsum() - cap[rows]
-        self.top += cap[rows].sum()
-        if rebuild:
-            self.pool = np.empty((4, self.top + self.top // 4 + 1))
-        self.pool[:, _ranges(start[rows], used[rows])] = old[:, slots[live]]
+    def _rebuild(self, room):
+        """The room of each block in a pool rebuilt from the live panels of
+        the unfinished runs, in order: its live count, half as many slots
+        again and four more."""
+        used, start = self.ints[6:]
+        old = self.pool[:, start[0]:]
+        live = old[3] != -math.inf
+        used[:] = np.bincount(np.arange(len(room)).repeat(room)[live], minlength=len(room))
+        room = used + used // 2 + 4
+        start[:] = room.cumsum() - room
+        self.pool = np.full((4, room.sum()), -math.inf)
+        self.pool[:, np.arange(self.pool.shape[1]) < (start + used).repeat(room)] = old[:, live]
+        return room
 
-    def _results(self, rows, why):
+    def _results(self, rows, why, room):
         """(run number, QuadResult) of each of rows, which stopped for why:
         the values and errors of its live panels summed in panel order from
-        +0.0, one at a time, as `_refine` sums them."""
-        run, _, _, evaluations, subdivisions, _, used, start, _ = self.ints.take(rows, axis=1)
+        +0.0, one at a time, as `_refine` sums them. Their slots then read
+        error -inf."""
+        run, _, _, evaluations, subdivisions = self.ints[:5, rows]
+        base = self.ints[7, 0]
         lo, _, val, err = self.pool
-        slots = _ranges(start, used)
-        owner = np.arange(len(rows)).repeat(used)
-        live = err[slots] != -math.inf
-        slots, owner = slots[live], owner[live]
+        # per slot from the first block: the position in rows of its run, or -1
+        owner = np.full(len(room), -1)
+        owner[rows] = np.arange(len(rows))
+        owner = owner.repeat(room)
+        slots = ((owner >= 0) & (err[base:] != -math.inf)).nonzero()[0]
+        owner = owner[slots]
+        slots += base
         slots = slots[np.lexsort((lo[slots], owner))]
         panels = np.bincount(owner, minlength=len(rows))
         # one row per run, +0.0 first: padding it with +0.0 leaves each sum's
@@ -544,6 +498,7 @@ class _Refinements:
         at = owner * width + np.arange(1, len(slots) + 1) - (panels.cumsum() - panels)[owner]
         sums = np.zeros((2, len(rows) * width))
         sums[0, at], sums[1, at] = val[slots], err[slots]
+        err[slots] = -math.inf
         value, error = np.add.accumulate(sums.reshape(2, len(rows), width), axis=2)[:, :, -1]
         return [
             (number, _result(v, e, _STOPS[w], n, s, self.spec))

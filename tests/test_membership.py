@@ -38,6 +38,11 @@ def test_gridspec_validation():
     with pytest.raises(DomainError, match="nx=2, ny=2, nt=100000000"):
         GridSpec(nx=2, ny=2, nt=100_000_000)
     GridSpec(nx=2**22, ny=2, nt=2**21)
+    # point counts are integers, numpy's too; the error names the field
+    for field, value in (("nx", 2.5), ("nt", float("nan")), ("ny", True)):
+        with pytest.raises(DomainError, match=f"^grid point count {field} must be an integer"):
+            GridSpec(**{field: value})
+    assert GridSpec(nx=np.int64(3)).nx == 3
 
 
 def test_square_is_nesbitt_convex():

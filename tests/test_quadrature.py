@@ -280,11 +280,21 @@ def test_panel_midpoints_do_not_overflow():
         {"left_singularity_exponent": 0.5},
         {"abs_tol": math.inf},
         {"rel_tol": math.inf},
+        # a budget that is not an integer: NaN would never be reached, and
+        # 2.5 would stop a run at 3 subdivisions
+        {"max_subdivisions": math.nan},
+        {"max_subdivisions": 2.5},
+        {"max_subdivisions": True},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(DomainError):
         QuadSpec(**kwargs)
+
+
+def test_spec_takes_numpy_integers():
+    res = integrate_unit(lambda t: np.sin(30 * t), QuadSpec(max_subdivisions=np.int64(3)))
+    assert (res.stop_reason, res.subdivisions) == ("budget", 3)
 
 
 def test_rational_integrand_evaluations():

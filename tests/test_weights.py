@@ -547,6 +547,12 @@ def test_array_refinement_matches_a_term_alone_run(ws, g, degree, spec, reason, 
     assert _bits(results[1][0]) == _bits(expected)
     assert [_bits(r) for r in results[0]] == [
         _term_reference(young(3.0), g, degree, spec) for g, degree in MOMENT_INTEGRANDS.values()]
+    # the term's case first: its run is first in run order, so its block
+    # grows into the room that the runs after it leave when they stop
+    results = [list(results) for _, results in weights_module.oracle(cases[1::-1] + cases[2:], spec)]
+    assert _bits(results[0][0]) == _bits(expected)
+    assert [_bits(r) for r in results[1]] == [
+        _term_reference(young(3.0), g, degree, spec) for g, degree in MOMENT_INTEGRANDS.values()]
 
 
 def test_a_whole_budget_run_holds_only_its_own_panels():

@@ -18,7 +18,9 @@ created or updated in place, so several workloads share one file: per
 end-to-end metric of BENCHMARK.json, both series, their quartiles, the
 pairs the change wins, the median's relative change and whether it is
 within the metric's bound, plus the two revisions and each tree's
-correct and failed counts.
+correct and failed counts. When a run exits non-zero, the summary covers
+the pairs completed before it, names that run under "failed_run" (pair,
+tree, exit code and the last line of its stderr), and the tool exits 1.
 """
 
 import argparse
@@ -43,12 +45,14 @@ def _extract(revision, directory):
 
 
 def _run(tree, args):
-    """The result object of one perfbench run in tree."""
+    """The result object of one perfbench run in tree, or, where the run
+    exits non-zero, its exit code and the last line of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        return None
+        return {"exit_code": proc.returncode,
+                "stderr": (proc.stderr.strip().splitlines() or [""])[-1]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -96,15 +100,21 @@ def main() -> int:
 
     series = {name: {metric: [] for metric in metrics} for name in trees}
     failed = {name: 0 for name in trees}
-    correct, first = True, []
+    correct, first, failed_run = True, [], None
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        first.append(order[0])
+        results = {}
         for name in order:
-            result = _run(trees[name], args)
-            if result is None:
-                print(f"pair {pair + 1}: the {name} run exited non-zero", file=sys.stderr)
-                return 1
+            results[name] = result = _run(trees[name], args)
+            if "exit_code" in result:
+                failed_run = {"pair": pair + 1, "tree": name, **result}
+                break
+        if failed_run is not None:
+            print(f"pair {pair + 1}: the {name} run exited {result['exit_code']}: "
+                  f"{result['stderr']}", file=sys.stderr)
+            break
+        first.append(order[0])
+        for name, result in results.items():
             correct &= bool(result["correct"])
             failed[name] += result["failed"]
             for metric in metrics:
@@ -125,19 +135,23 @@ def main() -> int:
         "checkout": "each revision extracted with git archive into one of two sibling "
                     "directories whose paths have equal length",
     })
-    summary.setdefault("workloads", {})[f"{args.workload} seed {args.seed}"] = {
+    workload = {
         "revisions": {"parent": args.parent, "change": args.change},
-        "pairs": args.pairs,
+        "pairs": len(first),
         "first_in_pair": first,
         "correct_all": correct,
         "failed_total": failed,
+        # quartiles need two pairs
         "metrics": {name: _summary(metric, series["parent"][name], series["change"][name])
-                    for name, metric in metrics.items()},
+                    for name, metric in metrics.items()} if len(first) >= 2 else {},
     }
+    if failed_run is not None:
+        workload["failed_run"] = failed_run
+    summary.setdefault("workloads", {})[f"{args.workload} seed {args.seed}"] = workload
     with open(args.out, "w") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")
-    return 0
+    return 0 if failed_run is None else 1
 
 
 if __name__ == "__main__":
