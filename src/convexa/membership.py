@@ -49,6 +49,7 @@ class GridSpec:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral):
                 raise DomainError(f"grid point count {name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))  # a JSON number
         if self.nx < 2 or self.ny < 2 or self.nt < 2:
             raise DomainError("grid point counts nx, ny, nt must be >= 2")
         if max(self.nx, self.ny * self.nt) > _MAX_SCAN_AXIS:

@@ -97,6 +97,7 @@ class QuadSpec:
         n = self.max_subdivisions
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError("max_subdivisions must be a positive integer")
+        object.__setattr__(self, "max_subdivisions", int(n))  # a JSON number
         e = self.left_singularity_exponent
         if e is not None and not (-1.0 < e <= 0.0):
             raise DomainError(f"left_singularity_exponent must lie in (-1, 0], got {e}")

@@ -293,7 +293,9 @@ def test_spec_validation(kwargs):
 
 
 def test_spec_takes_numpy_integers():
-    res = integrate_unit(lambda t: np.sin(30 * t), QuadSpec(max_subdivisions=np.int64(3)))
+    spec = QuadSpec(max_subdivisions=np.int64(3))
+    assert type(spec.max_subdivisions) is int  # the report's config echo is JSON
+    res = integrate_unit(lambda t: np.sin(30 * t), spec)
     assert (res.stop_reason, res.subdivisions) == ("budget", 3)
 
 
